@@ -19,7 +19,6 @@ from ekor_atlas.affine import (
     GroupError,
     OmegaElement,
     ReducedDecomposition,
-    build_extended_affine_weyl,
     element_label,
 )
 from ekor_atlas.coxeter import (
@@ -78,7 +77,6 @@ __all__ = [
     "StratumRecord",
     "admissible_set",
     "bruhat_hasse_edges",
-    "build_extended_affine_weyl",
     "dl_datum",
     "double_coset_minima",
     "element_label",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from ekor_atlas.affine import (
@@ -21,9 +22,6 @@ from ekor_atlas.affine import (
     OmegaElement,
 )
 from ekor_atlas.lattice import mat_vec
-
-# above this many products the saturation identity check is skipped
-CROSS_CHECK_BUDGET = 100000
 
 
 def parahoric_label(group: ExtendedAffineWeylGroup,
@@ -57,7 +55,11 @@ class AdmissibleSet:
         return iter(self.elements)
 
     def __contains__(self, x: ExtAffineElement) -> bool:
-        return x in set(self.elements)
+        return x in self._members
+
+    @cached_property
+    def _members(self) -> frozenset[ExtAffineElement]:
+        return frozenset(self.elements)
 
     def by_length(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -133,22 +135,10 @@ def is_right_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
 
 def kw_elements(adm: AdmissibleSet,
                 nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
-    """Left-minimal admissible elements at the given level.
-
-    When the product count is small enough this also recomputes the set as
-    the left-minimal part of the right saturation and insists the two
-    answers agree.
-    """
+    """Left-minimal admissible elements at the given level."""
     group = adm.group
     label = parahoric_label(group, nodes)
-    direct = tuple(x for x in adm.elements if is_left_minimal(group, x, label))
-    wk = group.parabolic_subgroup_elements(label)
-    if len(adm.elements) * len(wk) <= CROSS_CHECK_BUDGET:
-        saturated = {group.mult(x, v) for x in adm.elements for v in wk}
-        alt = {y for y in saturated if is_left_minimal(group, y, label)}
-        if alt != set(direct):
-            raise GroupError("minimal representatives disagree with the saturated set")
-    return direct
+    return tuple(x for x in adm.elements if is_left_minimal(group, x, label))
 
 
 def saturated_set(adm: AdmissibleSet,

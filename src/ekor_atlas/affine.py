@@ -75,9 +75,6 @@ class ExtAffineElement:
     def is_identity(self) -> bool:
         return self.w == 0 and not any(self.trans)
 
-    def translation_ambient(self) -> tuple[int, ...]:
-        return self.group.datum.from_lattice(self.trans)
-
 
 @dataclass(frozen=True)
 class OmegaElement:
@@ -127,8 +124,6 @@ class ExtendedAffineWeylGroup:
         self._wmats = [ident]
         self._wambient = [identity_matrix(datum.dim)]
         self._windex = {ident: 0}
-        self._wwords = [()]
-        self._wlength = [0]
         frontier = [0]
         while frontier:
             nxt = []
@@ -140,8 +135,6 @@ class ExtendedAffineWeylGroup:
                         self._wmats.append(m)
                         self._wambient.append(
                             mat_mul(self._wambient[idx], datum.reflections_ambient[i]))
-                        self._wwords.append(self._wwords[idx] + (i + 1,))
-                        self._wlength.append(self._wlength[idx] + 1)
                         nxt.append(self._windex[m])
             frontier = nxt
         self.finite_order = len(self._wmats)
@@ -175,15 +168,9 @@ class ExtendedAffineWeylGroup:
     def act(self, widx: int, v: Sequence) -> tuple:
         return mat_vec(self._wmats[widx], v)
 
-    def finite_word(self, widx: int) -> tuple[int, ...]:
-        return self._wwords[widx]
-
     def reflection_node(self, x: "ExtAffineElement") -> Optional[int]:
         """Node index if x is one of the simple reflections, else None."""
         return self._node_of_reflection.get(x)
-
-    def finite_length(self, widx: int) -> int:
-        return self._wlength[widx]
 
     def ambient_matrix(self, widx: int):
         return self._wambient[widx]
@@ -429,10 +416,6 @@ class ExtendedAffineWeylGroup:
         self._check(x)
         return self.pi1_gamma.class_of(x.trans)
 
-    def kottwitz_gamma0(self, x: ExtAffineElement) -> Pi1Class:
-        self._check(x)
-        return self.pi1_gamma0.class_of(x.trans)
-
     def _newton_parts(self, x: ExtAffineElement):
         """Smallest n with (x sigma)^n a translation, and that translation."""
         A = mat_mul(self._wmats[x.w], self.datum.frobenius_lattice)
@@ -621,7 +604,3 @@ def element_label(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> str:
     if not rd.omega.element.is_identity():
         parts.append("tau")
     return ".".join(parts) if parts else "e"
-
-
-def build_extended_affine_weyl(datum: RootDatum) -> ExtendedAffineWeylGroup:
-    return ExtendedAffineWeylGroup(datum)

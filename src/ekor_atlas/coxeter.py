@@ -358,20 +358,3 @@ class DiagramMap:
             if grown == out:
                 return frozenset(out)
             out = grown
-
-
-def connected_components(mat: CoxeterMatrix, J: Optional[Iterable[int]] = None):
-    return mat.connected_components(J)
-
-
-def is_finite_parabolic(mat: CoxeterMatrix, J: Iterable[int],
-                        components=None) -> bool:
-    return mat.is_finite_parabolic(J)
-
-
-def finite_type_of(mat: CoxeterMatrix, J: Iterable[int]) -> FiniteTypeLabel:
-    return mat.finite_type(J)
-
-
-def orbit_closure(f: DiagramMap, J: Iterable[int]) -> frozenset[int]:
-    return f.orbit_closure(J)

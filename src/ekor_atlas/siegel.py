@@ -13,12 +13,13 @@ representatives of small hyperoctahedral groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ekor_atlas.admissible import (
     AdmissibleSet,
     admissible_set,
+    is_left_minimal,
     kw_elements,
     parahoric_label,
 )
@@ -88,7 +89,6 @@ class SiegelContext:
     tau: OmegaElement
     iwahori: frozenset[int]
     hyperspecial: frozenset[int]
-    _min_reps: Optional[tuple[ExtAffineElement, ...]] = field(default=None, repr=False)
 
     def adm(self) -> AdmissibleSet:
         return admissible_set(self.group, self.mu)
@@ -114,27 +114,12 @@ class SiegelContext:
 
     # ------------------------------------------------ minimal coset reps
 
-    def finite_elements(self) -> tuple[ExtAffineElement, ...]:
-        return self.group.parabolic_subgroup_elements(self.hyperspecial)
-
-    def min_reps(self) -> tuple[ExtAffineElement, ...]:
-        """Minimal representatives of the finite Weyl group modulo its
-        permutation part: no left descent among the first g-1 nodes."""
-        if self._min_reps is None:
-            group = self.group
-            left = frozenset(range(1, self.g))
-            out = []
-            for w in self.finite_elements():
-                lw = group.length(w)
-                if all(group.length(group.mult(group.simple_reflections[i], w)) > lw
-                       for i in left):
-                    out.append(w)
-            self._min_reps = tuple(sorted(out, key=group.sort_key))
-        return self._min_reps
-
     def embedded_min_reps(self, c: int) -> tuple[ExtAffineElement, ...]:
         """Minimal representatives of the rank-c analogue, relettered to the
-        last c finite nodes, checked against the support description."""
+        last c finite nodes: elements of the parabolic on nodes g-c+1..g
+        with no left descent among its first c-1 nodes.  At c = g these are
+        the 2^g representatives of the finite Weyl group modulo its
+        permutation part."""
         if c < 0:
             return ()
         if c == 0:
@@ -143,18 +128,8 @@ class SiegelContext:
         group = self.group
         window = frozenset(range(g - c + 1, g + 1))
         left = frozenset(range(g - c + 1, g))
-        out = []
-        for w in group.parabolic_subgroup_elements(window):
-            lw = group.length(w)
-            if all(group.length(group.mult(group.simple_reflections[i], w)) > lw
-                   for i in left):
-                out.append(w)
-        out = tuple(sorted(out, key=group.sort_key))
-        by_support = tuple(w for w in self.min_reps()
-                           if set(group.reduced_word(w).word) <= window)
-        if out != by_support:
-            raise GroupError("relettered representatives disagree with the support description")
-        return out
+        return tuple(w for w in group.parabolic_subgroup_elements(window)
+                     if is_left_minimal(group, w, left))
 
     # ---------------------------------------------------- closed forms
 

@@ -61,7 +61,7 @@ def test_c1_structural_counts(criterion):
             order *= k
         ok &= ctx.group.finite_order == order
         ok &= coxeter_group_size(ctx.datum.finite_coxeter) == order
-        ok &= len(ctx.min_reps()) == 2 ** g
+        ok &= len(ctx.embedded_min_reps(ctx.g)) == 2 ** g
     for g, size in ADM_SIZES.items():
         ctx = siegel_context(g)
         group = ctx.group
@@ -241,7 +241,8 @@ def test_c7_eo_correspondence(criterion):
     for g in (1, 2, 3):
         ctx = siegel_context(g)
         group = ctx.group
-        image = {group.mult(ctx.tau.element, w) for w in ctx.min_reps()}
+        image = {group.mult(ctx.tau.element, w)
+                 for w in ctx.embedded_min_reps(ctx.g)}
         ok &= len(image) == 2 ** g
         ok &= image == set(kw_elements(ctx.adm(), ctx.hyperspecial))
         parts.append(f"g={g}: {len(image)}")

@@ -73,6 +73,15 @@ def test_result_is_cached(ctx2):
     assert ctx2.adm() is ctx2.adm()
 
 
+def test_membership(ctx2):
+    group = ctx2.group
+    adm = ctx2.adm()
+    assert all(x in adm for x in adm.elements)
+    # wrong Kottwitz class, and right class but too long
+    assert group.translation((2, 2, 0, 0)) not in adm
+    assert group.translation((2, 1, 0, -1)) not in adm
+
+
 # ------------------------------------------------------------ parahorics
 
 
@@ -117,9 +126,36 @@ def test_kw_elements_are_minimal(ctx2, nodes):
 
 
 def test_kw_g3_levels(ctx3):
-    # exercises the saturation identity cross check at a nontrivial rank
     assert len(ctx3.kw(ctx3.hyperspecial)) == 8
     assert len(ctx3.kw(ctx3.level_nodes("1,2"))) > 8
+
+
+# levels whose saturation has at most this many products; this leaves out
+# only the two 384-element levels at g=4
+SATURATION_BUDGET = 100_000
+SATURATION_LEVELS = {1: 3, 2: 7, 3: 15, 4: 29}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_kw_is_left_minimal_part_of_saturation(g):
+    """He's identity: the left-minimal admissible elements are the
+    left-minimal part of the admissible set saturated on the right."""
+    from ekor_atlas.siegel import siegel_context
+    ctx = siegel_context(g)
+    group = ctx.group
+    adm = ctx.adm()
+    n = group.num_nodes
+    checked = 0
+    for mask in range((1 << n) - 1):
+        nodes = frozenset(i for i in range(n) if mask >> i & 1)
+        wk = group.parabolic_subgroup_elements(nodes)
+        if len(adm) * len(wk) > SATURATION_BUDGET:
+            continue
+        saturated = {group.mult(x, v) for x in adm.elements for v in wk}
+        minimal = {y for y in saturated if is_left_minimal(group, y, nodes)}
+        assert minimal == set(kw_elements(adm, nodes)), sorted(nodes)
+        checked += 1
+    assert checked == SATURATION_LEVELS[g]
 
 
 def test_saturated_contains_admissible(ctx2):

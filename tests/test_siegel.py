@@ -62,7 +62,7 @@ def test_diagram_types(ctx1, ctx3):
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_min_rep_count(g):
     ctx = siegel_context(g)
-    reps = ctx.min_reps()
+    reps = ctx.embedded_min_reps(ctx.g)
     assert len(reps) == 2 ** g
     assert len(set(reps)) == len(reps)
 
@@ -73,6 +73,18 @@ def test_embedded_reps_nest(ctx4):
     for c in range(4):
         assert set(ctx4.embedded_min_reps(c)) <= \
             set(ctx4.embedded_min_reps(c + 1))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_embedded_reps_are_support_filter(g):
+    ctx = siegel_context(g)
+    group = ctx.group
+    full = ctx.embedded_min_reps(g)
+    for c in range(1, g + 1):
+        window = set(range(g - c + 1, g + 1))
+        by_support = tuple(w for w in full
+                           if set(group.reduced_word(w).word) <= window)
+        assert ctx.embedded_min_reps(c) == by_support
 
 
 def test_superspecial_index(ctx4):
