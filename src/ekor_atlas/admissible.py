@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from ekor_atlas.affine import (
@@ -53,13 +52,6 @@ class AdmissibleSet:
 
     def __iter__(self) -> Iterator[ExtAffineElement]:
         return iter(self.elements)
-
-    def __contains__(self, x: ExtAffineElement) -> bool:
-        return x in self._members
-
-    @cached_property
-    def _members(self) -> frozenset[ExtAffineElement]:
-        return frozenset(self.elements)
 
     def by_length(self) -> dict[int, int]:
         out: dict[int, int] = {}

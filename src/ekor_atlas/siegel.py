@@ -122,8 +122,6 @@ class SiegelContext:
         permutation part."""
         if c < 0:
             return ()
-        if c == 0:
-            return (self.group.identity,)
         g = self.g
         group = self.group
         window = frozenset(range(g - c + 1, g + 1))
