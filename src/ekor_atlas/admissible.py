@@ -113,16 +113,14 @@ def admissible_set(group: ExtendedAffineWeylGroup,
 
 def is_left_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
                     label: frozenset[int]) -> bool:
-    lx = group.length(x)
-    return all(group.length(group.mult(group.simple_reflections[i], x)) > lx
-               for i in label)
+    return not any(group.is_descent(x, i) for i in label)
 
 
 def is_right_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
                      label: frozenset[int]) -> bool:
-    lx = group.length(x)
-    return all(group.length(group.mult(x, group.simple_reflections[i])) > lx
-               for i in label)
+    """Right descents of x are the left descents of x^-1."""
+    xinv = group.inv(x)
+    return not any(group.is_descent(xinv, i) for i in label)
 
 
 def kw_elements(adm: AdmissibleSet,

@@ -15,6 +15,36 @@ length is
 
 which the test suite cross-checks against breadth-first word distance.
 
+Left descents come from one pairing each.  Let x = t^l w.
+
+* Finite node i.  s_i x = t^(s_i l) s_i w.  For a > 0 put b = s_i a; then
+  (s_i w)^-1 a = w^-1 b and <s_i l, a> = <l, b>.  As a runs over the
+  positive roots other than a_i so does b, and their terms are unchanged.
+  Only a_i moves (b = -a_i): with p = <l, a_i>, its term goes from |p| to
+  |p - 1| when w^-1 a_i > 0 and from |p + 1| to |p| when w^-1 a_i < 0.  So
+  i is a descent iff p >= (1 if w^-1 a_i > 0 else 0).
+* Affine node of a component with highest root theta.  s_0 x = t^l' s_theta w
+  with l' = s_theta l - theta_coroot.  For a > 0 put b = s_theta a; then
+  (s_theta w)^-1 a = w^-1 b and <l', a> = <l, b> + <theta_coroot, b>.  As
+  theta is long, <theta_coroot, a> is 0 or 1 for a > 0, a != theta.  If it
+  is 0, b = a and the term is unchanged.  If it is 1, b = -(theta - a)
+  and the term of a in l(s_0 x) equals the term of theta - a in l(x);
+  a -> theta - a permutes these roots.  Only theta moves: with
+  q = <l, theta>, its term goes from |q| to |q + 1| when w^-1 theta > 0 and
+  from |q + 1| to |q + 2| when w^-1 theta < 0.  So the node is a descent
+  iff q <= (-1 if w^-1 theta > 0 else -2).
+
+Both cases read: the node with affine simple root b + k (b = a_i, k = 0, or
+b = -theta, k = 1) is a descent iff <l, b> >= k + (1 if w^-1 b > 0 else 0).
+The length-difference test is kept as ``oracles.descents_by_length``.
+
+Newton points are computed in integers.  If (x sigma)^n = t^m then the
+Newton point is nu = m / n, and <m, a> and <nu, a> have the same sign for
+n > 0, so dominantizing m picks the same reflections as dominantizing nu and
+returns n times its dominant form.  The only division is the last step
+of ``newton_vector``, and sigma-straightness, <nu, 2 rho> = l(x), is tested
+as <n nu, 2 rho> = n l(x) without one.
+
 Group objects memoise lengths, reduced words and Bruhat comparisons.  The
 caches are only ever extended with values that any thread would recompute
 identically, so concurrent readers are safe.
@@ -104,6 +134,7 @@ class ExtendedAffineWeylGroup:
         self.rank = datum.rank
         self._enumerate_finite()
         self._build_generators()
+        self._build_walls()
         self._build_affine_matrix()
         self._build_sigma()
         self._build_pi1()
@@ -312,30 +343,41 @@ class ExtendedAffineWeylGroup:
             self._length[key] = got = total
         return got
 
+    def _build_walls(self):
+        """Per node: the root b of its wall, the index r of the positive
+        root +-b, and the least descent pairing <l, b> when w^-1 r > 0 and
+        when w^-1 r < 0 (module docstring)."""
+        datum = self.datum
+        index = datum.positive_roots.index
+        walls = [None] * self.num_nodes
+        for i, vals in enumerate(datum.root_values):
+            walls[i + 1] = (vals, index(vals), 1, 0)
+        for j, theta in enumerate(datum.theta):
+            walls[self.affine_node_of_component[j]] = (vec_neg(theta), index(theta), 1, 2)
+        self._walls = tuple(walls)
+
+    def is_descent(self, x: ExtAffineElement, i: int) -> bool:
+        """Whether s_i x is shorter than x, from one pairing."""
+        self._check(x)
+        vals, k, hi, lo = self._walls[i]
+        return vec_dot(x.trans, vals) >= (hi if self._signs(x.w)[k] else lo)
+
     def descents(self, x: ExtAffineElement) -> list[int]:
-        lx = self.length(x)
-        return [i for i in range(self.num_nodes)
-                if self.length(self.mult(self.simple_reflections[i], x)) < lx]
+        return [i for i in range(self.num_nodes) if self.is_descent(x, i)]
 
     def first_descent(self, x: ExtAffineElement) -> Optional[int]:
-        lx = self.length(x)
-        for i in range(self.num_nodes):
-            if self.length(self.mult(self.simple_reflections[i], x)) < lx:
-                return i
-        return None
+        return next((i for i in range(self.num_nodes) if self.is_descent(x, i)), None)
 
     def reduced_word(self, x: ExtAffineElement) -> ReducedDecomposition:
-        """Greedy reduced word: repeatedly strip the least left descent."""
+        """Greedy reduced word: strip the least left descent l(x) times."""
         self._check(x)
         key = (x.trans, x.w)
         got = self._rd.get(key)
         if got is None:
             word = []
             y = x
-            while True:
+            for _ in range(self.length(x)):
                 i = self.first_descent(y)
-                if i is None:
-                    break
                 word.append(i)
                 y = self.mult(self.simple_reflections[i], y)
             got = ReducedDecomposition(tuple(word), self.omega_of(y))
@@ -401,9 +443,8 @@ class ExtendedAffineWeylGroup:
             i = self.first_descent(y)
             s = self.simple_reflections[i]
             sy = self.mult(s, y)
-            sx = self.mult(s, x)
-            if self.length(sx) < lx:
-                got = self._bruhat_rec(sx, sy)
+            if self.is_descent(x, i):
+                got = self._bruhat_rec(self.mult(s, x), sy)
             else:
                 got = self._bruhat_rec(x, sy)
             self._bruhat[key] = got
@@ -416,8 +457,9 @@ class ExtendedAffineWeylGroup:
         self._check(x)
         return self.pi1_gamma.class_of(x.trans)
 
-    def _newton_parts(self, x: ExtAffineElement):
-        """Smallest n with (x sigma)^n a translation, and that translation."""
+    def _newton_scaled(self, x: ExtAffineElement):
+        """Smallest n with (x sigma)^n a translation t^m, and the dominant
+        form of m, which is n times the dominant Newton point."""
         A = mat_mul(self._wmats[x.w], self.datum.frobenius_lattice)
         ident = identity_matrix(self.rank)
         apow = A
@@ -429,19 +471,24 @@ class ExtendedAffineWeylGroup:
             n += 1
             if n > 100000:
                 raise GroupError("twisted linear part does not have finite order")
-        return n, trans
+        dom, _ = self.dominantize_lattice(trans)
+        return n, dom
 
     def dominantize_lattice(self, v: Sequence):
-        """Dominant representative of a lattice vector and the element applied."""
+        """Dominant representative of a lattice vector and the element applied.
+
+        Exact in whatever numbers it is given: integers stay integers.
+        """
         vals = self.datum.root_values
-        refl = self.datum.reflections_lattice
-        cur = tuple(Fraction(t) for t in v)
+        coroots = self.datum.coroots_lattice
+        cur = tuple(v)
         widx = 0
         while True:
             for i in range(self.datum.nsimple):
-                if vec_dot(cur, vals[i]) < 0:
-                    cur = mat_vec(refl[i], cur)
-                    widx = self.wmul(self._windex[refl[i]], widx)
+                p = vec_dot(cur, vals[i])
+                if p < 0:
+                    cur = tuple(c - p * a for c, a in zip(cur, coroots[i]))
+                    widx = self.wmul(self.simple_reflections[i + 1].w, widx)
                     break
             else:
                 return cur, widx
@@ -453,22 +500,17 @@ class ExtendedAffineWeylGroup:
         elt = ExtAffineElement((0,) * self.rank, widx, self)
         return self.datum.from_lattice(dom), elt
 
-    def newton_lattice(self, x: ExtAffineElement) -> tuple[Fraction, ...]:
-        n, trans = self._newton_parts(x)
-        nu = tuple(Fraction(t, n) for t in trans)
-        dom, _ = self.dominantize_lattice(nu)
-        return dom
-
     def newton_vector(self, x: ExtAffineElement) -> tuple[Fraction, ...]:
         """Dominant Newton point of the element, in ambient coordinates."""
         self._check(x)
-        return tuple(self.datum.from_lattice(self.newton_lattice(x)))
+        n, dom = self._newton_scaled(x)
+        return tuple(Fraction(t, n) for t in self.datum.from_lattice(dom))
 
     def is_sigma_straight(self, x: ExtAffineElement) -> bool:
         """Length equals the pairing of the Newton point with 2*rho."""
         self._check(x)
-        nu = self.newton_lattice(x)
-        return vec_dot(nu, self.datum.two_rho) == self.length(x)
+        n, dom = self._newton_scaled(x)
+        return vec_dot(dom, self.datum.two_rho) == n * self.length(x)
 
     def newton_leq(self, nu1_ambient: Sequence, nu2_ambient: Sequence) -> bool:
         """Dominance order: nu2 - nu1 a nonnegative rational coroot sum."""

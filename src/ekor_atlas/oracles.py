@@ -124,6 +124,14 @@ def bruhat_leq_subword(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     return x in got
 
 
+def descents_by_length(group: ExtendedAffineWeylGroup,
+                       x: ExtAffineElement) -> list[int]:
+    """Left descents found by comparing the length of s_i x with that of x."""
+    lx = group.length(x)
+    return [i for i in range(group.num_nodes)
+            if group.length(group.mult(group.simple_reflections[i], x)) < lx]
+
+
 def right_greedy_word(group: ExtendedAffineWeylGroup, x: ExtAffineElement):
     """Reduced word built by stripping right descents, plus the leftover
     length-zero factor on the left: x = omega * word."""

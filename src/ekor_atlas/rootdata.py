@@ -15,9 +15,9 @@ matrix, validating the crystallographic axioms along the way.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from ekor_atlas.coxeter import INFINITE_BOND, CoxeterError, CoxeterMatrix
+from ekor_atlas.coxeter import CoxeterMatrix
 from ekor_atlas.lattice import (
     fraction_matrix_inverse,
     identity_matrix,

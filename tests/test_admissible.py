@@ -177,6 +177,19 @@ def test_double_coset_minima(ctx2):
         assert is_right_minimal(group, x, nodes)
 
 
+@pytest.mark.parametrize("nodes", [frozenset({1, 2}), frozenset({0, 2})])
+def test_right_minimal_matches_lengths(ctx2, nodes):
+    group = ctx2.group
+    seen = set()
+    for x in saturated_set(ctx2.adm(), nodes):
+        lx = group.length(x)
+        by_length = all(group.length(group.mult(x, group.simple_reflections[i])) > lx
+                        for i in nodes)
+        assert is_right_minimal(group, x, nodes) == by_length
+        seen.add(by_length)
+    assert seen == {True, False}
+
+
 # ------------------------------------------------------------ Hasse edges
 
 

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekor_atlas.affine import GroupError, element_label
-from ekor_atlas.lattice import vec_dot
+from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError, element_label
+from ekor_atlas.lattice import mat_vec, vec_dot
 from ekor_atlas.oracles import (
     bruhat_leq_subword,
     cayley_ball,
+    descents_by_length,
     random_element,
     straight_by_definition,
     twisted_conjugates,
     twisted_power,
 )
+from ekor_atlas.rootdata import RootDatum
 
 word_strategy = st.lists(st.integers(min_value=0, max_value=2), max_size=7)
 
@@ -97,6 +99,50 @@ def test_length_steps_by_one(word, taupow):
         before = group.length(x)
         x = group.mult(x, s)
         assert abs(group.length(x) - before) == 1
+
+
+def build_gl2_gl3():
+    """Split GL2 x GL3: types A1 and A2, so two affine nodes (0 and 4)."""
+    roots = ((1, -1, 0, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 1, -1))
+    datum = RootDatum(dim=5, basis=[tuple(int(i == j) for j in range(5))
+                                    for i in range(5)],
+                      simple_roots=roots, simple_coroots=roots)
+    return ExtendedAffineWeylGroup(datum)
+
+
+def _random_sample(group, mus, count, seed):
+    """Random elements over the length-zero parts of the given coweights."""
+    rng = random.Random(seed)
+    omegas = [group.identity] + [group.length_zero_element(mu).element
+                                 for mu in mus]
+    return [random_element(rng, group, rng.randrange(12), omegas)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_descents_match_length_oracle_siegel(request, g):
+    ctx = request.getfixturevalue(f"ctx{g}")
+    group = ctx.group
+    for x in ctx.adm().elements:
+        for y in (x, *(group.mult(s, x) for s in group.simple_reflections)):
+            assert group.descents(y) == descents_by_length(group, y)
+
+
+def test_descents_match_length_oracle_twisted(gl3_twisted):
+    group = gl3_twisted
+    for x in _random_sample(group, [(1, 0, 0)], 300, 41):
+        assert group.descents(x) == descents_by_length(group, x)
+
+
+def test_descents_match_length_oracle_two_components():
+    group = build_gl2_gl3()
+    assert group.affine_node_of_component == (0, 4)
+    seen = set()
+    for x in _random_sample(group, [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)], 400, 43):
+        found = group.descents(x)
+        assert found == descents_by_length(group, x)
+        seen.update(found)
+    assert seen == set(range(group.num_nodes))
 
 
 # ------------------------------------------------------- words and omegas
@@ -282,6 +328,42 @@ def test_twisted_power_length_bound(ctx2):
         for m in (2, 3):
             assert group.length(twisted_power(group, x, m)) <= \
                 m * group.length(x)
+
+
+def newton_by_definition(group, x):
+    """Least n with (x sigma)^n = t^m, then m / n made dominant in Fractions."""
+    datum = group.datum
+    n = 1
+    while True:
+        y = twisted_power(group, x, n)
+        if y.w == 0 and n % datum.frobenius_order == 0:
+            break
+        n += 1
+    nu = tuple(Fraction(t, n) for t in y.trans)
+    while True:
+        neg = [i for i in range(datum.nsimple)
+               if vec_dot(nu, datum.root_values[i]) < 0]
+        if not neg:
+            return tuple(datum.from_lattice(nu))
+        nu = mat_vec(datum.reflections_lattice[neg[0]], nu)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_newton_matches_definition_siegel(request, g):
+    ctx = request.getfixturevalue(f"ctx{g}")
+    points = set()
+    for x in ctx.adm().elements:
+        nu = ctx.group.newton_vector(x)
+        assert nu == newton_by_definition(ctx.group, x)
+        points.add(nu)
+    assert len(points) > 1
+
+
+def test_newton_matches_definition_other_data(gl3_twisted):
+    for group, mus in ((gl3_twisted, [(1, 0, 0)]),
+                       (build_gl2_gl3(), [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)])):
+        for x in _random_sample(group, mus, 150, 47):
+            assert group.newton_vector(x) == newton_by_definition(group, x)
 
 
 def test_newton_leq_on_known_points(ctx2):

@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import subprocess
@@ -12,6 +13,44 @@ def test_public_names_resolve():
     missing = [name for name in ekor_atlas.__all__
                if not hasattr(ekor_atlas, name)]
     assert not missing
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _used_names(tree):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted((ROOT / "src" / "ekor_atlas").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spare = set(_imported_names(tree)) - _used_names(tree) - _exported_names(tree)
+        unused += [f"{path.name}: {name}" for name in sorted(spare)]
+    assert not unused
 
 
 def run_script(*args):
