@@ -5,6 +5,44 @@ Elements are pairs (translation, finite part) with the product rule
 enumerated once and interned, so the finite part of an element is just an
 index into that table; translations are kept in lattice coordinates.
 
+The table stores each w as a permutation of the root set.  Roots are
+numbered 0..2N-1: the N positive roots in the datum's order (by height, so
+the simple roots come first), then their negatives in the same order.  The
+permutation of w sends k to the number of (root k) o w = w^-1 (root k),
+stored as ``bytes``; a datum with more than 256 roots is refused, as its
+Weyl group has more than 10^10 elements.  The action is faithful: w is
+trivial on the radical (the common kernel of the roots), and on the span
+of the coroots it is fixed by what it does to the roots, whose
+restrictions span the dual space because the Cartan matrix is invertible.
+For the same reason the images of the simple roots alone fix w; these
+first nsimple entries are the key of the index.  Hence
+
+* w1 w2 sends k to perm(w2)[perm(w1)[k]], so its key takes one lookup in
+  perm(w2) per simple root;
+* the key of w^-1 lists the positions of the simple roots in perm(w);
+* w^-1 a is positive for the positive root number k iff perm(w)[k] < N.
+
+The table is built breadth-first from the identity, multiplying on the
+right by the simple reflections in order.  A new element's lattice and
+ambient matrices are kept as sparse rows, its parent's rows times the
+reflection, memoised per distinct row and interned, so no dense matrix is
+stored per element.  The dense-matrix table is kept as
+``oracles.DenseWeylTable``; its search finds the elements in the same
+order, so indices agree.  A matrix lookup cannot stop at the permutation:
+-1 on the Siegel lattice permutes the roots like w0 but negates the
+radical.  ``weyl_index`` therefore compares the matrix with the element's
+own.
+
+The order of w sigma on X comes from the same table: it is the lcm of the
+cycle lengths of w sigma on the roots and of the order f of sigma on X.
+Write (w sigma)^n = w' sigma^n with w' = w sigma(w) ... sigma^(n-1)(w) in W.
+If (w sigma)^n = 1, it fixes every root, and sigma^n = w'^-1 lies in W and
+keeps the positive roots positive (sigma permutes the simple roots); the
+only such element of W is 1, so f divides n.  Conversely, if f and every
+cycle length divide n, then (w sigma)^n = w' fixes every root, so w' = 1
+by faithfulness.  The order of sigma cannot be left out: on the radical
+w sigma acts as sigma, which the roots do not see.
+
 The alcove convention follows the generators: the extra reflection of each
 affine component is ``t^(-theta_coroot) s_theta``, the reflection through the
 wall where the highest root takes the value -1.  The matching closed-form
@@ -54,6 +92,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from ekor_atlas.coxeter import (
@@ -64,9 +103,7 @@ from ekor_atlas.coxeter import (
 from ekor_atlas.lattice import (
     AbelianQuotient,
     Pi1Class,
-    fraction_matrix_inverse,
     identity_matrix,
-    mat_mul,
     mat_vec,
     row_mat,
     solve_linear,
@@ -139,7 +176,6 @@ class ExtendedAffineWeylGroup:
         self._build_sigma()
         self._build_pi1()
         self._length: dict = {}
-        self._wsign: dict[int, tuple[bool, ...]] = {}
         self._rd: dict = {}
         self._omega: dict = {}
         self._bruhat: dict = {}
@@ -150,61 +186,92 @@ class ExtendedAffineWeylGroup:
     # ------------------------------------------------------- finite table
 
     def _enumerate_finite(self):
+        """Breadth-first search of the finite Weyl group over root
+        permutations (module docstring), with sparse lattice and ambient
+        rows for each element."""
         datum = self.datum
-        ident = identity_matrix(self.rank)
-        self._wmats = [ident]
-        self._wambient = [identity_matrix(datum.dim)]
-        self._windex = {ident: 0}
+        self._npos = len(datum.positive_roots)
+        self._roots = datum.positive_roots + tuple(vec_neg(v) for v in datum.positive_roots)
+        self._root_index = {vals: k for k, vals in enumerate(self._roots)}
+        if len(self._roots) > 256:
+            raise GroupError(f"{len(self._roots)} roots: the finite Weyl group has "
+                             "more than 10^10 elements")
+        gens = [_table(self._root_perm(m)) for m in datum.reflections_lattice]
+        interned: dict = {}
+        products = [({}, {}) for _ in gens]
+
+        def times(row, mat, memo):
+            got = memo.get(row)
+            if got is None:
+                dense = [0] * len(mat[0])
+                for j, c in row:
+                    for l, a in enumerate(mat[j]):
+                        dense[l] += c * a
+                new = _sparse(dense)
+                got = memo[row] = interned.setdefault(new, new)
+            return got
+
+        base = self._base = datum.nsimple
+        ident = bytes(range(len(self._roots)))
+        self._wperm = [ident]
+        self._wrows = [tuple(((i, 1),) for i in range(self.rank))]
+        self._wambient = [tuple(((i, 1),) for i in range(datum.dim))]
+        self._windex = {ident[:base]: 0}
         frontier = [0]
         while frontier:
             nxt = []
             for idx in frontier:
-                for i in range(datum.nsimple):
-                    m = mat_mul(self._wmats[idx], datum.reflections_lattice[i])
-                    if m not in self._windex:
-                        self._windex[m] = len(self._wmats)
-                        self._wmats.append(m)
-                        self._wambient.append(
-                            mat_mul(self._wambient[idx], datum.reflections_ambient[i]))
-                        nxt.append(self._windex[m])
+                perm = self._wperm[idx]
+                for i, gen in enumerate(gens):
+                    child = perm.translate(gen)
+                    key = child[:base]
+                    if key not in self._windex:
+                        lat, amb = products[i]
+                        self._windex[key] = len(self._wperm)
+                        nxt.append(len(self._wperm))
+                        self._wperm.append(child)
+                        self._wrows.append(tuple(
+                            times(row, datum.reflections_lattice[i], lat)
+                            for row in self._wrows[idx]))
+                        self._wambient.append(tuple(
+                            times(row, datum.reflections_ambient[i], amb)
+                            for row in self._wambient[idx]))
             frontier = nxt
-        self.finite_order = len(self._wmats)
-        self._wmul_cache: dict[tuple[int, int], int] = {}
-        self._winv_cache: dict[int, int] = {}
+        self.finite_order = len(self._wperm)
+
+    def _root_perm(self, matrix):
+        """Permutation k -> index of (root k) o matrix, or None when some
+        image is not a root."""
+        out = [self._root_index.get(row_mat(vals, matrix)) for vals in self._roots]
+        return None if None in out else bytes(out)
 
     def wmul(self, i: int, j: int) -> int:
-        key = (i, j)
-        got = self._wmul_cache.get(key)
-        if got is None:
-            got = self._windex[mat_mul(self._wmats[i], self._wmats[j])]
-            self._wmul_cache[key] = got
-        return got
+        return self._windex[bytes(
+            map(self._wperm[j].__getitem__, self._wperm[i][:self._base]))]
 
     def winv(self, i: int) -> int:
-        got = self._winv_cache.get(i)
-        if got is None:
-            inv = fraction_matrix_inverse(self._wmats[i])
-            m = tuple(tuple(int(v) for v in row) for row in inv)
-            got = self._windex[m]
-            self._winv_cache[i] = got
-        return got
+        return self._windex[bytes(map(self._wperm[i].index, range(self._base)))]
 
     def weyl_index(self, matrix) -> int:
         """Index of a lattice matrix in the finite table; validates membership."""
-        try:
-            return self._windex[tuple(tuple(int(v) for v in row) for row in matrix)]
-        except KeyError:
-            raise GroupError("matrix is not an element of the finite Weyl group") from None
+        mat = tuple(tuple(int(v) for v in row) for row in matrix)
+        perm = self._root_perm(mat)
+        idx = None if perm is None else self._windex.get(perm[:self._base])
+        # the roots do not see the radical: -1 on the Siegel lattice
+        # permutes them like w0 but is not in the group
+        if idx is None or _dense(self._wrows[idx], self.rank) != mat:
+            raise GroupError("matrix is not an element of the finite Weyl group")
+        return idx
 
     def act(self, widx: int, v: Sequence) -> tuple:
-        return mat_vec(self._wmats[widx], v)
+        return _apply(self._wrows[widx], v)
 
     def reflection_node(self, x: "ExtAffineElement") -> Optional[int]:
         """Node index if x is one of the simple reflections, else None."""
         return self._node_of_reflection.get(x)
 
     def ambient_matrix(self, widx: int):
-        return self._wambient[widx]
+        return _dense(self._wambient[widx], self.datum.dim)
 
     # -------------------------------------------------------- generators
 
@@ -220,7 +287,7 @@ class ExtendedAffineWeylGroup:
             0 if j == 0 else r + j for j in range(ncomp))
         gens: dict[int, ExtAffineElement] = {}
         for i in range(r):
-            widx = self._windex[datum.reflections_lattice[i]]
+            widx = self.weyl_index(datum.reflections_lattice[i])
             gens[i + 1] = ExtAffineElement((0,) * self.rank, widx, self)
         for j, comp in enumerate(datum.components):
             theta_vals = datum.theta[j]
@@ -275,8 +342,12 @@ class ExtendedAffineWeylGroup:
             images[self.affine_node_of_component[j]] = \
                 self.affine_node_of_component[comp_image[j]]
         self.sigma_diagram = DiagramMap(self.affine_coxeter, tuple(images))
-        inv = fraction_matrix_inverse(datum.frobenius_lattice)
-        self._sigma_inv_lattice = tuple(tuple(int(v) for v in row) for row in inv)
+        frob = datum.frobenius_lattice
+        frob_perm = self._root_perm(frob)
+        self._frob_table = _table(frob_perm)
+        self._frob_inv = bytes(map(frob_perm.index, range(len(frob_perm))))
+        split = frob == identity_matrix(self.rank)
+        self._frob_rows = None if split else tuple(_sparse(row) for row in frob)
 
     def _build_pi1(self):
         coroots = list(self.datum.coroots_lattice)
@@ -295,8 +366,8 @@ class ExtendedAffineWeylGroup:
     def mult(self, x: ExtAffineElement, y: ExtAffineElement) -> ExtAffineElement:
         self._check(x)
         self._check(y)
-        return ExtAffineElement(vec_add(x.trans, self.act(x.w, y.trans)),
-                                self.wmul(x.w, y.w), self)
+        trans = vec_add(x.trans, self.act(x.w, y.trans)) if any(y.trans) else x.trans
+        return ExtAffineElement(trans, self.wmul(x.w, y.w), self)
 
     def inv(self, x: ExtAffineElement) -> ExtAffineElement:
         self._check(x)
@@ -314,21 +385,17 @@ class ExtendedAffineWeylGroup:
         self._check(x)
         datum = self.datum
         trans = mat_vec(datum.frobenius_lattice, x.trans)
-        m = mat_mul(mat_mul(datum.frobenius_lattice, self._wmats[x.w]),
-                    self._sigma_inv_lattice)
-        return ExtAffineElement(trans, self.weyl_index(m), self)
+        # root k o sigma w sigma^-1 = root (finv o perm o f)(k)
+        perm = self._wperm[x.w]
+        conj = bytes(self._frob_inv[perm[k]] for k in self._frob_table[:self._base])
+        return ExtAffineElement(trans, self._windex[conj], self)
 
     # ------------------------------------------------------------ length
 
     def _signs(self, widx: int) -> tuple[bool, ...]:
-        got = self._wsign.get(widx)
-        if got is None:
-            mat = self._wmats[widx]
-            datum = self.datum
-            got = tuple(datum.root_sign(row_mat(vals, mat)) > 0
-                        for vals in datum.positive_roots)
-            self._wsign[widx] = got
-        return got
+        """Per positive root a: whether w^-1 a is positive."""
+        npos = self._npos
+        return tuple(k < npos for k in self._wperm[widx][:npos])
 
     def length(self, x: ExtAffineElement) -> int:
         self._check(x)
@@ -360,7 +427,7 @@ class ExtendedAffineWeylGroup:
         """Whether s_i x is shorter than x, from one pairing."""
         self._check(x)
         vals, k, hi, lo = self._walls[i]
-        return vec_dot(x.trans, vals) >= (hi if self._signs(x.w)[k] else lo)
+        return vec_dot(x.trans, vals) >= (hi if self._wperm[x.w][k] < self._npos else lo)
 
     def descents(self, x: ExtAffineElement) -> list[int]:
         return [i for i in range(self.num_nodes) if self.is_descent(x, i)]
@@ -460,17 +527,25 @@ class ExtendedAffineWeylGroup:
     def _newton_scaled(self, x: ExtAffineElement):
         """Smallest n with (x sigma)^n a translation t^m, and the dominant
         form of m, which is n times the dominant Newton point."""
-        A = mat_mul(self._wmats[x.w], self.datum.frobenius_lattice)
-        ident = identity_matrix(self.rank)
-        apow = A
+        # the order of w sigma: the lcm of its cycle lengths on the roots and
+        # of the order of sigma (module docstring)
+        perm = list(self._wperm[x.w].translate(self._frob_table))
+        n = self.datum.frobenius_order
+        for start in range(len(perm)):
+            size = 0
+            k = start
+            while perm[k] >= 0:
+                nxt = perm[k]
+                perm[k] = -1
+                k = nxt
+                size += 1
+            if size:
+                n = lcm(n, size)
         trans = x.trans
-        n = 1
-        while apow != ident:
-            trans = vec_add(x.trans, mat_vec(A, trans))
-            apow = mat_mul(apow, A)
-            n += 1
-            if n > 100000:
-                raise GroupError("twisted linear part does not have finite order")
+        for _ in range(n - 1):
+            if self._frob_rows is not None:
+                trans = _apply(self._frob_rows, trans)
+            trans = vec_add(x.trans, self.act(x.w, trans))
         dom, _ = self.dominantize_lattice(trans)
         return n, dom
 
@@ -636,6 +711,33 @@ class ExtendedAffineWeylGroup:
         mat = tuple(tuple(cols[j][i] for j in range(self.rank))
                     for i in range(self.rank))
         return ExtAffineElement(trans, self.weyl_index(mat), self)
+
+
+def _table(perm: bytes) -> bytes:
+    """A permutation padded to the 256 bytes that ``bytes.translate`` takes:
+    p.translate(_table(q)) sends k to q[p[k]]."""
+    return perm.ljust(256, b"\0")
+
+
+def _sparse(dense: Sequence[int]) -> tuple:
+    """A matrix row as its nonzero (column, entry) pairs."""
+    return tuple((j, c) for j, c in enumerate(dense) if c)
+
+
+def _dense(rows, n: int) -> tuple:
+    out = []
+    for row in rows:
+        vals = [0] * n
+        for j, c in row:
+            vals[j] = c
+        out.append(tuple(vals))
+    return tuple(out)
+
+
+def _apply(rows, v: Sequence) -> tuple:
+    """Sparse matrix times vector; most rows have a single entry."""
+    return tuple([v[row[0][0]] * row[0][1] if len(row) == 1
+                  else sum([c * v[j] for j, c in row]) for row in rows])
 
 
 def element_label(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> str:

@@ -31,6 +31,11 @@ from ekor_atlas.rootdata import RootDatumError
 from ekor_atlas.siegel import siegel_context
 
 
+# Largest finite Weyl group (2^g g! elements) the tool enumerates, so g <= 7;
+# genus 8 would need a table of over ten million elements.
+MAX_FINITE_ORDER = 1_000_000
+
+
 class UsageError(Exception):
     """Bad flags or arguments; maps to exit code 2."""
 
@@ -212,6 +217,10 @@ def _factorial(n: int) -> int:
 def dispatch(args) -> str:
     if args.g < 1:
         raise UsageError("--g must be at least 1")
+    order = 2 ** args.g * _factorial(args.g)
+    if order > MAX_FINITE_ORDER:
+        raise UsageError(f"--g {args.g}: the finite Weyl group has {order} elements, "
+                         f"more than the {MAX_FINITE_ORDER} this tool enumerates")
     if args.fmt == "dot" and args.command not in ("adm", "classify"):
         raise UsageError("dot output is only available for adm and classify")
     ctx = siegel_context(args.g)

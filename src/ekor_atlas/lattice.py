@@ -10,18 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple
 Matrix = tuple
 
 
+def _same_length(a: Sequence, b: Sequence) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"vectors of lengths {len(a)} and {len(b)}")
+
+
 def vec_add(a: Sequence, b: Sequence) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    _same_length(a, b)
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a: Sequence, b: Sequence) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    _same_length(a, b)
+    return tuple(map(sub, a, b))
 
 
 def vec_neg(a: Sequence) -> Vector:
@@ -29,7 +37,8 @@ def vec_neg(a: Sequence) -> Vector:
 
 
 def vec_dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    _same_length(a, b)
+    return sum(map(mul, a, b))
 
 
 def identity_matrix(n: int) -> Matrix:

@@ -7,12 +7,18 @@ The fast code must agree with these on small inputs.
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Optional, Sequence
 
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
 from ekor_atlas.coxeter import INFINITE_BOND, CoxeterMatrix
-from ekor_atlas.lattice import identity_matrix, mat_mul
+from ekor_atlas.lattice import (
+    fraction_matrix_inverse,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    row_mat,
+)
+from ekor_atlas.rootdata import RootDatum
 
 DEFAULT_CAP = 10 ** 6
 
@@ -50,6 +56,67 @@ def _reflection_generators(mat: CoxeterMatrix, nodes: Sequence[int]):
             rows.append(tuple(row))
         gens.append(tuple(rows))
     return gens
+
+
+class DenseWeylTable:
+    """The finite Weyl group of a root datum as dense lattice and ambient
+    matrices, found by breadth-first search with right multiplication by
+    the simple reflections in order.  That is the search order of the
+    group's root-permutation table, so an element has the same index in
+    both."""
+
+    def __init__(self, datum: RootDatum):
+        self.datum = datum
+        ident = identity_matrix(datum.rank)
+        self.mats = [ident]
+        self.ambient = [identity_matrix(datum.dim)]
+        self.index = {ident: 0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for idx in frontier:
+                for i in range(datum.nsimple):
+                    m = mat_mul(self.mats[idx], datum.reflections_lattice[i])
+                    if m not in self.index:
+                        self.index[m] = len(self.mats)
+                        self.mats.append(m)
+                        self.ambient.append(
+                            mat_mul(self.ambient[idx], datum.reflections_ambient[i]))
+                        nxt.append(self.index[m])
+            frontier = nxt
+
+    def index_of(self, matrix) -> Optional[int]:
+        return self.index.get(tuple(tuple(int(v) for v in row) for row in matrix))
+
+    def mul(self, i: int, j: int) -> int:
+        return self.index[mat_mul(self.mats[i], self.mats[j])]
+
+    def inv(self, i: int) -> int:
+        return self.index_of(fraction_matrix_inverse(self.mats[i]))
+
+    def act(self, i: int, v: Sequence) -> tuple:
+        return mat_vec(self.mats[i], v)
+
+    def signs(self, i: int) -> tuple[bool, ...]:
+        """Per positive root a: whether w^-1 a is positive."""
+        return tuple(self.datum.root_sign(row_mat(vals, self.mats[i])) > 0
+                     for vals in self.datum.positive_roots)
+
+    def sigma_conjugate(self, i: int) -> int:
+        """Index of sigma w sigma^-1."""
+        frob = self.datum.frobenius_lattice
+        return self.index_of(mat_mul(mat_mul(frob, self.mats[i]),
+                                     fraction_matrix_inverse(frob)))
+
+    def twisted_order(self, i: int) -> int:
+        """Least n with (w sigma)^n = 1 on the lattice, by matrix powers."""
+        step = mat_mul(self.mats[i], self.datum.frobenius_lattice)
+        ident = identity_matrix(self.datum.rank)
+        power, n = step, 1
+        while power != ident:
+            power = mat_mul(power, step)
+            n += 1
+        return n
 
 
 def coxeter_bfs_sizes(mat: CoxeterMatrix, nodes: Optional[Iterable[int]] = None,
@@ -195,46 +262,3 @@ def twisted_power(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
         out = group.mult(out, cur)
         cur = group.sigma(cur)
     return out
-
-
-def straight_by_definition(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
-                           powers: int = 8) -> bool:
-    lx = group.length(x)
-    return all(group.length(twisted_power(group, x, m)) == m * lx
-               for m in range(1, powers + 1))
-
-
-def twisted_conjugates(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
-                       conjugator_radius: int) -> frozenset[ExtAffineElement]:
-    """All g x sigma(g)^-1 over conjugators from a word ball."""
-    ball = cayley_ball(group, conjugator_radius)
-    out = set()
-    for gelt in ball:
-        out.add(group.mult(group.mult(gelt, x),
-                           group.inv(group.sigma(gelt))))
-    return frozenset(out)
-
-
-def random_element(rng: random.Random, group: ExtendedAffineWeylGroup,
-                   letters: int,
-                   omegas: Sequence[ExtAffineElement]) -> ExtAffineElement:
-    x = rng.choice(list(omegas))
-    for _ in range(letters):
-        x = group.mult(x, group.simple_reflections[
-            rng.randrange(group.num_nodes)])
-    return x
-
-
-def random_descent_word(rng: random.Random, group: ExtendedAffineWeylGroup,
-                        x: ExtAffineElement):
-    """Reduced word by stripping a random left descent each step."""
-    word = []
-    y = x
-    while True:
-        choices = group.descents(y)
-        if not choices:
-            break
-        i = rng.choice(choices)
-        word.append(i)
-        y = group.mult(group.simple_reflections[i], y)
-    return tuple(word), group.omega_of(y)

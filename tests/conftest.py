@@ -1,8 +1,7 @@
 import pytest
 
-from ekor_atlas.affine import ExtendedAffineWeylGroup
-from ekor_atlas.rootdata import RootDatum
 from ekor_atlas.siegel import siegel_context
+from helpers import build_gl3_twisted
 
 _ACCEPTANCE_LINES = []
 
@@ -45,23 +44,6 @@ def ctx3():
 @pytest.fixture(scope="session")
 def ctx4():
     return siegel_context(4)
-
-
-def build_gl3_twisted():
-    """Rank three general linear datum with the duality twist.
-
-    The twist sends x to minus its reversal, which exchanges the two simple
-    reflections and has fixed lattice of rank one, so it exercises every
-    code path that a trivial Frobenius misses.
-    """
-    datum = RootDatum(
-        dim=3,
-        basis=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-        simple_roots=((1, -1, 0), (0, 1, -1)),
-        simple_coroots=((1, -1, 0), (0, 1, -1)),
-        frobenius=((0, 0, -1), (0, -1, 0), (-1, 0, 0)),
-    )
-    return ExtendedAffineWeylGroup(datum)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,111 @@
+"""Sampling helpers, definitional checks and extra root data for the tests.
+
+The brute-force references the engine is checked against stay in
+``ekor_atlas.oracles``; what is here only drives the tests.
+"""
+
+import random
+from typing import Sequence
+
+from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
+from ekor_atlas.oracles import cayley_ball, twisted_power
+from ekor_atlas.rootdata import RootDatum
+
+
+def random_element(rng: random.Random, group: ExtendedAffineWeylGroup,
+                   letters: int,
+                   omegas: Sequence[ExtAffineElement]) -> ExtAffineElement:
+    x = rng.choice(list(omegas))
+    for _ in range(letters):
+        x = group.mult(x, group.simple_reflections[
+            rng.randrange(group.num_nodes)])
+    return x
+
+
+def random_descent_word(rng: random.Random, group: ExtendedAffineWeylGroup,
+                        x: ExtAffineElement):
+    """Reduced word by stripping a random left descent each step."""
+    word = []
+    y = x
+    while True:
+        choices = group.descents(y)
+        if not choices:
+            break
+        i = rng.choice(choices)
+        word.append(i)
+        y = group.mult(group.simple_reflections[i], y)
+    return tuple(word), group.omega_of(y)
+
+
+def straight_by_definition(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
+                           powers: int = 8) -> bool:
+    lx = group.length(x)
+    return all(group.length(twisted_power(group, x, m)) == m * lx
+               for m in range(1, powers + 1))
+
+
+def twisted_conjugates(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
+                       conjugator_radius: int) -> frozenset[ExtAffineElement]:
+    """All g x sigma(g)^-1 over conjugators from a word ball."""
+    ball = cayley_ball(group, conjugator_radius)
+    out = set()
+    for gelt in ball:
+        out.add(group.mult(group.mult(gelt, x),
+                           group.inv(group.sigma(gelt))))
+    return frozenset(out)
+
+
+def build_gl3_twisted():
+    """Rank three general linear datum with the duality twist.
+
+    The twist sends x to minus its reversal, which exchanges the two simple
+    reflections and has fixed lattice of rank one, so it exercises every
+    code path that a trivial Frobenius misses.
+    """
+    datum = RootDatum(
+        dim=3,
+        basis=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        simple_roots=((1, -1, 0), (0, 1, -1)),
+        simple_coroots=((1, -1, 0), (0, 1, -1)),
+        frobenius=((0, 0, -1), (0, -1, 0), (-1, 0, 0)),
+    )
+    return ExtendedAffineWeylGroup(datum)
+
+
+def build_gl2_gl3():
+    """Split GL2 x GL3: types A1 and A2, so two affine nodes (0 and 4)."""
+    roots = ((1, -1, 0, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 1, -1))
+    datum = RootDatum(dim=5, basis=[tuple(int(i == j) for j in range(5))
+                                    for i in range(5)],
+                      simple_roots=roots, simple_coroots=roots)
+    return ExtendedAffineWeylGroup(datum)
+
+
+def build_gl2_unitary():
+    """GL2 with the twist x -> -(x2, x1): it fixes the root and is -1 on the
+    radical, the line of (1, 1)."""
+    datum = RootDatum(dim=2, basis=((1, 0), (0, 1)), simple_roots=((1, -1),),
+                      simple_coroots=((1, -1),), frobenius=((0, -1), (-1, 0)))
+    return ExtendedAffineWeylGroup(datum)
+
+
+def build_from_cartan(cartan):
+    """Split datum on the coroot lattice: the simple coroots are the
+    standard basis of Z^n and root j takes the values cartan[i][j] on them,
+    so <coroot i, root j> = cartan[i][j]."""
+    n = len(cartan)
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    roots = tuple(tuple(cartan[i][j] for i in range(n)) for j in range(n))
+    return ExtendedAffineWeylGroup(RootDatum(dim=n, basis=basis,
+                                             simple_roots=roots,
+                                             simple_coroots=basis))
+
+
+def build_b2():
+    """Type B2 (root 0 long, root 1 short): one bond of order 4."""
+    return build_from_cartan(((2, -1), (-2, 2)))
+
+
+def build_g2():
+    """Type G2 (root 0 short, root 1 long): one bond of order 6."""
+    return build_from_cartan(((2, -1), (-3, 2)))

@@ -4,6 +4,7 @@ Every count below was derived once through an independent oracle and then
 frozen; the criterion functions recompute both sides from scratch.
 """
 
+import hashlib
 import io
 import time
 from contextlib import redirect_stdout
@@ -271,28 +272,47 @@ def test_c8_dl_datum_sanity(criterion):
               f"{basic_count} basic strata across all levels, g<=3")
 
 
+# sha256 of each command's stdout, pinned so that a change of output fails
+# even when it is deterministic
+C9_DIGESTS = {
+    "adm --g 2":
+        "7f0be02925456526cda2c395cd46e08a3c379832003edc51ab752502e24178b8",
+    "adm --g 2 --format json":
+        "ad54a974d0011b875aefe7afefea34c1f6e6831be4ece90048e7a78f20388441",
+    "adm --g 1 --format dot":
+        "39dfe57883e3e731f41edc5112298bd2b885ca6ebc14b2fa164ba81598c19390",
+    "classify --g 2 --level hyperspecial":
+        "1b57bbc01dfae43a8413dda238132437409ebe32492180303351f794681df6e0",
+    "classify --g 2 --format json":
+        "89eedc26d86df2d7cb9f5da4b20c847c2d613a2b3fdd742b1b00c3351bf07885",
+    "dl-data --g 2 --format json":
+        "0fcd926bb7c19826b1e55a2260bcbeb4f0f02f130ecb1cacef446d34ef48e2ef",
+    "compare --g 2":
+        "e3e767a89a9e87dbe6f6056125ac63bfbbb7bcee47e9d3657c593cc67b692ede",
+    "compare --g 3 --level hyperspecial --format json":
+        "ff08fc0c99ac8a2476aad7f5255dcd83143032a8ef718641c453f30a05839e8c",
+    "check --g 1":
+        "f837a6b72fb3c283588a24a92c2c3de775d03b1f9655a7c4dd7e8a8a290c78c8",
+}
+
+
 def test_c9_cli_determinism(criterion):
-    commands = [
-        ["adm", "--g", "2"],
-        ["adm", "--g", "2", "--format", "json"],
-        ["adm", "--g", "1", "--format", "dot"],
-        ["classify", "--g", "2", "--level", "hyperspecial"],
-        ["classify", "--g", "2", "--format", "json"],
-        ["dl-data", "--g", "2", "--format", "json"],
-        ["compare", "--g", "2"],
-        ["compare", "--g", "3", "--level", "hyperspecial", "--format",
-         "json"],
-        ["check", "--g", "1"],
-    ]
     ok = True
-    for argv in commands:
+    changed = []
+    for command, digest in C9_DIGESTS.items():
         runs = []
         for _ in range(2):
             buf = io.StringIO()
             with redirect_stdout(buf):
-                code = main(list(argv))
+                code = main(command.split())
             ok &= code == 0
             runs.append(buf.getvalue().encode("ascii"))
         ok &= runs[0] == runs[1]
-    criterion("C9 command line determinism", ok,
-              f"{len(commands)} commands, two runs each, identical bytes")
+        if hashlib.sha256(runs[0]).hexdigest() != digest:
+            changed.append(command)
+    ok &= not changed
+    detail = (f"{len(C9_DIGESTS)} commands, two runs each, identical bytes, "
+              f"pinned sha256")
+    if changed:
+        detail += "; changed: " + ", ".join(changed)
+    criterion("C9 command line determinism", ok, detail)

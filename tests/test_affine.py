@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError, element_label
+from ekor_atlas.affine import GroupError, element_label
 from ekor_atlas.lattice import mat_vec, vec_dot
 from ekor_atlas.oracles import (
     bruhat_leq_subword,
     cayley_ball,
     descents_by_length,
+    twisted_power,
+)
+from helpers import (
+    build_gl2_gl3,
     random_element,
     straight_by_definition,
     twisted_conjugates,
-    twisted_power,
 )
-from ekor_atlas.rootdata import RootDatum
 
 word_strategy = st.lists(st.integers(min_value=0, max_value=2), max_size=7)
 
@@ -99,15 +101,6 @@ def test_length_steps_by_one(word, taupow):
         before = group.length(x)
         x = group.mult(x, s)
         assert abs(group.length(x) - before) == 1
-
-
-def build_gl2_gl3():
-    """Split GL2 x GL3: types A1 and A2, so two affine nodes (0 and 4)."""
-    roots = ((1, -1, 0, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 1, -1))
-    datum = RootDatum(dim=5, basis=[tuple(int(i == j) for j in range(5))
-                                    for i in range(5)],
-                      simple_roots=roots, simple_coroots=roots)
-    return ExtendedAffineWeylGroup(datum)
 
 
 def _random_sample(group, mus, count, seed):

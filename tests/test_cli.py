@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -148,6 +149,18 @@ def test_config_errors_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("g", [8, 12])
+def test_oversized_genus_refused(capsys, monkeypatch, g):
+    """Refused before any context is built."""
+    def build(genus):
+        raise AssertionError("context built for an oversized genus")
+    monkeypatch.setattr("ekor_atlas.cli.siegel_context", build)
+    code, out, err = run_cli(capsys, "adm", "--g", str(g))
+    assert code == 2
+    assert out == ""
+    assert f"{2 ** g * math.factorial(g)} elements" in err
 
 
 def test_unknown_command_exits_two(capsys):

@@ -16,7 +16,8 @@ from ekor_atlas.ekor import (
     support_twist,
     twist_orbits,
 )
-from ekor_atlas.oracles import brute_stable_subset, random_descent_word, random_element
+from ekor_atlas.oracles import brute_stable_subset
+from helpers import random_descent_word, random_element
 
 G2_CLOSURES = {
     "tau": frozenset(),

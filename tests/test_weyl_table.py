@@ -1,0 +1,144 @@
+"""The root-permutation table of the finite Weyl group against its
+dense-matrix twin, element by element, on Siegel and non-Siegel data."""
+
+import itertools
+
+import pytest
+
+from ekor_atlas.affine import GroupError
+from ekor_atlas.lattice import row_mat, vec_dot, vec_neg
+from ekor_atlas.oracles import DenseWeylTable, twisted_power
+from ekor_atlas.siegel import siegel_context
+from helpers import (
+    build_b2,
+    build_from_cartan,
+    build_g2,
+    build_gl2_gl3,
+    build_gl2_unitary,
+    build_gl3_twisted,
+)
+
+DATA = {
+    "siegel1": lambda: siegel_context(1).group,
+    "siegel2": lambda: siegel_context(2).group,
+    "siegel3": lambda: siegel_context(3).group,
+    "gl3_twisted": build_gl3_twisted,
+    "gl2_gl3": build_gl2_gl3,
+    "gl2_unitary": build_gl2_unitary,
+    "b2": build_b2,
+    "g2": build_g2,
+}
+ORDERS = {"siegel1": 2, "siegel2": 8, "siegel3": 48, "gl3_twisted": 6,
+          "gl2_gl3": 12, "gl2_unitary": 2, "b2": 8, "g2": 12}
+
+
+@pytest.fixture(scope="module", params=sorted(DATA))
+def pair(request):
+    group = DATA[request.param]()
+    return request.param, group, DenseWeylTable(group.datum)
+
+
+def test_same_elements_same_indices(pair):
+    name, group, dense = pair
+    assert group.finite_order == len(dense.mats) == ORDERS[name]
+    for i, mat in enumerate(dense.mats):
+        assert group.weyl_index(mat) == i
+        assert group.ambient_matrix(i) == dense.ambient[i]
+
+
+def test_product_and_inverse(pair):
+    _, group, dense = pair
+    n = group.finite_order
+    for i in range(n):
+        assert group.winv(i) == dense.inv(i)
+        for j in range(n):
+            assert group.wmul(i, j) == dense.mul(i, j)
+
+
+def test_action_on_lattice(pair):
+    _, group, dense = pair
+    rank = group.rank
+    vectors = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    vectors.append(tuple(range(3, 3 - 2 * rank, -2)))
+    for i in range(group.finite_order):
+        for v in vectors:
+            assert group.act(i, v) == dense.act(i, v)
+
+
+def test_signs_and_descents(pair):
+    """is_descent against the one-pairing rule evaluated with the dense
+    table's signs, for every w and every translation in {-1, 0, 1}^rank."""
+    _, group, dense = pair
+    datum = group.datum
+    index = datum.positive_roots.index
+    walls = [(i + 1, vals, 1, 0) for i, vals in enumerate(datum.root_values)]
+    walls += [(group.affine_node_of_component[j], vec_neg(theta), 1, 2)
+              for j, theta in enumerate(datum.theta)]
+    for w in range(group.finite_order):
+        signs = dense.signs(w)
+        assert group._signs(w) == signs
+        for lam in itertools.product((-1, 0, 1), repeat=group.rank):
+            x = group.from_parts(lam, w)
+            for node, vals, hi, lo in walls:
+                positive = signs[index(vals if node in group.finite_nodes
+                                       else vec_neg(vals))]
+                want = vec_dot(lam, vals) >= (hi if positive else lo)
+                assert group.is_descent(x, node) == want
+
+
+def test_sigma_and_newton_order(pair):
+    """sigma w sigma^-1 and the order of w sigma against matrix products,
+    and the order against the least n with (x sigma)^n a translation."""
+    _, group, dense = pair
+    f = group.datum.frobenius_order
+    for w in range(group.finite_order):
+        x = group.from_parts((0,) * group.rank, w)
+        assert group.sigma(x).w == dense.sigma_conjugate(w)
+        n, _ = group._newton_scaled(x)
+        assert n == dense.twisted_order(w)
+        least = next(m for m in range(1, 10 * n + 1)
+                     if m % f == 0 and twisted_power(group, x, m).w == 0)
+        assert n == least
+
+
+def test_newton_order_counts_sigma():
+    """The unitary twist of GL2 fixes the root and is -1 on the radical:
+    for w = 1 the roots come back after one step, the lattice after two."""
+    group = build_gl2_unitary()
+    orders = [group._newton_scaled(group.from_parts((0, 0), w))[0]
+              for w in range(group.finite_order)]
+    assert orders == [2, 2]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_minus_identity_is_rejected(g):
+    """-1 on the Siegel lattice permutes the roots like w0, but negates the
+    radical, so it is not in the group."""
+    group = siegel_context(g).group
+    dense = DenseWeylTable(group.datum)
+    minus = tuple(tuple(-int(i == j) for j in range(group.rank))
+                  for i in range(group.rank))
+    w0 = next(i for i in range(group.finite_order)
+              if not any(dense.signs(i)))
+    assert all(row_mat(vals, dense.mats[w0]) == vec_neg(vals)
+               for vals in group.datum.positive_roots)
+    assert dense.index_of(minus) is None
+    with pytest.raises(GroupError):
+        group.weyl_index(minus)
+
+
+def test_minus_identity_json_rejected(ctx2):
+    group = ctx2.group
+    rows = [[-int(i == j) for j in range(4)] for i in range(4)]
+    with pytest.raises(GroupError):
+        group.element_from_json({"t": [0, 0, 0, 0], "w": {"rows": rows}})
+
+
+def test_more_than_256_roots_refused():
+    """C12 has 288 roots and 2^12 12! elements: refused before the search."""
+    n = 12
+    cartan = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)]
+              for i in range(n)]
+    cartan[n - 2][n - 1] = -2
+    with pytest.raises(GroupError, match="288 roots"):
+        build_from_cartan(cartan)
