@@ -1,0 +1,113 @@
+"""Per-stage times of the Siegel pipeline, one fresh process per genus.
+
+    python3 scripts/bench.py [--max-g 5] [--out BENCH_6.json] [--label change]
+
+For each genus 1..max-g (6 takes about a minute more, 7 is not offered) a
+new process runs, in order:
+
+* ``context``: ``siegel_context(g)``, the finite Weyl table and generators;
+* ``adm``: the admissible set;
+* ``iwahori_report``: ``stratum_report`` at Iwahori level;
+* ``hyperspecial_report``: ``stratum_report`` at hyperspecial level;
+* ``classify_json``: ``atlas classify --g g --level iwahori --format json``
+  through the command line entry, written to ``os.devnull``.  The context
+  and the admissible set are cached by then, so this is the Iwahori report
+  again plus its serialization; ``serialization`` is the difference.
+
+Times are wall-clock seconds (``time.perf_counter``) on whatever machine
+runs the script; ``peak_rss_mb`` is the process's ``ru_maxrss``.  The run is
+stored in the output file under ``--label`` with the machine, the Python
+version and a digest of the engine's source, next to the runs already there,
+so one file can hold a before/after pair.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import resource
+import subprocess
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def measure(g: int) -> dict:
+    from ekor_atlas.cli import main
+    from ekor_atlas.ekor import stratum_report
+    from ekor_atlas.siegel import siegel_context
+
+    clock = time.perf_counter
+    t0 = clock()
+    ctx = siegel_context(g)
+    t1 = clock()
+    adm = ctx.adm()
+    t2 = clock()
+    strata = len(stratum_report(adm, ctx.iwahori))
+    t3 = clock()
+    basic = sum(rec.basic for rec in stratum_report(adm, ctx.hyperspecial))
+    t4 = clock()
+    code = main(["classify", "--g", str(g), "--level", "iwahori",
+                 "--format", "json", "--out", os.devnull])
+    t5 = clock()
+    if code != 0:
+        raise SystemExit(f"classify --g {g} exited {code}")
+    stages = {"context": t1 - t0, "adm": t2 - t1, "iwahori_report": t3 - t2,
+              "hyperspecial_report": t4 - t3, "classify_json": t5 - t4}
+    stages["serialization"] = stages["classify_json"] - stages["iwahori_report"]
+    return {
+        "g": g,
+        "adm": len(adm),
+        "iwahori_strata": strata,
+        "hyperspecial_basic": basic,
+        "stages_s": {k: round(v, 4) for k, v in stages.items()},
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def source_digest() -> str:
+    h = hashlib.sha256()
+    for path in sorted((SRC / "ekor_atlas").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--max-g", type=int, default=5, choices=range(1, 7))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--worker", type=int, default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker is not None:
+        json.dump(measure(args.worker), sys.stdout)
+        return 0
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
+    genera = []
+    for g in range(1, args.max_g + 1):
+        done = subprocess.run([sys.executable, __file__, "--worker", str(g)],
+                              env=env, capture_output=True, text=True, check=True)
+        row = json.loads(done.stdout)
+        genera.append(row)
+        print(json.dumps(row), flush=True)
+    run = {
+        "machine": {"platform": platform.platform(), "processor": platform.machine(),
+                    "cpus": os.cpu_count()},
+        "python": platform.python_version(),
+        "source_sha256": source_digest(),
+        "genera": genera,
+    }
+    out = pathlib.Path(args.out)
+    data = json.loads(out.read_text()) if out.exists() else {"runs": {}}
+    data["runs"][args.label] = run
+    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,10 +7,8 @@ from ekor_atlas.admissible import (
     StraightClass,
     admissible_set,
     bruhat_hasse_edges,
-    double_coset_minima,
     kw_elements,
     parahoric_label,
-    saturated_set,
     straight_classes,
 )
 from ekor_atlas.affine import (
@@ -78,7 +76,6 @@ __all__ = [
     "admissible_set",
     "bruhat_hasse_edges",
     "dl_datum",
-    "double_coset_minima",
     "element_label",
     "format_finite_type",
     "is_basic",
@@ -87,7 +84,6 @@ __all__ = [
     "kw_elements",
     "parahoric_label",
     "record_to_json",
-    "saturated_set",
     "siegel_context",
     "siegel_datum",
     "sigma_support",

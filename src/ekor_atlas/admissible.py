@@ -1,24 +1,49 @@
 """Admissible sets attached to a dominant cocharacter.
 
 The admissible set of mu collects everything below a translation point
-t^(w mu) in Bruhat order.  It is computed by subword closure: walk a reduced
-word of each extremal translation and keep all subword products, then glue
-the common length-zero factor back on.  Parahoric variants (saturation,
-minimal coset representatives) and the straight classes inside the set are
-derived from the same data.
+t^(w mu) in Bruhat order.  For minuscule mu in the general linear and
+symplectic families it equals the permissible set (Kottwitz-Rapoport,
+"Minuscule alcoves for GL_n and GSp_2n", 2000; Haines-Ngo, "Alcoves
+associated to special fibers of local models", 2002), which is read off one
+vertex at a time with no group products.
+
+The vertex rule.  Let the finite Weyl group act on the ambient Z^d by
+permutation matrices, write w in one-line form (w(c) = r when
+``ambient_matrix(w)[r][c] == 1``), and let mu be a 0/1 vector.  When each
+simple root is a nonnegative sum of the e_j - e_(j+1), so that the positive
+roots are positive for GL_d, the rule reads the vertices v_i = -1_[0,i) of
+the antidominant base alcove of GL_d: t^l w is admissible iff l lies in
+W mu and, for i = 1..d-1,
+
+    t^l w (v_i) - v_i = l + 1_[0,i) - 1_w([0,i))
+
+has every entry in {0, 1}.  Entry r of 1_[0,i) - 1_w([0,i)) is
+[r < i] - [w^-1(r) < i], which is 1 for some i iff w^-1(r) > r, -1 for some
+i iff w^-1(r) < r, and 0 for all i iff w fixes r.  So the conditions say:
+l_r = 0 where w^-1(r) > r, l_r = 1 where w^-1(r) < r, and l is free where w
+fixes r.  ``admissible_set`` groups the orbit W mu by its entries on the
+moved coordinates and emits, for each w, the orbit points with the forced
+entries: each admissible element once.
+
+The one exception.  A datum outside the theorem (B2 or G2 from a Cartan
+matrix, whose reflections are not permutations, a mu that is not 0/1, or
+simple roots e_(j+1) - e_j ordered against the coordinates) falls back to
+the subword closure ``oracles.admissible_by_subwords``.
+
+Parahoric variants (minimal coset representatives) and the straight classes
+inside the set are derived from the same data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ekor_atlas.affine import (
     ExtAffineElement,
     ExtendedAffineWeylGroup,
     GroupError,
-    OmegaElement,
 )
 from ekor_atlas.lattice import mat_vec
 
@@ -45,7 +70,6 @@ class AdmissibleSet:
     mu: tuple[int, ...]
     elements: tuple[ExtAffineElement, ...]
     maxima: tuple[ExtAffineElement, ...]
-    omega: OmegaElement
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -83,7 +107,9 @@ def weyl_orbit(group: ExtendedAffineWeylGroup,
 
 def admissible_set(group: ExtendedAffineWeylGroup,
                    mu_ambient: Sequence[int]) -> AdmissibleSet:
-    """All elements below some translation point of the orbit of mu."""
+    """All elements below some translation point of the orbit of mu, by the
+    vertex rule (module docstring), or by subword closure for a datum
+    outside it."""
     mu_lat = group.datum.to_lattice(mu_ambient)
     cached = group._adm_cache.get(mu_lat)
     if cached is not None:
@@ -92,35 +118,67 @@ def admissible_set(group: ExtendedAffineWeylGroup,
         raise GroupError(f"{tuple(mu_ambient)} is not dominant")
     orbit = weyl_orbit(group, mu_lat)
     maxima = [group.from_parts(lam, 0) for lam in orbit]
-    omega = group.omega_part(maxima[0])
-    collected: set[ExtAffineElement] = set()
-    for top in maxima:
-        rd = group.reduced_word(top)
-        if rd.omega.element != omega.element:
-            raise GroupError("translation points fall in different cosets")
-        prefix = {group.identity}
-        for letter in rd.word:
-            s = group.simple_reflections[letter]
-            prefix |= {group.mult(x, s) for x in prefix}
-        collected |= prefix
-    elements = tuple(sorted((group.mult(x, omega.element) for x in collected),
-                            key=group.sort_key))
+    found = _vertex_rule(group, orbit)
+    if found is None:
+        # imported here: only data outside the theorem need the oracles,
+        # and importing them costs every process a few milliseconds
+        from ekor_atlas.oracles import admissible_by_subwords
+        found = admissible_by_subwords(group, maxima)
+    # shortest first, so each reduced word strips one letter and reuses the
+    # word of a shorter element
+    for x in sorted(found, key=group.length):
+        group.reduced_word(x)
+    elements = tuple(sorted(found, key=group.sort_key))
     out = AdmissibleSet(group, tuple(int(c) for c in mu_ambient), elements,
-                        tuple(sorted(maxima, key=group.sort_key)), omega)
+                        tuple(sorted(maxima, key=group.sort_key)))
     group._adm_cache[mu_lat] = out
     return out
+
+
+def _vertex_rule(group: ExtendedAffineWeylGroup,
+                 orbit: Sequence[tuple[int, ...]]) -> Optional[list[ExtAffineElement]]:
+    """Perm(mu) from the one-line forms of the finite table, or None when the
+    datum is outside the theorem."""
+    datum = group.datum
+    if not all(map(_is_permutation, datum.reflections_ambient)):
+        return None
+    # a nonnegative sum of the e_j - e_(j+1): partial sums >= 0, total 0
+    for root in datum.simple_roots:
+        if sum(root) != 0 or any(sum(root[:j]) < 0 for j in range(datum.dim)):
+            return None
+    points = []
+    for lam in orbit:
+        amb = datum.from_lattice(lam)
+        if any(c not in (0, 1) for c in amb):
+            return None
+        points.append((sum(1 << r for r, c in enumerate(amb) if c), lam))
+    by_moved: dict[int, dict[int, list]] = {}
+    out = []
+    for widx, rows in enumerate(group._wambient):
+        moved = ones = 0
+        for r, row in enumerate(rows):
+            c = row[0][0]  # w(c) = r
+            if c != r:
+                moved |= 1 << r
+                if c < r:
+                    ones |= 1 << r
+        table = by_moved.get(moved)
+        if table is None:
+            table = by_moved[moved] = {}
+            for mask, lam in points:
+                table.setdefault(mask & moved, []).append(lam)
+        out += [ExtAffineElement(lam, widx, group) for lam in table.get(ones, ())]
+    return out
+
+
+def _is_permutation(mat) -> bool:
+    cols = [row.index(1) for row in mat if sorted(row) == [0] * (len(row) - 1) + [1]]
+    return sorted(cols) == list(range(len(mat)))
 
 
 def is_left_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
                     label: frozenset[int]) -> bool:
     return not any(group.is_descent(x, i) for i in label)
-
-
-def is_right_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
-                     label: frozenset[int]) -> bool:
-    """Right descents of x are the left descents of x^-1."""
-    xinv = group.inv(x)
-    return not any(group.is_descent(xinv, i) for i in label)
 
 
 def kw_elements(adm: AdmissibleSet,
@@ -129,37 +187,6 @@ def kw_elements(adm: AdmissibleSet,
     group = adm.group
     label = parahoric_label(group, nodes)
     return tuple(x for x in adm.elements if is_left_minimal(group, x, label))
-
-
-def saturated_set(adm: AdmissibleSet,
-                  nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
-    """Closure of the admissible set under the level group on both sides."""
-    group = adm.group
-    label = parahoric_label(group, nodes)
-    seen = set(adm.elements)
-    frontier = list(adm.elements)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in sorted(label):
-                s = group.simple_reflections[i]
-                for y in (group.mult(s, x), group.mult(x, s)):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen, key=group.sort_key))
-
-
-def double_coset_minima(adm: AdmissibleSet,
-                        nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
-    """Minimal length representatives of the level double cosets met."""
-    group = adm.group
-    label = parahoric_label(group, nodes)
-    sat = saturated_set(adm, nodes)
-    return tuple(x for x in sat
-                 if is_left_minimal(group, x, label)
-                 and is_right_minimal(group, x, label))
 
 
 def bruhat_hasse_edges(group: ExtendedAffineWeylGroup,

@@ -436,18 +436,28 @@ class ExtendedAffineWeylGroup:
         return next((i for i in range(self.num_nodes) if self.is_descent(x, i)), None)
 
     def reduced_word(self, x: ExtAffineElement) -> ReducedDecomposition:
-        """Greedy reduced word: strip the least left descent l(x) times."""
+        """Greedy reduced word: strip the least left descent until the rest
+        is a memoised word or has length zero.  The greedy word of s_i x is
+        the tail of that of x, so a memoised tail is the one the stripping
+        would find; only x is stored."""
         self._check(x)
         key = (x.trans, x.w)
         got = self._rd.get(key)
         if got is None:
             word = []
             y = x
+            tail = None
             for _ in range(self.length(x)):
                 i = self.first_descent(y)
                 word.append(i)
                 y = self.mult(self.simple_reflections[i], y)
-            got = ReducedDecomposition(tuple(word), self.omega_of(y))
+                tail = self._rd.get((y.trans, y.w))
+                if tail is not None:
+                    break
+            if tail is None:
+                got = ReducedDecomposition(tuple(word), self.omega_of(y))
+            else:
+                got = ReducedDecomposition(tuple(word) + tail.word, tail.omega)
             self._rd[key] = got
         return got
 
@@ -546,34 +556,25 @@ class ExtendedAffineWeylGroup:
             if self._frob_rows is not None:
                 trans = _apply(self._frob_rows, trans)
             trans = vec_add(x.trans, self.act(x.w, trans))
-        dom, _ = self.dominantize_lattice(trans)
+        dom = self.dominantize_lattice(trans)
         return n, dom
 
-    def dominantize_lattice(self, v: Sequence):
-        """Dominant representative of a lattice vector and the element applied.
+    def dominantize_lattice(self, v: Sequence) -> tuple:
+        """Dominant representative of a lattice vector.
 
         Exact in whatever numbers it is given: integers stay integers.
         """
         vals = self.datum.root_values
         coroots = self.datum.coroots_lattice
         cur = tuple(v)
-        widx = 0
         while True:
             for i in range(self.datum.nsimple):
                 p = vec_dot(cur, vals[i])
                 if p < 0:
                     cur = tuple(c - p * a for c, a in zip(cur, coroots[i]))
-                    widx = self.wmul(self.simple_reflections[i + 1].w, widx)
                     break
             else:
-                return cur, widx
-
-    def dominantize(self, ambient: Sequence):
-        """Public wrapper in ambient coordinates; returns (vector, element)."""
-        v = self.datum.to_lattice(ambient, integral=False)
-        dom, widx = self.dominantize_lattice(v)
-        elt = ExtAffineElement((0,) * self.rank, widx, self)
-        return self.datum.from_lattice(dom), elt
+                return cur
 
     def newton_vector(self, x: ExtAffineElement) -> tuple[Fraction, ...]:
         """Dominant Newton point of the element, in ambient coordinates."""
@@ -616,7 +617,7 @@ class ExtendedAffineWeylGroup:
             acc = vec_add(acc, cur)
             cur = mat_vec(self.datum.frobenius_lattice, cur)
         avg = tuple(a / order for a in acc)
-        dom, _ = self.dominantize_lattice(avg)
+        dom = self.dominantize_lattice(avg)
         if dom != avg:
             raise GroupError("galois average of a dominant vector must stay dominant")
         return tuple(self.datum.from_lattice(avg))
@@ -677,18 +678,14 @@ class ExtendedAffineWeylGroup:
 
     def element_to_json(self, x: ExtAffineElement) -> dict:
         self._check(x)
-        amb = self.ambient_matrix(x.w)
-        d = self.datum.dim
-        one_line = []
-        for j in range(d):
-            col = [amb[i][j] for i in range(d)]
-            ones = [i for i, v in enumerate(col) if v == 1]
-            if len(ones) == 1 and sum(abs(v) for v in col) == 1:
-                one_line.append(ones[0])
-            else:
-                one_line = None
-                break
-        w_json = one_line if one_line is not None else {"rows": [list(r) for r in amb]}
+        rows = self._wambient[x.w]
+        # an invertible matrix whose rows are single ones is a permutation
+        if all(len(row) == 1 and row[0][1] == 1 for row in rows):
+            w_json = [0] * len(rows)
+            for r, ((c, _),) in enumerate(rows):
+                w_json[c] = r
+        else:
+            w_json = {"rows": [list(r) for r in _dense(rows, self.datum.dim)]}
         return {"t": list(self.datum.from_lattice(x.trans)), "w": w_json}
 
     def element_from_json(self, data: dict) -> ExtAffineElement:

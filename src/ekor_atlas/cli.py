@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ekor_atlas.admissible import bruhat_hasse_edges, straight_classes
 from ekor_atlas.affine import GroupError, element_label
@@ -74,7 +74,24 @@ def _fmt_newton(newton) -> str:
     return "(" + ",".join(str(c) for c in newton) + ")"
 
 
-def _hasse_dot(group, elements, doubled=frozenset(), name="hasse") -> str:
+def _json_list(items, to_json) -> Iterator[str]:
+    """The bytes of ``json.dumps([to_json(i) for i in items], indent=2,
+    sort_keys=True)`` and a newline, one item at a time: each item is dumped
+    on its own and indented two more spaces."""
+    sep = "[\n  "
+    for item in items:
+        yield sep
+        yield json.dumps(to_json(item), indent=2, sort_keys=True).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
+def _lines(lines) -> Iterator[str]:
+    for line in lines:
+        yield line + "\n"
+
+
+def _hasse_dot(group, elements, doubled=frozenset(), name="hasse") -> list[str]:
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for idx, x in enumerate(elements):
         extra = " peripheries=2" if x in doubled else ""
@@ -82,36 +99,34 @@ def _hasse_dot(group, elements, doubled=frozenset(), name="hasse") -> str:
     for a, b in bruhat_hasse_edges(group, elements):
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
-    return "\n".join(lines)
+    return lines
 
 
-def _cmd_adm(ctx, fmt: str) -> str:
+def _cmd_adm(ctx, fmt: str) -> Iterable[str]:
     adm = ctx.adm()
     group = ctx.group
     if fmt == "json":
-        return json.dumps([group.element_to_json(x) for x in adm.elements],
-                          indent=2, sort_keys=True)
+        return _json_list(adm.elements, group.element_to_json)
     if fmt == "dot":
-        return _hasse_dot(group, adm.elements, name="admissible")
+        return _lines(_hasse_dot(group, adm.elements, name="admissible"))
     profile = adm.by_length()
     top = max(profile)
     counts = "/".join(str(profile.get(l, 0)) for l in range(top + 1))
     lines = [f"{len(adm)} elements: {counts} by length 0..{top}"]
     for x in adm.elements:
         lines.append(f"len={group.length(x)} {element_label(group, x)}")
-    return "\n".join(lines)
+    return _lines(lines)
 
 
-def _cmd_classify(ctx, level, fmt: str) -> str:
+def _cmd_classify(ctx, level, fmt: str) -> Iterable[str]:
     report = stratum_report(ctx.adm(), level)
     group = ctx.group
     if fmt == "json":
-        return json.dumps([record_to_json(group, rec) for rec in report],
-                          indent=2, sort_keys=True)
+        return _json_list(report, lambda rec: record_to_json(group, rec))
     if fmt == "dot":
         doubled = frozenset(rec.element for rec in report if rec.basic)
-        return _hasse_dot(group, [rec.element for rec in report],
-                          doubled=doubled, name="strata")
+        return _lines(_hasse_dot(group, [rec.element for rec in report],
+                                 doubled=doubled, name="strata"))
     nbasic = sum(1 for rec in report if rec.basic)
     lines = [f"{len(report)} strata, {nbasic} basic"]
     for rec in report:
@@ -122,15 +137,14 @@ def _cmd_classify(ctx, level, fmt: str) -> str:
             f"closure={_fmt_nodes(rec.support.closure)} "
             f"i_set={_fmt_nodes(rec.stable_subset)} "
             f"newton={_fmt_newton(rec.newton)}")
-    return "\n".join(lines)
+    return _lines(lines)
 
 
-def _cmd_dl_data(ctx, level, fmt: str) -> str:
+def _cmd_dl_data(ctx, level, fmt: str) -> Iterable[str]:
     report = [rec for rec in stratum_report(ctx.adm(), level) if rec.basic]
     group = ctx.group
     if fmt == "json":
-        return json.dumps([record_to_json(group, rec) for rec in report],
-                          indent=2, sort_keys=True)
+        return _json_list(report, lambda rec: record_to_json(group, rec))
     lines = [f"{len(report)} basic strata"]
     for rec in report:
         dl = rec.datum
@@ -140,10 +154,10 @@ def _cmd_dl_data(ctx, level, fmt: str) -> str:
             f"parabolic={_fmt_nodes(dl.parabolic_nodes)} dim={dl.dimension} "
             f"coxeter={'yes' if dl.sigma_coxeter else 'no'} "
             f"stable={'yes' if dl.stabilizes_parabolic else 'no'}")
-    return "\n".join(lines)
+    return _lines(lines)
 
 
-def _cmd_compare(ctx, level, fmt: str) -> str:
+def _cmd_compare(ctx, level, fmt: str) -> Iterable[str]:
     if level == ctx.iwahori:
         mode = "gortz-yu"
     elif level == ctx.hyperspecial:
@@ -152,15 +166,15 @@ def _cmd_compare(ctx, level, fmt: str) -> str:
         raise UsageError("compare needs an iwahori or hyperspecial level")
     rep = ctx.compare(mode)
     if fmt == "json":
-        return json.dumps(rep.to_json(), indent=2, sort_keys=True)
+        return _lines([json.dumps(rep.to_json(), indent=2, sort_keys=True)])
     lines = [f"mode={rep.mode} g={rep.g} strata={rep.strata} "
              f"basic={rep.basic} expected={rep.expected} ok"]
     for label in rep.labels:
         lines.append(f"  {label}")
-    return "\n".join(lines)
+    return _lines(lines)
 
 
-def _cmd_check(ctx, fmt: str) -> str:
+def _cmd_check(ctx, fmt: str) -> Iterable[str]:
     if ctx.g > 3:
         raise UsageError("check supports g up to 3; larger genera take too long")
     group = ctx.group
@@ -204,7 +218,7 @@ def _cmd_check(ctx, fmt: str) -> str:
     lines.append(f"ok: {len(classes)} straight classes, one basic")
 
     lines.append("all checks passed")
-    return "\n".join(lines)
+    return _lines(lines)
 
 
 def _factorial(n: int) -> int:
@@ -214,7 +228,9 @@ def _factorial(n: int) -> int:
     return out
 
 
-def dispatch(args) -> str:
+def dispatch(args) -> Iterable[str]:
+    """The output of one command as chunks of text.  Everything that can
+    fail is computed before this returns; the chunks only serialize."""
     if args.g < 1:
         raise UsageError("--g must be at least 1")
     order = 2 ** args.g * _factorial(args.g)
@@ -243,19 +259,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = dispatch(args)
+        chunks = dispatch(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GroupError, RootDatumError, CoxeterError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    payload = text + "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
     return 0
 
 

@@ -216,6 +216,17 @@ def right_greedy_word(group: ExtendedAffineWeylGroup, x: ExtAffineElement):
     return group.omega_of(y), tuple(reversed(word))
 
 
+def admissible_by_subwords(group: ExtendedAffineWeylGroup,
+                           maxima: Sequence[ExtAffineElement]):
+    """Admissible set by subword closure: the subword products of one
+    reduced word of each maximum.  ``admissible_set`` falls back on this for
+    a datum outside the vertex rule."""
+    out: set = set()
+    for top in maxima:
+        out |= subword_products(group, top)
+    return frozenset(out)
+
+
 def admissible_by_right_words(group: ExtendedAffineWeylGroup,
                               maxima: Sequence[ExtAffineElement]):
     """Admissible set recomputed from right-greedy words, with the

@@ -15,6 +15,7 @@ matrix, validating the crystallographic axioms along the way.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from ekor_atlas.coxeter import CoxeterMatrix
@@ -160,8 +161,7 @@ class RootDatum:
 
     def from_lattice(self, coords: Sequence) -> tuple:
         """Ambient vector with the given lattice coordinates."""
-        return tuple(sum(coords[i] * self.basis[i][j] for i in range(self.rank))
-                     for j in range(self.dim))
+        return tuple(sum(map(mul, coords, col)) for col in zip(*self.basis))
 
     def _reflection_lattice(self, values, coroot):
         cols = []

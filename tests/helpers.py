@@ -5,8 +5,9 @@ The brute-force references the engine is checked against stay in
 """
 
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from ekor_atlas.admissible import AdmissibleSet, is_left_minimal, parahoric_label
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
 from ekor_atlas.oracles import cayley_ball, twisted_power
 from ekor_atlas.rootdata import RootDatum
@@ -55,6 +56,72 @@ def twisted_conjugates(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     return frozenset(out)
 
 
+def dominantize(group: ExtendedAffineWeylGroup, ambient: Sequence):
+    """Dominant form of an ambient vector and the finite element that takes
+    it there, by applying simple reflections while some pairing is negative."""
+    datum = group.datum
+    cur = datum.to_lattice(ambient)
+    w = group.identity
+    while True:
+        for i, vals in enumerate(datum.root_values):
+            if sum(c * v for c, v in zip(cur, vals)) < 0:
+                s = group.simple_reflections[i + 1]
+                cur = group.act(s.w, cur)
+                w = group.mult(s, w)
+                break
+        else:
+            return datum.from_lattice(cur), w
+
+
+def is_right_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
+                     label: frozenset[int]) -> bool:
+    """Right descents of x are the left descents of x^-1."""
+    xinv = group.inv(x)
+    return not any(group.is_descent(xinv, i) for i in label)
+
+
+def saturated_set(adm: AdmissibleSet,
+                  nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
+    """Closure of the admissible set under the level group on both sides."""
+    group = adm.group
+    label = parahoric_label(group, nodes)
+    seen = set(adm.elements)
+    frontier = list(adm.elements)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i in sorted(label):
+                s = group.simple_reflections[i]
+                for y in (group.mult(s, x), group.mult(x, s)):
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen, key=group.sort_key))
+
+
+def double_coset_minima(adm: AdmissibleSet,
+                        nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
+    """Minimal length representatives of the level double cosets met."""
+    group = adm.group
+    label = parahoric_label(group, nodes)
+    return tuple(x for x in saturated_set(adm, nodes)
+                 if is_left_minimal(group, x, label)
+                 and is_right_minimal(group, x, label))
+
+
+def build_gl(n: int, twisted: bool = False):
+    """GL_n on Z^n with simple roots e_i - e_(i+1); with ``twisted`` the
+    Frobenius is the duality twist x -> -(x_n, ..., x_1)."""
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    roots = tuple(tuple(int(j == i) - int(j == i + 1) for j in range(n))
+                  for i in range(n - 1))
+    frob = tuple(tuple(-int(i + j == n - 1) for j in range(n))
+                 for i in range(n)) if twisted else None
+    return ExtendedAffineWeylGroup(RootDatum(dim=n, basis=basis, simple_roots=roots,
+                                             simple_coroots=roots, frobenius=frob))
+
+
 def build_gl3_twisted():
     """Rank three general linear datum with the duality twist.
 
@@ -62,14 +129,7 @@ def build_gl3_twisted():
     reflections and has fixed lattice of rank one, so it exercises every
     code path that a trivial Frobenius misses.
     """
-    datum = RootDatum(
-        dim=3,
-        basis=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-        simple_roots=((1, -1, 0), (0, 1, -1)),
-        simple_coroots=((1, -1, 0), (0, 1, -1)),
-        frobenius=((0, 0, -1), (0, -1, 0), (-1, 0, 0)),
-    )
-    return ExtendedAffineWeylGroup(datum)
+    return build_gl(3, twisted=True)
 
 
 def build_gl2_gl3():

@@ -2,32 +2,43 @@ from fractions import Fraction
 
 import pytest
 
+from ekor_atlas import admissible
 from ekor_atlas.admissible import (
     admissible_set,
     bruhat_hasse_edges,
-    double_coset_minima,
     is_left_minimal,
-    is_right_minimal,
     kw_elements,
     parahoric_label,
-    saturated_set,
     straight_classes,
     weyl_orbit,
 )
-from ekor_atlas.affine import GroupError, element_label
-from ekor_atlas.oracles import admissible_by_right_words
+from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError, element_label
+from ekor_atlas.oracles import admissible_by_right_words, admissible_by_subwords
+from ekor_atlas.rootdata import RootDatum
+from ekor_atlas.siegel import siegel_datum
+from helpers import (
+    build_b2,
+    build_gl,
+    build_gl2_gl3,
+    build_gl2_unitary,
+    double_coset_minima,
+    is_right_minimal,
+    saturated_set,
+)
 
-SIZES = {1: 3, 2: 13, 3: 79, 4: 633}
+SIZES = {1: 3, 2: 13, 3: 79, 4: 633, 5: 6331}
 PROFILES = {
     1: {0: 1, 1: 2},
     2: {0: 1, 1: 3, 2: 5, 3: 4},
     3: {0: 1, 1: 4, 2: 9, 3: 17, 4: 22, 5: 18, 6: 8},
     4: {0: 1, 1: 5, 2: 14, 3: 31, 4: 59, 5: 93, 6: 121, 7: 131,
         8: 106, 9: 56, 10: 16},
+    5: {0: 1, 1: 6, 2: 20, 3: 51, 4: 110, 5: 211, 6: 362, 7: 555, 8: 766,
+        9: 945, 10: 1021, 11: 946, 12: 725, 13: 420, 14: 160, 15: 32},
 }
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_sizes_and_length_profile(g):
     from ekor_atlas.siegel import siegel_context
     adm = siegel_context(g).adm()
@@ -43,6 +54,76 @@ def test_matches_right_word_oracle(g):
     orbit = weyl_orbit(group, group.datum.to_lattice(ctx.mu))
     maxima = [group.from_parts(lam, 0) for lam in orbit]
     assert set(ctx.adm().elements) == admissible_by_right_words(group, maxima)
+
+
+def _walk_and_closure(group, mu):
+    """The vertex rule and the subword closure for one cocharacter."""
+    orbit = weyl_orbit(group, group.datum.to_lattice(mu))
+    walk = admissible._vertex_rule(group, orbit)
+    assert walk is not None, "datum fell outside the vertex rule"
+    assert len(set(walk)) == len(walk)
+    closure = admissible_by_subwords(group, [group.from_parts(lam, 0) for lam in orbit])
+    return set(walk), closure
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_vertex_rule_matches_closure_siegel(g):
+    from ekor_atlas.siegel import siegel_context
+    ctx = siegel_context(g)
+    walk, closure = _walk_and_closure(ctx.group, ctx.mu)
+    assert walk == closure
+    assert len(walk) == SIZES[g]
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_vertex_rule_matches_closure_gl(n, twisted):
+    group = build_gl(n, twisted)
+    for k in range(n + 1):
+        walk, closure = _walk_and_closure(group, (1,) * k + (0,) * (n - k))
+        assert walk == closure, k
+
+
+@pytest.mark.parametrize("mu", [(1, 0, 1, 0, 0), (1, 0, 1, 1, 0),
+                                (1, 1, 1, 0, 0), (0, 0, 1, 1, 0)])
+def test_vertex_rule_matches_closure_gl2_gl3(mu):
+    walk, closure = _walk_and_closure(build_gl2_gl3(), mu)
+    assert walk == closure
+
+
+@pytest.mark.parametrize("mu", [(0, 0), (1, 0), (1, 1)])
+def test_vertex_rule_matches_closure_unitary(mu):
+    walk, closure = _walk_and_closure(build_gl2_unitary(), mu)
+    assert walk == closure
+
+
+def test_vertex_rule_count_g6():
+    group = ExtendedAffineWeylGroup(siegel_datum(6))
+    mu = (1,) * 6 + (0,) * 6
+    orbit = weyl_orbit(group, group.datum.to_lattice(mu))
+    assert len(admissible._vertex_rule(group, orbit)) == 75_973
+
+
+def _gl3_reversed():
+    """GL3 with simple roots e_(i+1) - e_i: permutation reflections, but the
+    base alcove is not the one whose vertices the rule reads (the rule
+    would return seven elements, not all admissible)."""
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    roots = ((-1, 1, 0), (0, -1, 1))
+    return ExtendedAffineWeylGroup(RootDatum(dim=3, basis=basis, simple_roots=roots,
+                                             simple_coroots=roots))
+
+
+def test_outside_vertex_rule_falls_back_to_closure():
+    """B2 from its Cartan matrix has non-permutation reflections, a
+    cocharacter that is not 0/1 leaves the theorem, and so do roots ordered
+    against the coordinates."""
+    for group, mu in ((build_b2(), (1, 1)), (build_gl(3), (2, 1, 1)),
+                      (_gl3_reversed(), (0, 0, 1))):
+        orbit = weyl_orbit(group, group.datum.to_lattice(mu))
+        assert admissible._vertex_rule(group, orbit) is None
+        maxima = [group.from_parts(lam, 0) for lam in orbit]
+        assert set(admissible_set(group, mu)) == admissible_by_right_words(group, maxima)
 
 
 def test_maxima_are_orbit_translations(ctx2):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekor_atlas.affine import GroupError, element_label
+from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError, element_label
 from ekor_atlas.lattice import mat_vec, vec_dot
 from ekor_atlas.oracles import (
     bruhat_leq_subword,
@@ -15,6 +15,8 @@ from ekor_atlas.oracles import (
 )
 from helpers import (
     build_gl2_gl3,
+    build_gl3_twisted,
+    dominantize,
     random_element,
     straight_by_definition,
     twisted_conjugates,
@@ -71,7 +73,7 @@ def test_translation_length_is_pairing(ctx2):
     rng = random.Random(7)
     for _ in range(40):
         lam = tuple(rng.randrange(0, 4) for _ in range(datum.rank))
-        dom, _ = group.dominantize_lattice(lam)
+        dom = group.dominantize_lattice(lam)
         x = group.from_parts(tuple(int(c) for c in dom), 0)
         assert group.length(x) == vec_dot(dom, datum.two_rho)
 
@@ -149,6 +151,50 @@ def test_reduced_word_round_trip(ctx2):
         rd = group.reduced_word(x)
         assert len(rd.word) == group.length(x)
         assert group.evaluate_word(rd.word, rd.omega) == x
+
+
+def _cold_words(datum, elements):
+    """Reduced words from a new group, longest first: every element met
+    while stripping is shorter than all those asked so far, so no memoised
+    tail is ever found."""
+    group = ExtendedAffineWeylGroup(datum)
+    out = {}
+    fresh = [group.from_parts(x.trans, x.w) for x in elements]
+    for x in sorted(fresh, key=group.length, reverse=True):
+        rd = group.reduced_word(x)
+        out[x] = (rd.word, rd.omega.element.trans, rd.omega.element.w)
+    return out
+
+
+def _check_warm_words(group, elements):
+    cold = _cold_words(group.datum, elements)
+    for x in elements:
+        rd = group.reduced_word(x)
+        assert (rd.word, rd.omega.element.trans, rd.omega.element.w) == cold[x]
+        assert group.evaluate_word(rd.word, rd.omega) == x
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_reduced_word_reuses_tails_admissible(g):
+    """Building Adm asks for the words shortest first, so each one is a
+    letter plus a memoised tail."""
+    from ekor_atlas.siegel import siegel_context
+    ctx = siegel_context(g)
+    _check_warm_words(ctx.group, ctx.adm().elements)
+
+
+@pytest.mark.parametrize("build", [build_gl3_twisted, build_gl2_gl3])
+def test_reduced_word_reuses_tails_random(build):
+    """Warm the memo with s_i x for every descent i of each sample x, so the
+    first stripping step of x always lands on a memoised tail."""
+    group = build()
+    rng = random.Random(5)
+    omegas = [group.length_zero_element((1,) + (0,) * (group.datum.dim - 1)).element]
+    sample = [random_element(rng, group, rng.randrange(12), omegas) for _ in range(300)]
+    for x in sample:
+        for i in group.descents(x):
+            group.reduced_word(group.mult(group.simple_reflections[i], x))
+    _check_warm_words(group, sample)
 
 
 def test_omega_of_rejects_positive_length(ctx2):
@@ -388,7 +434,7 @@ def test_galois_average(ctx2, gl3_twisted):
 
 def test_dominantize(ctx2):
     group = ctx2.group
-    vec, elt = group.dominantize((0, 0, 1, 1))
+    vec, elt = dominantize(group, (0, 0, 1, 1))
     assert vec == (1, 1, 0, 0)
     assert group.act(elt.w, group.datum.to_lattice((0, 0, 1, 1))) == \
         group.datum.to_lattice((1, 1, 0, 0))

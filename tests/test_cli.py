@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from ekor_atlas import cli
+from ekor_atlas.affine import GroupError
 from ekor_atlas.cli import main
 
 
@@ -195,3 +197,21 @@ def test_runs_are_deterministic(capsys):
                             "--format", "json")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# ------------------------------------------------------------ streaming
+
+
+@pytest.mark.parametrize("items", [[], [{"a": [1, {"b": []}]}],
+                                   [{"x": 1}, [], {"y": {"z": [2, 3]}}]])
+def test_json_list_matches_whole_dump(items):
+    streamed = "".join(cli._json_list(items, lambda item: item))
+    assert streamed == json.dumps(items, indent=2, sort_keys=True) + "\n"
+
+
+def test_failure_leaves_stdout_empty(capsys, monkeypatch):
+    def broken(adm, level):
+        raise GroupError("broken report")
+    monkeypatch.setattr(cli, "stratum_report", broken)
+    code, out, err = run_cli(capsys, "classify", "--g", "2", "--format", "json")
+    assert code == 1 and out == "" and "broken report" in err

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -70,3 +71,26 @@ def test_export_hasse_runs(tmp_path):
                       "--out-dir", str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "adm_g1_iwahori.dot").read_text().startswith("digraph")
+
+
+def test_bench_runs(tmp_path):
+    out = tmp_path / "bench.json"
+    done = run_script("scripts/bench.py", "--max-g", "2", "--out", str(out),
+                      "--label", "probe")
+    assert done.returncode == 0, done.stderr
+    run = json.loads(out.read_text())["runs"]["probe"]
+    assert [row["adm"] for row in run["genera"]] == [3, 13]
+    assert set(run["genera"][0]["stages_s"]) == {
+        "context", "adm", "iwahori_report", "hyperspecial_report",
+        "classify_json", "serialization"}
+    assert run["genera"][1]["peak_rss_mb"] > 0
+
+
+def test_test_only_code_is_out_of_src():
+    """The saturation, double coset minima and the ambient dominantize are
+    test helpers now (tests/helpers.py)."""
+    from ekor_atlas import admissible, affine
+    for name in ("saturated_set", "double_coset_minima", "is_right_minimal"):
+        assert not hasattr(admissible, name)
+        assert name not in ekor_atlas.__all__
+    assert not hasattr(affine.ExtendedAffineWeylGroup, "dominantize")
