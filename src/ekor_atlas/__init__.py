@@ -23,7 +23,6 @@ from ekor_atlas.coxeter import (
     INFINITE_BOND,
     CoxeterError,
     CoxeterMatrix,
-    DiagramMap,
     format_finite_type,
 )
 from ekor_atlas.ekor import (
@@ -58,7 +57,6 @@ __all__ = [
     "CoxeterError",
     "CoxeterMatrix",
     "DLDatum",
-    "DiagramMap",
     "EOStratum",
     "ExtAffineElement",
     "ExtendedAffineWeylGroup",

@@ -55,7 +55,7 @@ def parahoric_label(group: ExtendedAffineWeylGroup,
     for i in label:
         if not 0 <= i < group.num_nodes:
             raise GroupError(f"node {i} is out of range")
-        if group.sigma_diagram(i) not in label:
+        if group.sigma_diagram[i] not in label:
             raise GroupError(f"level {sorted(label)} is not Frobenius-stable")
     if not group.affine_coxeter.is_finite_parabolic(label):
         raise GroupError(f"level {sorted(label)} does not give a finite group")
@@ -83,9 +83,6 @@ class AdmissibleSet:
             lx = self.group.length(x)
             out[lx] = out.get(lx, 0) + 1
         return dict(sorted(out.items()))
-
-    def kw(self, nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
-        return kw_elements(self, nodes)
 
 
 def weyl_orbit(group: ExtendedAffineWeylGroup,

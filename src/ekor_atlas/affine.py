@@ -95,11 +95,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from ekor_atlas.coxeter import (
-    INFINITE_BOND,
-    CoxeterMatrix,
-    DiagramMap,
-)
+from ekor_atlas.coxeter import INFINITE_BOND, CoxeterMatrix
 from ekor_atlas.lattice import (
     AbelianQuotient,
     Pi1Class,
@@ -130,15 +126,6 @@ class ExtAffineElement:
     w: int
     group: "ExtendedAffineWeylGroup" = field(compare=False, hash=False, repr=False)
 
-    def __mul__(self, other: "ExtAffineElement") -> "ExtAffineElement":
-        return self.group.mult(self, other)
-
-    def inverse(self) -> "ExtAffineElement":
-        return self.group.inv(self)
-
-    def length(self) -> int:
-        return self.group.length(self)
-
     def is_identity(self) -> bool:
         return self.w == 0 and not any(self.trans)
 
@@ -149,10 +136,6 @@ class OmegaElement:
 
     element: ExtAffineElement
     node_images: tuple[int, ...]
-
-    @property
-    def diagram_map(self) -> DiagramMap:
-        return DiagramMap(self.element.group.affine_coxeter, self.node_images)
 
 
 @dataclass(frozen=True)
@@ -341,7 +324,7 @@ class ExtendedAffineWeylGroup:
         for j, comp in enumerate(datum.components):
             images[self.affine_node_of_component[j]] = \
                 self.affine_node_of_component[comp_image[j]]
-        self.sigma_diagram = DiagramMap(self.affine_coxeter, tuple(images))
+        self.sigma_diagram = self.affine_coxeter.check_automorphism(images)
         frob = datum.frobenius_lattice
         frob_perm = self._root_perm(frob)
         self._frob_table = _table(frob_perm)
@@ -489,9 +472,6 @@ class ExtendedAffineWeylGroup:
             got = OmegaElement(x, tuple(images))
             self._omega[key] = got
         return got
-
-    def omega_part(self, x: ExtAffineElement) -> OmegaElement:
-        return self.reduced_word(x).omega
 
     # ------------------------------------------------------- Bruhat order
 

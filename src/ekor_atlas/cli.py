@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -175,14 +176,12 @@ def _cmd_compare(ctx, level, fmt: str) -> Iterable[str]:
 
 
 def _cmd_check(ctx, fmt: str) -> Iterable[str]:
-    if ctx.g > 3:
-        raise UsageError("check supports g up to 3; larger genera take too long")
     group = ctx.group
     lines = []
 
     fin = coxeter_group_size(group.affine_coxeter,
                              frozenset(range(1, ctx.g + 1)), cap=10000)
-    want = (2 ** ctx.g) * _factorial(ctx.g)
+    want = (2 ** ctx.g) * math.factorial(ctx.g)
     if fin != want:
         raise GroupError(f"finite group size {fin}, expected {want}")
     lines.append(f"ok: finite group has {want} elements")
@@ -221,24 +220,19 @@ def _cmd_check(ctx, fmt: str) -> Iterable[str]:
     return _lines(lines)
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def dispatch(args) -> Iterable[str]:
     """The output of one command as chunks of text.  Everything that can
     fail is computed before this returns; the chunks only serialize."""
     if args.g < 1:
         raise UsageError("--g must be at least 1")
-    order = 2 ** args.g * _factorial(args.g)
+    order = 2 ** args.g * math.factorial(args.g)
     if order > MAX_FINITE_ORDER:
         raise UsageError(f"--g {args.g}: the finite Weyl group has {order} elements, "
                          f"more than the {MAX_FINITE_ORDER} this tool enumerates")
     if args.fmt == "dot" and args.command not in ("adm", "classify"):
         raise UsageError("dot output is only available for adm and classify")
+    if args.command == "check" and args.g > 3:
+        raise UsageError("check supports g up to 3; larger genera take too long")
     ctx = siegel_context(args.g)
     if args.command == "adm":
         return _cmd_adm(ctx, args.fmt)

@@ -4,15 +4,15 @@ A :class:`CoxeterMatrix` records the bond orders between abstract generators.
 Only crystallographic orders (2, 3, 4, 6 and infinity) are admitted, which is
 all the affine Weyl machinery ever produces.  On top of the matrix we provide
 connected components, recognition of finite and affine component types,
-diagram automorphisms with orbit closures, and the finiteness test for
-standard parabolic subgroups of affine diagrams.
+validation of diagram automorphisms (node maps kept as plain tuples of
+images), and the finiteness test for standard parabolic subgroups of affine
+diagrams.
 
 Everything here is immutable and pure, hence safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 #: Sentinel for an infinite bond order.  Deliberately not a large integer so
@@ -61,14 +61,20 @@ class CoxeterMatrix:
     def nodes(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
-    def __eq__(self, other):
-        return isinstance(other, CoxeterMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         return f"CoxeterMatrix({list(map(list, self.rows))})"
+
+    def check_automorphism(self, images: Iterable[int]) -> tuple[int, ...]:
+        """Validate a node map given as its tuple of images: it must permute
+        the nodes and preserve every bond order."""
+        images = tuple(images)
+        if sorted(images) != list(range(self.n)):
+            raise CoxeterError(f"images {images} are not a permutation of 0..{self.n - 1}")
+        for i in range(self.n):
+            for j in range(self.n):
+                if self.rows[images[i]][images[j]] != self.rows[i][j]:
+                    raise CoxeterError("node map does not preserve the bond orders")
+        return images
 
     def _check_subset(self, J: Iterable[int]) -> frozenset[int]:
         J = frozenset(J)
@@ -306,55 +312,3 @@ def _classify_component(mat: CoxeterMatrix, comp: frozenset[int]):
         if ok:
             return "affine", ("D~", n - 1)
     return "other", None
-
-
-@dataclass(frozen=True)
-class DiagramMap:
-    """A diagram automorphism: a node permutation preserving bond orders."""
-
-    matrix: CoxeterMatrix
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.matrix.n
-        if sorted(self.images) != list(range(n)):
-            raise CoxeterError(f"images {self.images} are not a permutation of 0..{n - 1}")
-        for i in range(n):
-            for j in range(n):
-                if self.matrix.rows[self.images[i]][self.images[j]] != self.matrix.rows[i][j]:
-                    raise CoxeterError("node map does not preserve the bond orders")
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def apply(self, J: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.images[i] for i in J)
-
-    def compose(self, other: "DiagramMap") -> "DiagramMap":
-        """self after other: i -> self(other(i))."""
-        if self.matrix != other.matrix:
-            raise CoxeterError("diagram maps live on different matrices")
-        return DiagramMap(self.matrix, tuple(self.images[other.images[i]]
-                                             for i in range(self.matrix.n)))
-
-    def inverse(self) -> "DiagramMap":
-        inv = [0] * self.matrix.n
-        for i, im in enumerate(self.images):
-            inv[im] = i
-        return DiagramMap(self.matrix, tuple(inv))
-
-    @classmethod
-    def identity(cls, matrix: CoxeterMatrix) -> "DiagramMap":
-        return cls(matrix, tuple(range(matrix.n)))
-
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(self.matrix.n))
-
-    def orbit_closure(self, J: Iterable[int]) -> frozenset[int]:
-        """Smallest superset of J stable under the map."""
-        out = set(self.matrix._check_subset(J))
-        while True:
-            grown = out | {self.images[i] for i in out}
-            if grown == out:
-                return frozenset(out)
-            out = grown

@@ -20,30 +20,40 @@ from ekor_atlas.admissible import (
     parahoric_label,
 )
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup, GroupError
-from ekor_atlas.coxeter import DiagramMap, format_finite_type
+from ekor_atlas.coxeter import format_finite_type
 
 
 @dataclass(frozen=True)
 class SigmaSupport:
-    """Letters of a reduced word and their closure under the twist."""
+    """Letters of a reduced word and their closure under the twist.
+
+    ``twist`` is the node map s -> tau sigma(s) tau^-1 for the length-zero
+    part tau of x, as its tuple of images.
+    """
 
     raw: frozenset[int]
     closure: frozenset[int]
-    twist: DiagramMap
+    twist: tuple[int, ...]
 
 
-def support_twist(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> DiagramMap:
-    """Node map s -> tau sigma(s) tau^-1 for the length-zero part tau of x."""
-    omega = group.omega_part(x)
-    return omega.diagram_map.compose(group.sigma_diagram)
+def _orbit_closure(twist: tuple[int, ...], nodes: frozenset[int]) -> frozenset[int]:
+    """Smallest superset of the nodes stable under the node map."""
+    out = set(nodes)
+    while True:
+        grown = out | {twist[i] for i in out}
+        if grown == out:
+            return frozenset(out)
+        out = grown
 
 
 def sigma_support(group: ExtendedAffineWeylGroup,
                   x: ExtAffineElement) -> SigmaSupport:
     rd = group.reduced_word(x)
-    twist = rd.omega.diagram_map.compose(group.sigma_diagram)
+    # tau acts by conjugation, which keeps the order of every product, so
+    # tau after sigma preserves the bonds because sigma_diagram does
+    twist = tuple(rd.omega.node_images[s] for s in group.sigma_diagram)
     raw = frozenset(rd.word)
-    return SigmaSupport(raw, twist.orbit_closure(raw), twist)
+    return SigmaSupport(raw, _orbit_closure(twist, raw), twist)
 
 
 def is_basic(group: ExtendedAffineWeylGroup, supp: SigmaSupport) -> bool:
@@ -68,7 +78,7 @@ def stable_level_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     while True:
         kept = set()
         for i in cur:
-            s = group.simple_reflections[group.sigma_diagram(i)]
+            s = group.simple_reflections[group.sigma_diagram[i]]
             node = group.reflection_node(group.mult(group.mult(x, s), xinv))
             if node is not None and node in cur:
                 kept.add(i)
@@ -78,19 +88,19 @@ def stable_level_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
         cur = nxt
 
 
-def twist_orbits(twist: DiagramMap, nodes: frozenset[int]) -> list[frozenset[int]]:
+def twist_orbits(twist: tuple[int, ...], nodes: frozenset[int]) -> list[frozenset[int]]:
     """Orbits of the node map on a stable node set."""
     remaining = set(nodes)
     orbits = []
     while remaining:
         start = min(remaining)
         orbit = {start}
-        cur = twist(start)
+        cur = twist[start]
         while cur != start:
             if cur not in remaining:
                 raise GroupError("node set is not stable under the twist")
             orbit.add(cur)
-            cur = twist(cur)
+            cur = twist[cur]
         remaining -= orbit
         orbits.append(frozenset(orbit))
     return sorted(orbits, key=min)
@@ -140,9 +150,9 @@ def dl_datum(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
         parabolic_nodes=iset,
         ambient_type=label_type,
         dimension=group.length(x),
-        frobenius_nodes=supp.twist.images,
+        frobenius_nodes=supp.twist,
         sigma_coxeter=is_sigma_coxeter(group, x),
-        stabilizes_parabolic=all(supp.twist(i) in iset for i in iset),
+        stabilizes_parabolic=all(supp.twist[i] in iset for i in iset),
     )
 
 

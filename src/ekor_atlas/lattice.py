@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple
@@ -25,11 +25,6 @@ def _same_length(a: Sequence, b: Sequence) -> None:
 def vec_add(a: Sequence, b: Sequence) -> Vector:
     _same_length(a, b)
     return tuple(map(add, a, b))
-
-
-def vec_sub(a: Sequence, b: Sequence) -> Vector:
-    _same_length(a, b)
-    return tuple(map(sub, a, b))
 
 
 def vec_neg(a: Sequence) -> Vector:
@@ -61,10 +56,6 @@ def row_mat(r: Sequence, a: Sequence[Sequence]) -> Vector:
     """Row vector times matrix."""
     cols = len(a[0])
     return tuple(sum(r[l] * a[l][j] for l in range(len(r))) for j in range(cols))
-
-
-def mat_transpose(a: Sequence[Sequence]) -> Matrix:
-    return tuple(zip(*a))
 
 
 def solve_linear(columns: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:

@@ -253,7 +253,7 @@ def brute_stable_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
         images = set()
         ok = True
         for i in sub:
-            s = group.simple_reflections[group.sigma_diagram(i)]
+            s = group.simple_reflections[group.sigma_diagram[i]]
             node = group.reflection_node(group.mult(group.mult(x, s), xinv))
             if node is None or node not in sub:
                 ok = False

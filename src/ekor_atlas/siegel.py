@@ -9,6 +9,14 @@ This module also carries the closed-form side of the two comparison modes:
 closed supports and canonical stable subsets indexed by a defect c, and the
 parameterization of basic strata at maximal level by minimal coset
 representatives of small hyperoctahedral groups.
+
+At hyperspecial level the longest basic strata have length 0, 1, 1, 3 for
+g = 1..4, below Li-Oort's dimension floor(g^2/4) = 0, 1, 2, 4 of the
+supersingular locus.  This is not a defect and is not checked: the basic
+strata there are the EO strata lying inside the supersingular locus, and
+from g = 3 on that locus is not a union of EO strata, so its dimension
+need not be the length of any basic stratum.  At Iwahori level the longest
+basic stratum does have the Goertz-Yu dimension of the supersingular locus.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from ekor_atlas.admissible import (
     AdmissibleSet,
     admissible_set,
     is_left_minimal,
-    kw_elements,
     parahoric_label,
 )
 from ekor_atlas.affine import (
@@ -92,9 +99,6 @@ class SiegelContext:
 
     def adm(self) -> AdmissibleSet:
         return admissible_set(self.group, self.mu)
-
-    def kw(self, nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
-        return kw_elements(self.adm(), nodes)
 
     def report(self, nodes: Iterable[int]) -> tuple[StratumRecord, ...]:
         return stratum_report(self.adm(), nodes)

@@ -180,13 +180,14 @@ def test_parahoric_label_validation(ctx2, gl3_twisted):
 
 
 def test_kw_hyperspecial_g2(ctx2):
-    labels = {element_label(ctx2.group, x) for x in ctx2.kw(ctx2.hyperspecial)}
+    labels = {element_label(ctx2.group, x)
+              for x in kw_elements(ctx2.adm(), ctx2.hyperspecial)}
     assert labels == {"tau", "s0.tau", "s0.s1.tau", "s0.s1.s0.tau"}
 
 
 def test_kw_iwahori_is_whole_set(ctx2):
     adm = ctx2.adm()
-    assert set(adm.kw(frozenset())) == set(adm.elements)
+    assert set(kw_elements(adm, frozenset())) == set(adm.elements)
 
 
 @pytest.mark.parametrize("nodes", [frozenset({1, 2}), frozenset({0}),
@@ -207,8 +208,9 @@ def test_kw_elements_are_minimal(ctx2, nodes):
 
 
 def test_kw_g3_levels(ctx3):
-    assert len(ctx3.kw(ctx3.hyperspecial)) == 8
-    assert len(ctx3.kw(ctx3.level_nodes("1,2"))) > 8
+    adm = ctx3.adm()
+    assert len(kw_elements(adm, ctx3.hyperspecial)) == 8
+    assert len(kw_elements(adm, ctx3.level_nodes("1,2"))) > 8
 
 
 # levels whose saturation has at most this many products; this leaves out

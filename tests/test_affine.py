@@ -204,9 +204,10 @@ def test_omega_of_rejects_positive_length(ctx2):
 
 
 def test_tau_node_action(ctx2):
-    assert ctx2.tau.node_images == (2, 1, 0)
-    m = ctx2.tau.diagram_map
-    assert m.compose(m).is_identity()
+    m = ctx2.tau.node_images
+    assert m == (2, 1, 0)
+    assert tuple(m[i] for i in m) == (0, 1, 2)  # an involution
+    assert ctx2.group.affine_coxeter.check_automorphism(m) == m
 
 
 def test_twisted_omega_action(gl3_twisted):

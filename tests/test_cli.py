@@ -165,6 +165,18 @@ def test_oversized_genus_refused(capsys, monkeypatch, g):
     assert f"{2 ** g * math.factorial(g)} elements" in err
 
 
+@pytest.mark.parametrize("g", [4, 7])
+def test_check_refuses_large_genus_before_building(capsys, monkeypatch, g):
+    """check stops at genus 3 without building the genus-g context."""
+    def build(genus):
+        raise AssertionError("context built for a refused check")
+    monkeypatch.setattr("ekor_atlas.cli.siegel_context", build)
+    code, out, err = run_cli(capsys, "check", "--g", str(g))
+    assert code == 2
+    assert out == ""
+    assert err == "error: check supports g up to 3; larger genera take too long\n"
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--g", "2"])

@@ -6,9 +6,9 @@ from ekor_atlas.coxeter import (
     INFINITE_BOND,
     CoxeterError,
     CoxeterMatrix,
-    DiagramMap,
     format_finite_type,
 )
+from ekor_atlas.ekor import _orbit_closure
 from ekor_atlas.oracles import coxeter_group_size
 
 # orders of the irreducible finite groups used below
@@ -106,32 +106,38 @@ def test_bfs_cap_on_infinite():
 def test_diagram_map_validation():
     mat = path([3, 4])
     with pytest.raises(CoxeterError):
-        DiagramMap(mat, (2, 1, 0))  # would need the reversed bond pattern
+        mat.check_automorphism((2, 1, 0))  # would need the reversed bond pattern
+    with pytest.raises(CoxeterError):
+        mat.check_automorphism((0, 0, 1))  # not a permutation
+    with pytest.raises(CoxeterError):
+        mat.check_automorphism((0, 1))  # too short
+    assert mat.check_automorphism([0, 1, 2]) == (0, 1, 2)
     sym = path([4, 3, 4])
-    flip = DiagramMap(sym, (3, 2, 1, 0))
-    assert flip.compose(flip).is_identity()
-    assert flip.inverse() == flip
+    flip = sym.check_automorphism((3, 2, 1, 0))
+    assert flip == (3, 2, 1, 0)
+    assert sym.check_automorphism(flip[i] for i in flip) == (0, 1, 2, 3)
 
 
 def test_orbit_closure_explicit():
-    sym = path([4, 3, 4])
-    flip = DiagramMap(sym, (3, 2, 1, 0))
-    assert flip.orbit_closure(frozenset({0})) == frozenset({0, 3})
-    assert flip.orbit_closure(frozenset()) == frozenset()
+    flip = path([4, 3, 4]).check_automorphism((3, 2, 1, 0))
+    assert _orbit_closure(flip, frozenset({0})) == frozenset({0, 3})
+    assert _orbit_closure(flip, frozenset()) == frozenset()
+    cycle = (1, 2, 0, 3)
+    assert _orbit_closure(cycle, frozenset({2})) == frozenset({0, 1, 2})
+    assert _orbit_closure(cycle, frozenset({3})) == frozenset({3})
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
 def test_orbit_closure_properties(mask_a, mask_b):
-    sym = path([4, 3, 4])
-    flip = DiagramMap(sym, (3, 2, 1, 0))
+    flip = path([4, 3, 4]).check_automorphism((3, 2, 1, 0))
     sub_a = frozenset(i for i in range(4) if mask_a >> i & 1)
     sub_b = frozenset(i for i in range(4) if mask_b >> i & 1)
-    closed = flip.orbit_closure(sub_a)
+    closed = _orbit_closure(flip, sub_a)
     assert sub_a <= closed
-    assert flip.orbit_closure(closed) == closed
-    assert flip.orbit_closure(sub_a | sub_b) == closed | flip.orbit_closure(sub_b)
-    assert frozenset(flip(i) for i in closed) == closed
+    assert _orbit_closure(flip, closed) == closed
+    assert _orbit_closure(flip, sub_a | sub_b) == closed | _orbit_closure(flip, sub_b)
+    assert frozenset(flip[i] for i in closed) == closed
 
 
 def test_bond_validation():

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from ekor_atlas.admissible import kw_elements
 from ekor_atlas.affine import GroupError, element_label
 from ekor_atlas.ekor import (
+    _orbit_closure,
     dl_datum,
     is_basic,
     is_basic_element,
@@ -13,7 +15,6 @@ from ekor_atlas.ekor import (
     sigma_support,
     stable_level_subset,
     stratum_report,
-    support_twist,
     twist_orbits,
 )
 from ekor_atlas.oracles import brute_stable_subset
@@ -53,16 +54,38 @@ def test_closure_properties(ctx2, ctx3):
         for x in ctx.adm().elements:
             supp = sigma_support(group, x)
             assert supp.raw <= supp.closure
-            assert supp.twist.apply(supp.closure) == supp.closure
-            assert supp.twist.orbit_closure(supp.raw) == supp.closure
+            assert frozenset(supp.twist[i] for i in supp.closure) == supp.closure
+            assert _orbit_closure(supp.twist, supp.raw) == supp.closure
 
 
-def test_twist_composes_omega_and_sigma(ctx2):
+def test_twist_is_a_diagram_automorphism(ctx1, ctx2, ctx3):
+    """The twist of every admissible element permutes the affine nodes and
+    preserves the bond orders; the engine checks this only for sigma."""
+    for ctx in (ctx1, ctx2, ctx3):
+        group = ctx.group
+        bonds = group.affine_coxeter.rows
+        nodes = range(group.num_nodes)
+        for x in ctx.adm().elements:
+            tw = sigma_support(group, x).twist
+            assert sorted(tw) == list(nodes)
+            assert all(bonds[tw[i]][tw[j]] == bonds[i][j]
+                       for i in nodes for j in nodes)
+
+
+def test_twist_composes_omega_and_sigma(ctx2, gl3_twisted):
     group = ctx2.group
     # tau swaps the horns, and the untwisted frobenius fixes them
-    tw = support_twist(group, ctx2.tau.element)
-    assert tw.images == (2, 1, 0)
-    assert support_twist(group, group.identity).is_identity()
+    assert group.sigma_diagram == (0, 1, 2)
+    assert sigma_support(group, ctx2.tau.element).twist == (2, 1, 0)
+    assert sigma_support(group, group.identity).twist == (0, 1, 2)
+    # with a nontrivial frobenius the twist is tau after sigma: here sigma
+    # swaps nodes 1 and 2 and tau rotates 0 -> 2 -> 1 -> 0
+    group = gl3_twisted
+    tau = group.length_zero_element((1, 0, 0))
+    assert group.sigma_diagram == (0, 2, 1)
+    assert tau.node_images == (2, 0, 1)
+    assert sigma_support(group, tau.element).twist == (2, 1, 0)
+    assert sigma_support(group, group.identity).twist == (0, 2, 1)
 
 
 def test_g2_basic_closures(ctx2):
@@ -81,6 +104,20 @@ def test_basic_counts_iwahori():
         assert len(_basic_iwahori(ctx)) == count
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_basic_locus_is_closed_iwahori(g):
+    """Every admissible element Bruhat-below a basic element is basic."""
+    from ekor_atlas.siegel import siegel_context
+    ctx = siegel_context(g)
+    group = ctx.group
+    basic = _basic_iwahori(ctx)
+    others = [x for x in ctx.adm().elements if not is_basic_element(group, x)]
+    assert len(basic) + len(others) == len(ctx.adm())
+    below = [(x, b) for b in basic for x in others
+             if group.length(x) < group.length(b) and group.bruhat_leq(x, b)]
+    assert not below
+
+
 def test_basicness_via_closure(ctx2):
     group = ctx2.group
     for x in ctx2.adm().elements:
@@ -97,7 +134,7 @@ def test_basicness_via_closure(ctx2):
                                    frozenset({2})])
 def test_stable_subset_matches_brute_force(ctx2, nodes):
     group = ctx2.group
-    for x in ctx2.adm().kw(nodes):
+    for x in kw_elements(ctx2.adm(), nodes):
         assert stable_level_subset(group, x, nodes) == \
             brute_stable_subset(group, x, nodes)
 
@@ -105,7 +142,7 @@ def test_stable_subset_matches_brute_force(ctx2, nodes):
 def test_stable_subset_matches_brute_force_g3(ctx3):
     group = ctx3.group
     nodes = ctx3.hyperspecial
-    for x in ctx3.adm().kw(nodes):
+    for x in kw_elements(ctx3.adm(), nodes):
         assert stable_level_subset(group, x, nodes) == \
             brute_stable_subset(group, x, nodes)
 
@@ -210,7 +247,7 @@ def test_dl_datum_rejects_nonminimal(ctx2):
 
 def test_twist_orbits(ctx2):
     group = ctx2.group
-    tw = support_twist(group, ctx2.tau.element)
+    tw = sigma_support(group, ctx2.tau.element).twist
     orbits = twist_orbits(tw, frozenset({0, 2}))
     assert sorted(map(sorted, orbits)) == [[0, 2]]
     with pytest.raises(GroupError):

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import ekor_atlas
 
@@ -52,6 +53,28 @@ def test_no_unused_imports():
         spare = set(_imported_names(tree)) - _used_names(tree) - _exported_names(tree)
         unused += [f"{path.name}: {name}" for name in sorted(spare)]
     assert not unused
+
+
+def _name_refs(tree) -> Counter:
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_no_dead_definitions():
+    """Every top-level function and class in src/ is referenced outside its
+    own body, somewhere in src/, tests/, scripts/ or perfbench/."""
+    refs: Counter = Counter()
+    for folder in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            refs.update(_name_refs(ast.parse(path.read_text())))
+    dead = []
+    for path in sorted((ROOT / "src" / "ekor_atlas").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and refs[node.name] <= _name_refs(node)[node.name]):
+                dead.append(f"{path.name}: {node.name}")
+    assert not dead
 
 
 def run_script(*args):

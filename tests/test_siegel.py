@@ -1,8 +1,9 @@
 import pytest
 
+from ekor_atlas.admissible import kw_elements
 from ekor_atlas.affine import GroupError, element_label
 from ekor_atlas.coxeter import format_finite_type
-from ekor_atlas.ekor import sigma_support, stable_level_subset
+from ekor_atlas.ekor import is_basic, sigma_support, stable_level_subset
 from ekor_atlas.oracles import brute_stable_subset, coxeter_group_size
 from ekor_atlas.rootdata import RootDatumError
 from ekor_atlas.siegel import siegel_context, siegel_datum
@@ -158,7 +159,7 @@ def test_eo_dimensions_are_lengths(ctx3):
 
 
 def test_eo_elements_are_kw(ctx2):
-    kw = set(ctx2.kw(ctx2.hyperspecial))
+    kw = set(kw_elements(ctx2.adm(), ctx2.hyperspecial))
     for s in ctx2.eo_strata():
         assert s.element in kw
 
@@ -173,6 +174,18 @@ def test_compare_iwahori(g, basic):
     assert report.basic == basic
     assert report.expected == basic
     assert report.strata == len(siegel_context(g).adm())
+
+
+@pytest.mark.parametrize("g,dim", [(1, 0), (2, 2), (3, 3), (4, 8), (5, 10)])
+def test_longest_basic_iwahori_stratum(g, dim):
+    """Goertz-Yu: the supersingular locus at Iwahori level has dimension
+    g^2/2 for even g and g(g-1)/2 for odd g, the length of its longest
+    basic stratum."""
+    assert dim == (g * g // 2 if g % 2 == 0 else g * (g - 1) // 2)
+    ctx = siegel_context(g)
+    group = ctx.group
+    assert max(group.length(x) for x in ctx.adm()
+               if is_basic(group, sigma_support(group, x))) == dim
 
 
 @pytest.mark.parametrize("g,basic", [(1, 1), (2, 2), (3, 2), (4, 4)])
