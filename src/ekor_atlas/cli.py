@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ekor_atlas.admissible import bruhat_hasse_edges, straight_classes
@@ -75,16 +76,95 @@ def _fmt_newton(newton) -> str:
     return "(" + ",".join(str(c) for c in newton) + ")"
 
 
-def _json_list(items, to_json) -> Iterator[str]:
+def _indented(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` indented two more
+    spaces, the layout of an item of an indented list."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _json_list(items, to_json, write=_indented) -> Iterator[str]:
     """The bytes of ``json.dumps([to_json(i) for i in items], indent=2,
-    sort_keys=True)`` and a newline, one item at a time: each item is dumped
-    on its own and indented two more spaces."""
+    sort_keys=True)`` and a newline, one item at a time: ``write`` gives
+    the text of each item, ``_indented`` or a writer of the same bytes."""
     sep = "[\n  "
     for item in items:
         yield sep
-        yield json.dumps(to_json(item), indent=2, sort_keys=True).replace("\n", "\n  ")
+        yield write(to_json(item))
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
+_NL6, _NL8 = "\n      ", "\n        "
+_BOOL = {True: "true", False: "false"}
+
+# ``_indented`` of a dict of ``record_to_json``, keys in sorted order
+_RECORD = """{
+    "basic": %s,
+    "dl": %s,
+    "i_set": %s,
+    "length": %d,
+    "level": %s,
+    "newton": %s,
+    "supp_sigma": {
+      "closure": %s,
+      "raw": %s
+    },
+    "w": {
+      "t": %s,
+      "w": %s
+    },
+    "word": %s
+  }"""
+_DL = """{
+      "ambient": %s,
+      "dim": %d,
+      "frobenius": %s,
+      "parabolic": %s,
+      "sigma_coxeter": %s,
+      "stabilizes_parabolic": %s,
+      "type": %s
+    }"""
+
+
+def _items(texts, nl: str) -> str:
+    """An indented JSON list of encoded items, each after ``nl``."""
+    body = ("," + nl).join(texts)
+    return "[" + nl + body + nl[:-2] + "]" if body else "[]"
+
+
+def _ints(vals, nl: str) -> str:
+    return _items(map(str, vals), nl)
+
+
+def _record_text(d: dict) -> str:
+    """``_indented(d)`` for a dict of ``record_to_json``, filled into its
+    fixed layout: ``json.dumps`` with an indent runs the pure-Python
+    encoder, which takes three to five times as long."""
+    w = d["w"]
+    perm = w["w"]
+    dl = d["dl"]
+    supp = d["supp_sigma"]
+    return _RECORD % (
+        _BOOL[d["basic"]],
+        "null" if dl is None else _DL % (
+            _ints(dl["ambient"], _NL8),
+            dl["dim"],
+            _ints(dl["frobenius"], _NL8),
+            _ints(dl["parabolic"], _NL8),
+            _BOOL[dl["sigma_coxeter"]],
+            _BOOL[dl["stabilizes_parabolic"]],
+            encode_basestring_ascii(dl["type"])),
+        _ints(d["i_set"], _NL6),
+        d["length"],
+        _ints(d["level"], _NL6),
+        _items(map(encode_basestring_ascii, d["newton"]), _NL6),
+        _ints(supp["closure"], _NL8),
+        _ints(supp["raw"], _NL8),
+        _ints(w["t"], _NL8),
+        # a finite part that is no permutation is {"rows": ...}
+        _ints(perm, _NL8) if isinstance(perm, list)
+        else json.dumps(perm, indent=2, sort_keys=True).replace("\n", _NL6),
+        _ints(d["word"], _NL6))
 
 
 def _lines(lines) -> Iterator[str]:
@@ -123,7 +203,7 @@ def _cmd_classify(ctx, level, fmt: str) -> Iterable[str]:
     report = stratum_report(ctx.adm(), level)
     group = ctx.group
     if fmt == "json":
-        return _json_list(report, lambda rec: record_to_json(group, rec))
+        return _json_list(report, lambda rec: record_to_json(group, rec), _record_text)
     if fmt == "dot":
         doubled = frozenset(rec.element for rec in report if rec.basic)
         return _lines(_hasse_dot(group, [rec.element for rec in report],
@@ -145,7 +225,7 @@ def _cmd_dl_data(ctx, level, fmt: str) -> Iterable[str]:
     report = [rec for rec in stratum_report(ctx.adm(), level) if rec.basic]
     group = ctx.group
     if fmt == "json":
-        return _json_list(report, lambda rec: record_to_json(group, rec))
+        return _json_list(report, lambda rec: record_to_json(group, rec), _record_text)
     lines = [f"{len(report)} basic strata"]
     for rec in report:
         dl = rec.datum

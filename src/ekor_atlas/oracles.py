@@ -17,6 +17,7 @@ from ekor_atlas.lattice import (
     mat_mul,
     mat_vec,
     row_mat,
+    vec_dot,
 )
 from ekor_atlas.rootdata import RootDatum
 
@@ -117,6 +118,22 @@ class DenseWeylTable:
             power = mat_mul(power, step)
             n += 1
         return n
+
+
+def dominantize_by_rescan(group: ExtendedAffineWeylGroup, v: Sequence) -> tuple:
+    """Dominant representative of a lattice vector: reflect by the first
+    simple root with a negative pairing, rebuilding the vector and
+    rescanning from the first root after every reflection."""
+    datum = group.datum
+    cur = tuple(v)
+    while True:
+        for vals, coroot in zip(datum.root_values, datum.coroots_lattice):
+            p = vec_dot(cur, vals)
+            if p < 0:
+                cur = tuple(c - p * a for c, a in zip(cur, coroot))
+                break
+        else:
+            return cur
 
 
 def coxeter_bfs_sizes(mat: CoxeterMatrix, nodes: Optional[Iterable[int]] = None,

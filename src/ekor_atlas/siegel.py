@@ -16,7 +16,8 @@ supersingular locus.  This is not a defect and is not checked: the basic
 strata there are the EO strata lying inside the supersingular locus, and
 from g = 3 on that locus is not a union of EO strata, so its dimension
 need not be the length of any basic stratum.  At Iwahori level the longest
-basic stratum does have the Goertz-Yu dimension of the supersingular locus.
+basic stratum does have the Goertz-Yu dimension of the supersingular locus,
+and the gortz-yu comparison checks it.
 """
 
 from __future__ import annotations
@@ -166,6 +167,12 @@ class SiegelContext:
             return frozenset(range(1, g))
         return frozenset(range(c + 1, g - c))
 
+    def gortz_yu_dimension(self) -> int:
+        """Dimension of the supersingular locus at Iwahori level (Goertz-Yu):
+        g^2/2 for even g, g(g-1)/2 for odd g."""
+        g = self.g
+        return g * g // 2 if g % 2 == 0 else g * (g - 1) // 2
+
     def canonical_basic_element(self, c: int) -> ExtAffineElement:
         """tau times the sign flips s_g s_(g-1) ... s_(g-c+1)."""
         group = self.group
@@ -207,7 +214,8 @@ class SiegelContext:
         raise GroupError(f"unknown comparison mode {mode!r}")
 
     def _compare_iwahori(self) -> "ComparisonReport":
-        """Engine basicness against the omitted-mirror-pair criterion."""
+        """Engine basicness against the omitted-mirror-pair criterion, and
+        the longest basic stratum against the Goertz-Yu dimension."""
         report = self.report(self.iwahori)
         predicted = 0
         labels = []
@@ -222,6 +230,11 @@ class SiegelContext:
                 labels.append(f"c{index}:len{rec.length}:"
                               + ("-".join(f"s{i}" for i in rec.word) or "e"))
         basic = sum(1 for rec in report if rec.basic)
+        longest = max((rec.length for rec in report if rec.basic), default=None)
+        if longest != self.gortz_yu_dimension():
+            raise GroupError(
+                f"longest basic Iwahori stratum has length {longest}, "
+                f"the Goertz-Yu dimension is {self.gortz_yu_dimension()}")
         return ComparisonReport(mode="gortz-yu", g=self.g,
                                 level=tuple(sorted(self.iwahori)),
                                 strata=len(report), basic=basic,

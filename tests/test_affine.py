@@ -11,9 +11,13 @@ from ekor_atlas.oracles import (
     bruhat_leq_subword,
     cayley_ball,
     descents_by_length,
+    dominantize_by_rescan,
     twisted_power,
 )
+from ekor_atlas.siegel import siegel_context
 from helpers import (
+    build_b2,
+    build_g2,
     build_gl2_gl3,
     build_gl3_twisted,
     dominantize,
@@ -399,6 +403,19 @@ def test_newton_matches_definition_siegel(request, g):
     assert len(points) > 1
 
 
+@pytest.mark.parametrize("g", [2, 3])
+def test_newton_of_the_twisted_power(request, g):
+    """(x sigma)^n = t^m has Newton point m/n and the translation t^m has m
+    (sigma is trivial here): the memo keeps the two apart."""
+    ctx = request.getfixturevalue(f"ctx{g}")
+    group = ctx.group
+    for x in ctx.adm().elements:
+        n, _ = group._newton_scaled(x)
+        nu = group.newton_vector(x)
+        y = twisted_power(group, x, n)
+        assert group.newton_vector(y) == tuple(n * c for c in nu)
+
+
 def test_newton_matches_definition_other_data(gl3_twisted):
     for group, mus in ((gl3_twisted, [(1, 0, 0)]),
                        (build_gl2_gl3(), [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)])):
@@ -440,6 +457,53 @@ def test_dominantize(ctx2):
     assert group.act(elt.w, group.datum.to_lattice((0, 0, 1, 1))) == \
         group.datum.to_lattice((1, 1, 0, 0))
     assert group.is_dominant(vec)
+
+
+# -------------------------------------------------------- dominantization
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_dominantize_matches_rescan_on_newton_translations(request, g):
+    """For every admissible x, the translation m of (x sigma)^n = t^m,
+    dominantized by the Cartan-row update and by the rescanning oracle."""
+    ctx = request.getfixturevalue(f"ctx{g}")
+    group = ctx.group
+    moved = 0
+    for x in ctx.adm().elements:
+        n, dom = group._newton_scaled(x)
+        y = twisted_power(group, x, n)
+        assert y.w == 0 and group._newton_translation(x) == (n, y.trans)
+        assert dom == group.dominantize_lattice(y.trans) \
+            == dominantize_by_rescan(group, y.trans)
+        moved += dom != y.trans
+    assert moved > 0
+
+
+@pytest.mark.parametrize("build", [build_gl3_twisted, build_gl2_gl3, build_b2, build_g2])
+def test_dominantize_matches_rescan_random(build):
+    """Random integer vectors; B2 and G2 have asymmetric Cartan matrices."""
+    group = build()
+    datum = group.datum
+    rng = random.Random(83)
+    for _ in range(300):
+        v = tuple(rng.randint(-7, 7) for _ in range(group.rank))
+        dom = group.dominantize_lattice(v)
+        assert dom == dominantize_by_rescan(group, v)
+        assert all(type(c) is int for c in dom)
+        assert all(vec_dot(dom, vals) >= 0 for vals in datum.root_values)
+
+
+@pytest.mark.parametrize("build", [build_gl3_twisted, build_b2, build_g2,
+                                   lambda: siegel_context(3).group])
+def test_dominantize_is_exact_on_fractions(build):
+    group = build()
+    rng = random.Random(89)
+    for _ in range(200):
+        v = tuple(Fraction(rng.randint(-15, 15), rng.randint(1, 4))
+                  for _ in range(group.rank))
+        dom = group.dominantize_lattice(v)
+        assert dom == dominantize_by_rescan(group, v)
+        assert all(type(c) is Fraction for c in dom)
 
 
 # ---------------------------------------------------------- serialization

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,8 @@ import pytest
 from ekor_atlas import cli
 from ekor_atlas.affine import GroupError
 from ekor_atlas.cli import main
+from ekor_atlas.ekor import record_to_json, stratum_report
+from ekor_atlas.siegel import SiegelContext, siegel_context
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +125,15 @@ def test_compare_json(capsys):
     assert data["basic"] == data["expected"] == 2
 
 
+def test_gortz_yu_dimension_is_a_hard_check(capsys, monkeypatch):
+    """A longest basic Iwahori stratum off the Goertz-Yu dimension is an
+    internal mismatch: exit 1 and nothing on stdout."""
+    monkeypatch.setattr(SiegelContext, "gortz_yu_dimension", lambda self: 3)
+    code, out, err = run_cli(capsys, "compare", "--g", "2")
+    assert code == 1 and out == ""
+    assert "length 2" in err and "Goertz-Yu dimension is 3" in err
+
+
 # ----------------------------------------------------------------- check
 
 
@@ -219,6 +231,55 @@ def test_runs_are_deterministic(capsys):
 def test_json_list_matches_whole_dump(items):
     streamed = "".join(cli._json_list(items, lambda item: item))
     assert streamed == json.dumps(items, indent=2, sort_keys=True) + "\n"
+
+
+def _indented_dump(d):
+    return json.dumps(d, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _levels(g):
+    """Every level: the node sets that leave out at least one node."""
+    return [frozenset(c) for r in range(g + 1)
+            for c in itertools.combinations(range(g + 1), r)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_record_writer_matches_indented_dump(g):
+    """The record writer against ``json.dumps(indent=2, sort_keys=True)``,
+    record by record and for the whole classify and dl-data JSON: at every
+    level for g <= 3, at Iwahori and hyperspecial level for g = 4."""
+    ctx = siegel_context(g)
+    levels = _levels(g) if g <= 3 else [ctx.iwahori, ctx.hyperspecial]
+    flags = set()
+    for level in levels:
+        dicts = [record_to_json(ctx.group, rec)
+                 for rec in stratum_report(ctx.adm(), level)]
+        for d in dicts:
+            assert cli._record_text(d) == _indented_dump(d)
+        basic = [d for d in dicts if d["basic"]]
+        flags |= {d["basic"] for d in dicts}
+        for command, want in ((cli._cmd_classify, dicts), (cli._cmd_dl_data, basic)):
+            text = "".join(command(ctx, level, "json"))
+            assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert flags == {True, False}
+
+
+def test_record_writer_rows_form_and_null_dl(ctx2):
+    """A finite part that is no permutation is written as {"rows": ...}."""
+    rec = stratum_report(ctx2.adm(), ctx2.iwahori)[0]
+    d = record_to_json(ctx2.group, rec)
+    d["w"] = {"t": [1, -2, 0, 3], "w": {"rows": [[0, 1, 0, 0], [-1, 0, 0, 0],
+                                                 [0, 0, 1, 0], [0, 0, 0, 1]]}}
+    d["dl"] = None
+    d["newton"] = ["1/2", "-1", "0"]
+    assert cli._record_text(d) == _indented_dump(d)
+
+
+def test_record_writer_empty_report(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "stratum_report", lambda adm, level: ())
+    for command in ("classify", "dl-data"):
+        code, out, _ = run_cli(capsys, command, "--g", "2", "--format", "json")
+        assert code == 0 and out == "[]\n" == json.dumps([], indent=2) + "\n"
 
 
 def test_failure_leaves_stdout_empty(capsys, monkeypatch):

@@ -183,6 +183,7 @@ def test_longest_basic_iwahori_stratum(g, dim):
     basic stratum."""
     assert dim == (g * g // 2 if g % 2 == 0 else g * (g - 1) // 2)
     ctx = siegel_context(g)
+    assert ctx.gortz_yu_dimension() == dim
     group = ctx.group
     assert max(group.length(x) for x in ctx.adm()
                if is_basic(group, sigma_support(group, x))) == dim
