@@ -52,8 +52,14 @@ length is
              + sum_{a > 0, w^-1 a < 0} |<l, a> + 1|
 
 which the test suite cross-checks against breadth-first word distance.
+The pairings <l, a> over the positive roots depend on l alone, and few
+translations occur (the 2^g of the Weyl orbit of mu for the whole Siegel
+Adm(mu)), so they are a table memoised per translation.  The sign of
+w^-1 a is read off perm(w): translating its first N bytes by a table that
+sends k to 1 if k >= N and to 0 otherwise gives 1 exactly where the term
+is |<l, a> + 1|, so the length is the sum of |pairing + byte|.
 
-Left descents come from one pairing each.  Let x = t^l w.
+Left descents come from one looked-up pairing each.  Let x = t^l w.
 
 * Finite node i.  s_i x = t^(s_i l) s_i w.  For a > 0 put b = s_i a; then
   (s_i w)^-1 a = w^-1 b and <s_i l, a> = <l, b>.  As a runs over the
@@ -73,7 +79,8 @@ Left descents come from one pairing each.  Let x = t^l w.
   iff q <= (-1 if w^-1 theta > 0 else -2).
 
 Both cases read: the node with affine simple root b + k (b = a_i, k = 0, or
-b = -theta, k = 1) is a descent iff <l, b> >= k + (1 if w^-1 b > 0 else 0).
+b = -theta, k = 1) is a descent iff <l, b> >= k + (1 if w^-1 b > 0 else 0),
+where <l, b> is the table entry of a_i or minus that of theta.
 The length-difference test is kept as ``oracles.descents_by_length``.
 
 Newton points are computed in integers.  If (x sigma)^n = t^m then the
@@ -83,9 +90,10 @@ returns n times its dominant form.  The only division is the last step
 of ``newton_vector``, and sigma-straightness, <nu, 2 rho> = l(x), is tested
 as <n nu, 2 rho> = n l(x) without one.
 
-Group objects memoise lengths, reduced words and Bruhat comparisons.  The
-caches are only ever extended with values that any thread would recompute
-identically, so concurrent readers are safe.
+Group objects memoise root pairings per translation, lengths, reduced
+words and Bruhat comparisons.  The caches are only ever extended with
+values that any thread would recompute identically, so concurrent readers
+are safe.
 """
 
 from __future__ import annotations
@@ -159,10 +167,12 @@ class ExtendedAffineWeylGroup:
         self._build_affine_matrix()
         self._build_sigma()
         self._build_pi1()
+        self._pairs: dict = {}
         self._length: dict = {}
         self._rd: dict = {}
         self._omega: dict = {}
         self._newton: dict = {}
+        self._newton_json: dict = {}
         self._bruhat: dict = {}
         self._parabolic: dict = {}
         self._adm_cache: dict = {}
@@ -178,6 +188,8 @@ class ExtendedAffineWeylGroup:
         self._npos = len(datum.positive_roots)
         self._roots = datum.positive_roots + tuple(vec_neg(v) for v in datum.positive_roots)
         self._root_index = {vals: k for k, vals in enumerate(self._roots)}
+        # translate table: a root number to 1 if the root is negative, else 0
+        self._negative = bytes(int(k >= self._npos) for k in range(256))
         if len(self._roots) > 256:
             raise GroupError(f"{len(self._roots)} roots: the finite Weyl group has "
                              "more than 10^10 elements")
@@ -377,42 +389,45 @@ class ExtendedAffineWeylGroup:
 
     # ------------------------------------------------------------ length
 
-    def _signs(self, widx: int) -> tuple[bool, ...]:
-        """Per positive root a: whether w^-1 a is positive."""
-        npos = self._npos
-        return tuple(k < npos for k in self._wperm[widx][:npos])
+    def _pairings(self, trans: tuple) -> tuple:
+        """<l, a> over the positive roots, memoised per translation."""
+        got = self._pairs.get(trans)
+        if got is None:
+            got = self._pairs[trans] = tuple(
+                vec_dot(trans, vals) for vals in self.datum.positive_roots)
+        return got
 
     def length(self, x: ExtAffineElement) -> int:
         self._check(x)
         key = (x.trans, x.w)
         got = self._length.get(key)
         if got is None:
-            signs = self._signs(x.w)
-            total = 0
-            for vals, positive in zip(self.datum.positive_roots, signs):
-                pairing = vec_dot(x.trans, vals)
-                total += abs(pairing) if positive else abs(pairing + 1)
-            self._length[key] = got = total
+            # 1 exactly where w^-1 a < 0, the terms |<l, a> + 1|
+            neg = self._wperm[x.w][:self._npos].translate(self._negative)
+            got = self._length[key] = sum(
+                map(abs, map(add, self._pairings(x.trans), neg)))
         return got
 
     def _build_walls(self):
-        """Per node: the root b of its wall, the index r of the positive
-        root +-b, and the least descent pairing <l, b> when w^-1 r > 0 and
-        when w^-1 r < 0 (module docstring)."""
+        """Per node: the index k of the positive root +-b of its wall, the
+        sign with <l, b> = sign <l, root k>, and the least descent pairing
+        <l, b> when w^-1 (root k) > 0 and when it is < 0 (module
+        docstring)."""
         datum = self.datum
         index = datum.positive_roots.index
         walls = [None] * self.num_nodes
         for i, vals in enumerate(datum.root_values):
-            walls[i + 1] = (vals, index(vals), 1, 0)
+            walls[i + 1] = (index(vals), 1, 1, 0)
         for j, theta in enumerate(datum.theta):
-            walls[self.affine_node_of_component[j]] = (vec_neg(theta), index(theta), 1, 2)
+            walls[self.affine_node_of_component[j]] = (index(theta), -1, 1, 2)
         self._walls = tuple(walls)
 
     def is_descent(self, x: ExtAffineElement, i: int) -> bool:
-        """Whether s_i x is shorter than x, from one pairing."""
+        """Whether s_i x is shorter than x, from one looked-up pairing."""
         self._check(x)
-        vals, k, hi, lo = self._walls[i]
-        return vec_dot(x.trans, vals) >= (hi if self._wperm[x.w][k] < self._npos else lo)
+        k, sign, hi, lo = self._walls[i]
+        return (sign * self._pairings(x.trans)[k]
+                >= (hi if self._wperm[x.w][k] < self._npos else lo))
 
     def descents(self, x: ExtAffineElement) -> list[int]:
         return [i for i in range(self.num_nodes) if self.is_descent(x, i)]
@@ -698,6 +713,17 @@ class ExtendedAffineWeylGroup:
         else:
             w_json = {"rows": [list(r) for r in _dense(rows, self.datum.dim)]}
         return {"t": list(self.datum.from_lattice(x.trans)), "w": w_json}
+
+    def newton_to_json(self, nu: tuple) -> list[str]:
+        """A Newton point's coordinates as strings.  Memoised by the identity
+        of the tuple: records share the tuples of the Newton memo, a few
+        dozen per genus, and hashing Fractions costs more than printing
+        them.  The entry holds the tuple, so its id is not reused while the
+        entry exists."""
+        got = self._newton_json.get(id(nu))
+        if got is None:
+            got = self._newton_json[id(nu)] = (nu, tuple(map(str, nu)))
+        return list(got[1])
 
     def element_from_json(self, data: dict) -> ExtAffineElement:
         trans = self.datum.to_lattice(data["t"])

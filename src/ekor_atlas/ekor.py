@@ -73,6 +73,8 @@ def stable_level_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     is not a simple reflection inside the current set.
     """
     label = parahoric_label(group, nodes)
+    if not label:
+        return label
     xinv = group.inv(x)
     cur = label
     while True:
@@ -217,6 +219,6 @@ def record_to_json(group: ExtendedAffineWeylGroup, rec: StratumRecord) -> dict:
             "closure": sorted(rec.support.closure),
         },
         "i_set": sorted(rec.stable_subset),
-        "newton": [str(c) for c in rec.newton],
+        "newton": group.newton_to_json(rec.newton),
         "dl": dl,
     }

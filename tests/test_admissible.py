@@ -46,6 +46,20 @@ def test_sizes_and_length_profile(g):
     assert adm.by_length() == PROFILES[g]
 
 
+@pytest.mark.parametrize("g", [4, 5])
+def test_pairing_table_holds_the_orbit_of_mu(g, monkeypatch):
+    """Building Adm(mu) in a fresh context pairs only the 2^g translations
+    of the Weyl orbit of mu with the roots."""
+    from ekor_atlas import siegel
+    monkeypatch.setattr(siegel, "_CONTEXTS", {})
+    ctx = siegel.siegel_context(g)
+    ctx.adm()
+    group = ctx.group
+    orbit = weyl_orbit(group, group.datum.to_lattice(ctx.mu))
+    assert len(group._pairs) == 2 ** g
+    assert set(group._pairs) == set(orbit)
+
+
 @pytest.mark.parametrize("g", [1, 2])
 def test_matches_right_word_oracle(g):
     from ekor_atlas.siegel import siegel_context

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -163,6 +164,22 @@ def test_stable_subset_of_identity(ctx2):
     assert stable_level_subset(group, group.identity, nodes) == nodes
 
 
+def test_stable_subset_at_iwahori_level_skips_the_inverse(ctx2, monkeypatch):
+    """The empty level is its own stable subset; x is never inverted."""
+    group = ctx2.group
+    xs = list(ctx2.adm())
+
+    def no_inverse(x):
+        raise AssertionError("inverted at the empty level")
+
+    monkeypatch.setattr(group, "inv", no_inverse)
+    for x in xs:
+        assert stable_level_subset(group, x, frozenset()) == frozenset()
+    monkeypatch.undo()
+    for x in xs:
+        assert brute_stable_subset(group, x, frozenset()) == frozenset()
+
+
 # ----------------------------------------------------------------- DL data
 
 
@@ -280,6 +297,21 @@ def test_record_json_shape(ctx2):
         again = record_to_json(group, rec)
         assert json.dumps(payload, sort_keys=True) == \
             json.dumps(again, sort_keys=True)
+
+
+def test_record_json_newton_strings(ctx3):
+    """The memoised Newton strings are those of str, for shared and for
+    equal but distinct tuples, and a caller's edit does not reach them."""
+    group = ctx3.group
+    for rec in stratum_report(ctx3.adm(), ctx3.iwahori):
+        want = [str(c) for c in rec.newton]
+        payload = record_to_json(group, rec)
+        assert payload["newton"] == want
+        payload["newton"].append("edited")
+        copy = dataclasses.replace(rec, newton=tuple(list(rec.newton)))
+        assert copy.newton is not rec.newton
+        assert record_to_json(group, copy)["newton"] == want
+        assert record_to_json(group, rec)["newton"] == want
 
 
 def test_record_json_values(ctx2):

@@ -76,7 +76,8 @@ def test_signs_and_descents(pair):
               for j, theta in enumerate(datum.theta)]
     for w in range(group.finite_order):
         signs = dense.signs(w)
-        assert group._signs(w) == signs
+        neg = group._wperm[w][:group._npos].translate(group._negative)
+        assert tuple(not b for b in neg) == signs
         for lam in itertools.product((-1, 0, 1), repeat=group.rank):
             x = group.from_parts(lam, w)
             for node, vals, hi, lo in walls:
@@ -84,6 +85,33 @@ def test_signs_and_descents(pair):
                                        else vec_neg(vals))]
                 want = vec_dot(lam, vals) >= (hi if positive else lo)
                 assert group.is_descent(x, node) == want
+
+
+def test_length_against_closed_form(pair):
+    """length against the closed form with one vec_dot per positive root
+    and the dense table's signs, for every w and every translation in
+    {-1, 0, 1}^rank."""
+    _, group, dense = pair
+    roots = group.datum.positive_roots
+    for w in range(group.finite_order):
+        signs = dense.signs(w)
+        for lam in itertools.product((-1, 0, 1), repeat=group.rank):
+            want = sum(abs(vec_dot(lam, vals) + (0 if positive else 1))
+                       for vals, positive in zip(roots, signs))
+            assert group.length(group.from_parts(lam, w)) == want
+
+
+def test_wrong_rank_translation_raises(pair):
+    """A translation of the wrong rank misses the pairing table, and the
+    miss goes through vec_dot's length check."""
+    _, group, _ = pair
+    for lam in ((0,) * (group.rank + 1), (1,) * (group.rank - 1)):
+        x = group.from_parts(lam, 0)
+        with pytest.raises(ValueError):
+            group.length(x)
+        for node in range(group.num_nodes):
+            with pytest.raises(ValueError):
+                group.is_descent(x, node)
 
 
 def test_sigma_and_newton_order(pair):
