@@ -83,6 +83,31 @@ b = -theta, k = 1) is a descent iff <l, b> >= k + (1 if w^-1 b > 0 else 0),
 where <l, b> is the table entry of a_i or minus that of theta.
 The length-difference test is kept as ``oracles.descents_by_length``.
 
+Products with one generator, and conjugates of generators, are root
+lookups as well.  Let t^l w act on V = X (x) R by v -> w v - l, which
+respects the product rule (v -> -v turns it into v -> w v + l, and the
+alcove below into the antidominant one).  The generators are then the
+reflections in the walls a_i = 0 and theta = 1 of the alcove
+{a_i > 0, theta < 1}, whose affine simple roots b + k (the function
+v -> <v, b> + k) are a_i + 0 and -theta + 1: the b and k of the descent
+rule.  Write the generator of a node as s = t^(-e c^vee) s_c, with c = a_i,
+e = 0 or c = theta, e = 1.
+
+* Left: s t^l w = t^(l - (<l, c> + e) c^vee) s_c w, as s_c l =
+  l - <l, c> c^vee, and <l, c> is one table entry.  The permutation of
+  s_c w sends k to perm(w)[perm(s_c)[k]].
+* Right: t^l w s = t^(l - e w(c^vee)) w s_c.  w(c^vee) is the coroot of
+  the root w c, whose number is the position of the number of c in
+  perm(w), as (w c)(v) = c(w^-1 v).  The key of w s_c is the key of w
+  translated by perm(s_c), one ``bytes.translate``.
+* Conjugate: x = t^l w sends an affine function f to f o x^-1, and
+  x^-1 v = w^-1 (v + l), so x(b + k) = w b + (k + <l, w b>).  Since
+  (x f)(x v) = f(v), x s_f x^-1 is the reflection in the zero set of x f,
+  that is x s_j x^-1 = s_(x a_j).  A reflection fixes exactly its
+  hyperplane, and the affine roots vanishing on it are the two of one sign
+  pair (the root system is reduced), so x s_j x^-1 is the generator s_i
+  iff x a_j = +-a_i.  A dict keyed by (root number, constant) names i.
+
 Newton points are computed in integers.  If (x sigma)^n = t^m then the
 Newton point is nu = m / n, and <m, a> and <nu, a> have the same sign for
 n > 0, so dominantizing m picks the same reflections as dominantizing nu and
@@ -90,10 +115,10 @@ returns n times its dominant form.  The only division is the last step
 of ``newton_vector``, and sigma-straightness, <nu, 2 rho> = l(x), is tested
 as <n nu, 2 rho> = n l(x) without one.
 
-Group objects memoise root pairings per translation, lengths, reduced
-words and Bruhat comparisons.  The caches are only ever extended with
-values that any thread would recompute identically, so concurrent readers
-are safe.
+Group objects memoise root pairings and pi_1 classes per translation,
+lengths, reduced words and Bruhat comparisons.  The caches are only ever
+extended with values that any thread would recompute identically, so
+concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -168,6 +193,7 @@ class ExtendedAffineWeylGroup:
         self._build_sigma()
         self._build_pi1()
         self._pairs: dict = {}
+        self._pi1: dict = {}
         self._length: dict = {}
         self._rd: dict = {}
         self._omega: dict = {}
@@ -409,11 +435,20 @@ class ExtendedAffineWeylGroup:
         return got
 
     def _build_walls(self):
-        """Per node: the index k of the positive root +-b of its wall, the
-        sign with <l, b> = sign <l, root k>, and the least descent pairing
-        <l, b> when w^-1 (root k) > 0 and when it is < 0 (module
-        docstring)."""
+        """Per node, with affine simple root b + e (b = a_i, e = 0 at a
+        finite node, b = -theta, e = 1 at an affine node; module
+        docstring):
+
+        * ``_walls``: the index k of the positive root +-b, the sign with
+          <l, b> = sign <l, root k>, and the least descent pairing <l, b>
+          when w^-1 (root k) > 0 and when it is < 0;
+        * ``_nodes``: k, e, the key of perm(s_b) and its translate table.
+
+        Also ``_coroots``, the coroot of every root in the root numbering,
+        and ``_node_of_root``, the node of each affine root +-(b + e) keyed
+        by (number of the root, constant)."""
         datum = self.datum
+        npos = self._npos
         index = datum.positive_roots.index
         walls = [None] * self.num_nodes
         for i, vals in enumerate(datum.root_values):
@@ -421,6 +456,16 @@ class ExtendedAffineWeylGroup:
         for j, theta in enumerate(datum.theta):
             walls[self.affine_node_of_component[j]] = (index(theta), -1, 1, 2)
         self._walls = tuple(walls)
+        self._coroots = datum.positive_coroots + tuple(map(vec_neg, datum.positive_coroots))
+        nodes = []
+        self._node_of_root = {}
+        for i, (k, sign, _, _) in enumerate(walls):
+            e = int(sign < 0)
+            perm = self._wperm[self.simple_reflections[i].w]
+            nodes.append((k, e, perm[:self._base], _table(perm)))
+            self._node_of_root[k + e * npos, e] = i
+            self._node_of_root[k + (1 - e) * npos, -e] = i
+        self._nodes = tuple(nodes)
 
     def is_descent(self, x: ExtAffineElement, i: int) -> bool:
         """Whether s_i x is shorter than x, from one looked-up pairing."""
@@ -429,11 +474,56 @@ class ExtendedAffineWeylGroup:
         return (sign * self._pairings(x.trans)[k]
                 >= (hi if self._wperm[x.w][k] < self._npos else lo))
 
+    def _descent_nodes(self, x: ExtAffineElement):
+        """The left descents of x in node order, lazily, from one read of
+        its pairing row and root permutation."""
+        self._check(x)
+        pairs = self._pairings(x.trans)
+        perm = self._wperm[x.w]
+        npos = self._npos
+        return (i for i, (k, sign, hi, lo) in enumerate(self._walls)
+                if sign * pairs[k] >= (hi if perm[k] < npos else lo))
+
     def descents(self, x: ExtAffineElement) -> list[int]:
-        return [i for i in range(self.num_nodes) if self.is_descent(x, i)]
+        return list(self._descent_nodes(x))
 
     def first_descent(self, x: ExtAffineElement) -> Optional[int]:
-        return next((i for i in range(self.num_nodes) if self.is_descent(x, i)), None)
+        return next(self._descent_nodes(x), None)
+
+    # ------------------------------------------ products with one node
+
+    def simple_times(self, i: int, x: ExtAffineElement) -> ExtAffineElement:
+        """s_i x, from one looked-up pairing (module docstring)."""
+        self._check(x)
+        k, e, key, _ = self._nodes[i]
+        c = self._pairings(x.trans)[k] + e
+        trans = x.trans
+        if c:
+            trans = tuple([a - c * b for a, b in zip(trans, self._coroots[k])])
+        w = self._windex[bytes(map(self._wperm[x.w].__getitem__, key))]
+        return ExtAffineElement(trans, w, self)
+
+    def times_simple(self, x: ExtAffineElement, i: int) -> ExtAffineElement:
+        """x s_i: one translate for the finite part, and at an affine node
+        one looked-up coroot for the translation (module docstring)."""
+        self._check(x)
+        k, e, _, table = self._nodes[i]
+        perm = self._wperm[x.w]
+        trans = x.trans
+        if e:
+            trans = vec_add(trans, self._coroots[perm.index(k + self._npos)])
+        return ExtAffineElement(trans, self._windex[perm[:self._base].translate(table)], self)
+
+    def conjugate_simple(self, x: ExtAffineElement, j: int) -> Optional[int]:
+        """The node i with x s_j x^-1 = s_i, or None when that conjugate is
+        not a simple reflection: x(b + e) must be +-(the root of i)
+        (module docstring)."""
+        self._check(x)
+        k, e, _, _ = self._nodes[j]
+        npos = self._npos
+        q = self._wperm[x.w].index(k + e * npos)  # the number of w b
+        p = self._pairings(x.trans)[q % npos]
+        return self._node_of_root.get((q, e + (p if q < npos else -p)))
 
     def reduced_word(self, x: ExtAffineElement) -> ReducedDecomposition:
         """Greedy reduced word: strip the least left descent until the rest
@@ -450,7 +540,7 @@ class ExtendedAffineWeylGroup:
             for _ in range(self.length(x)):
                 i = self.first_descent(y)
                 word.append(i)
-                y = self.mult(self.simple_reflections[i], y)
+                y = self.simple_times(i, y)
                 tail = self._rd.get((y.trans, y.w))
                 if tail is not None:
                     break
@@ -463,11 +553,18 @@ class ExtendedAffineWeylGroup:
 
     def evaluate_word(self, word: Iterable[int],
                       omega: Optional[OmegaElement] = None) -> ExtAffineElement:
-        out = self.identity
+        """s_word[0] ... s_word[-1] omega, by right products.  omega moves
+        to the front: s_i omega = omega s_j where omega s_j omega^-1 = s_i,
+        so j is the preimage of i under omega's node map."""
+        if omega is None:
+            out, back = self.identity, range(self.num_nodes)
+        else:
+            self._check(omega.element)
+            out, back = omega.element, [0] * self.num_nodes
+            for j, i in enumerate(omega.node_images):
+                back[i] = j
         for i in word:
-            out = self.mult(out, self.simple_reflections[i])
-        if omega is not None:
-            out = self.mult(out, omega.element)
+            out = self.times_simple(out, back[i])
         return out
 
     def omega_of(self, x: ExtAffineElement) -> OmegaElement:
@@ -478,24 +575,27 @@ class ExtendedAffineWeylGroup:
         key = (x.trans, x.w)
         got = self._omega.get(key)
         if got is None:
-            xinv = self.inv(x)
-            images = []
-            for i in range(self.num_nodes):
-                z = self.mult(self.mult(x, self.simple_reflections[i]), xinv)
-                node = self._node_of_reflection.get(z)
-                if node is None:
-                    raise GroupError("conjugation does not permute the simple reflections")
-                images.append(node)
-            got = OmegaElement(x, tuple(images))
+            images = tuple(self.conjugate_simple(x, i) for i in range(self.num_nodes))
+            if None in images:
+                raise GroupError("conjugation does not permute the simple reflections")
+            got = OmegaElement(x, images)
             self._omega[key] = got
         return got
 
     # ------------------------------------------------------- Bruhat order
 
+    def _pi1_class(self, trans: tuple) -> Pi1Class:
+        """Class of a translation in pi_1, memoised per translation."""
+        got = self._pi1.get(trans)
+        if got is None:
+            got = self._pi1[trans] = self.pi1_gamma0.class_of(trans)
+        return got
+
     def same_coset(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        """Same coset of the plain affine Weyl group (equal length-zero parts)."""
-        diff = self.pi1_gamma0.class_of(x.trans) + (-self.pi1_gamma0.class_of(y.trans))
-        return diff.is_zero()
+        """Same coset of the plain affine Weyl group (equal length-zero parts).
+        Classes are reduced (torsion residues in [0, d)), so the same class
+        has the same fields."""
+        return self._pi1_class(x.trans) == self._pi1_class(y.trans)
 
     def bruhat_leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
         self._check(x)
@@ -515,10 +615,9 @@ class ExtendedAffineWeylGroup:
         got = self._bruhat.get(key)
         if got is None:
             i = self.first_descent(y)
-            s = self.simple_reflections[i]
-            sy = self.mult(s, y)
+            sy = self.simple_times(i, y)
             if self.is_descent(x, i):
-                got = self._bruhat_rec(self.mult(s, x), sy)
+                got = self._bruhat_rec(self.simple_times(i, x), sy)
             else:
                 got = self._bruhat_rec(x, sy)
             self._bruhat[key] = got
@@ -685,7 +784,7 @@ class ExtendedAffineWeylGroup:
                 nxt = []
                 for x in frontier:
                     for i in sorted(key):
-                        y = self.mult(x, self.simple_reflections[i])
+                        y = self.times_simple(x, i)
                         if y not in seen:
                             seen.add(y)
                             nxt.append(y)

@@ -54,6 +54,7 @@ class CoxeterMatrix:
         self.n = n
         self._components: Optional[tuple[frozenset[int], ...]] = None
         self._affine_labels: Optional[tuple[tuple[str, int], ...]] = None
+        self._finite_parabolic: dict[frozenset[int], bool] = {}
 
     def bond(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -140,9 +141,14 @@ class CoxeterMatrix:
 
         Requires the full diagram to be affine per component; then W_J is
         finite exactly when J omits at least one node of every component.
+        Memoised per node set, after the set is validated.
         """
         Jset = self._check_subset(J)
-        return all(not comp <= Jset for comp, _ in self.affine_components())
+        got = self._finite_parabolic.get(Jset)
+        if got is None:
+            got = self._finite_parabolic[Jset] = all(
+                not comp <= Jset for comp, _ in self.affine_components())
+        return got
 
     def finite_type(self, J: Iterable[int]) -> FiniteTypeLabel:
         """Classify the sub-diagram on J as a product of finite types.

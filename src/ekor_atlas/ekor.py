@@ -70,21 +70,15 @@ def stable_level_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     """Largest subset I of the level with x sigma(I) x^-1 = I.
 
     Greatest fixed point: repeatedly drop nodes whose twisted conjugate by x
-    is not a simple reflection inside the current set.
+    is not a simple reflection inside the current set.  The conjugates are
+    root lookups, one per node of the level.
     """
     label = parahoric_label(group, nodes)
-    if not label:
-        return label
-    xinv = group.inv(x)
+    # node of x sigma(s_i) x^-1, or None when it is no simple reflection
+    image = {i: group.conjugate_simple(x, group.sigma_diagram[i]) for i in label}
     cur = label
     while True:
-        kept = set()
-        for i in cur:
-            s = group.simple_reflections[group.sigma_diagram[i]]
-            node = group.reflection_node(group.mult(group.mult(x, s), xinv))
-            if node is not None and node in cur:
-                kept.add(i)
-        nxt = frozenset(kept)
+        nxt = frozenset(i for i in cur if image[i] in cur)
         if nxt == cur:
             return cur
         cur = nxt

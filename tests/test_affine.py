@@ -201,6 +201,37 @@ def test_reduced_word_reuses_tails_random(build):
     _check_warm_words(group, sample)
 
 
+def test_node_queries_form_no_group_products(ctx3, monkeypatch):
+    """Reduced words, word evaluation, Bruhat comparisons and stable level
+    subsets use the node operations only: on a group with cold caches, mult
+    and inv are never called, and the answers are those of the warm one."""
+    from ekor_atlas.ekor import stable_level_subset
+
+    warm = ctx3.group
+    group = ExtendedAffineWeylGroup(warm.datum)
+    rng = random.Random(17)
+    sample = [random_element(rng, warm, rng.randrange(12), _tau_powers(ctx3))
+              for _ in range(60)]
+    tops = ctx3.adm().maxima
+    want = [(warm.reduced_word(x), [warm.bruhat_leq(x, top) for top in tops],
+             stable_level_subset(warm, x, ctx3.hyperspecial)) for x in sample]
+
+    def refuse(*args):
+        raise AssertionError("the group law was called")
+
+    monkeypatch.setattr(group, "mult", refuse)
+    monkeypatch.setattr(group, "inv", refuse)
+    tops = [group.from_parts(top.trans, top.w) for top in tops]
+    for x, (rd, below, iset) in zip(sample, want):
+        x = group.from_parts(x.trans, x.w)
+        got = group.reduced_word(x)
+        assert (got.word, got.omega.element, got.omega.node_images) == \
+            (rd.word, rd.omega.element, rd.omega.node_images)
+        assert group.evaluate_word(got.word, got.omega) == x
+        assert [group.bruhat_leq(x, top) for top in tops] == below
+        assert stable_level_subset(group, x, ctx3.hyperspecial) == iset
+
+
 def test_omega_of_rejects_positive_length(ctx2):
     group = ctx2.group
     with pytest.raises(GroupError):

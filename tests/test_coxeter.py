@@ -84,6 +84,11 @@ def test_finite_parabolic_inside_affine():
     assert mat.is_finite_parabolic(frozenset({0, 1, 2}))
     assert mat.is_finite_parabolic(frozenset())
     assert not mat.is_finite_parabolic(frozenset({0, 1, 2, 3}))
+    # the answers are memoised; a subset out of range is still refused
+    assert mat.is_finite_parabolic(frozenset({0, 1, 2}))
+    for bad in ({0, 4}, {-1}, {0.0, 1.0, 2.0}):
+        with pytest.raises(CoxeterError):
+            mat.is_finite_parabolic(bad)
 
 
 def test_orders_against_bfs():

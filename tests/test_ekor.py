@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ekor_atlas.admissible import kw_elements
+from ekor_atlas.admissible import kw_elements, parahoric_label
 from ekor_atlas.affine import GroupError, element_label
 from ekor_atlas.ekor import (
     _orbit_closure,
@@ -18,7 +18,7 @@ from ekor_atlas.ekor import (
     stratum_report,
     twist_orbits,
 )
-from ekor_atlas.oracles import brute_stable_subset
+from ekor_atlas.oracles import brute_stable_subset, cayley_ball
 from helpers import random_descent_word, random_element
 
 G2_CLOSURES = {
@@ -156,6 +156,30 @@ def test_stable_subset_random_elements(ctx2):
         x = random_element(rng, group, 5, [group.identity, ctx2.tau.element])
         assert stable_level_subset(group, x, nodes) == \
             brute_stable_subset(group, x, nodes)
+
+
+def test_stable_subset_matches_brute_force_twisted(gl3_twisted):
+    """Every sigma-stable level of twisted GL3, whose sigma swaps nodes 1
+    and 2, on a Cayley ball around the powers of its length-zero element."""
+    group = gl3_twisted
+    tau = group.length_zero_element((1, 0, 0)).element
+    ball = cayley_ball(group, 4, [group.identity, tau, group.mult(tau, tau)])
+    levels = []
+    for mask in range(1 << group.num_nodes):
+        nodes = frozenset(i for i in range(group.num_nodes) if mask >> i & 1)
+        try:
+            levels.append(parahoric_label(group, nodes))
+        except GroupError:
+            pass
+    assert levels == [frozenset(), frozenset({0}), frozenset({1, 2})]
+    for nodes in levels:
+        found = set()
+        for x in ball:
+            got = stable_level_subset(group, x, nodes)
+            assert got == brute_stable_subset(group, x, nodes)
+            found.add(got)
+        # every subset of the level occurs as a stable subset on the ball
+        assert len(found) == 2 ** len(nodes)
 
 
 def test_stable_subset_of_identity(ctx2):

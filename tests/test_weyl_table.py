@@ -5,9 +5,9 @@ import itertools
 
 import pytest
 
-from ekor_atlas.affine import GroupError
+from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.lattice import row_mat, vec_dot, vec_neg
-from ekor_atlas.oracles import DenseWeylTable, twisted_power
+from ekor_atlas.oracles import DenseWeylTable, cayley_ball, twisted_power
 from ekor_atlas.siegel import siegel_context
 from helpers import (
     build_b2,
@@ -112,6 +112,53 @@ def test_wrong_rank_translation_raises(pair):
         for node in range(group.num_nodes):
             with pytest.raises(ValueError):
                 group.is_descent(x, node)
+
+
+def _ball(group):
+    """The Cayley ball of radius 2 around the translations by
+    {-1, 0, 1}^rank, which meets several classes of pi_1."""
+    seeds = [group.from_parts(lam, 0)
+             for lam in itertools.product((-1, 0, 1), repeat=group.rank)]
+    return list(cayley_ball(group, 2, seeds))
+
+
+def test_node_products_against_mult(pair):
+    """s_i x and x s_i by root lookup against the group law."""
+    _, group, _ = pair
+    for x in _ball(group):
+        for i, s in enumerate(group.simple_reflections):
+            assert group.simple_times(i, x) == group.mult(s, x)
+            assert group.times_simple(x, i) == group.mult(x, s)
+
+
+def test_conjugate_against_mult(pair):
+    """The node of x s_j x^-1 by root lookup against the group law; the
+    ball has conjugates that are simple reflections and ones that are not."""
+    _, group, _ = pair
+    found = set()
+    for x in _ball(group):
+        xinv = group.inv(x)
+        for j, s in enumerate(group.simple_reflections):
+            want = group.reflection_node(group.mult(group.mult(x, s), xinv))
+            assert group.conjugate_simple(x, j) == want
+            found.add(want is None)
+    assert found == {True, False}
+
+
+def test_node_operations_reject_another_group(pair):
+    """An element of another group of the same datum is refused."""
+    _, group, _ = pair
+    other = ExtendedAffineWeylGroup(group.datum)
+    x = other.identity
+    for i in range(group.num_nodes):
+        with pytest.raises(GroupError):
+            group.simple_times(i, x)
+        with pytest.raises(GroupError):
+            group.times_simple(x, i)
+        with pytest.raises(GroupError):
+            group.conjugate_simple(x, i)
+    with pytest.raises(GroupError):
+        group.evaluate_word((), other.omega_of(x))
 
 
 def test_sigma_and_newton_order(pair):
