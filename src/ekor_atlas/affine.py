@@ -435,14 +435,12 @@ class ExtendedAffineWeylGroup:
         return got
 
     def _build_walls(self):
-        """Per node, with affine simple root b + e (b = a_i, e = 0 at a
-        finite node, b = -theta, e = 1 at an affine node; module
-        docstring):
-
-        * ``_walls``: the index k of the positive root +-b, the sign with
-          <l, b> = sign <l, root k>, and the least descent pairing <l, b>
-          when w^-1 (root k) > 0 and when it is < 0;
-        * ``_nodes``: k, e, the key of perm(s_b) and its translate table.
+        """``_nodes``: per node, with affine simple root b + e (b = a_i,
+        e = 0 at a finite node, b = -theta, e = 1 at an affine node; module
+        docstring), the index k of the positive root +-b, the sign with
+        <l, b> = sign <l, root k> (so e = 1 exactly when sign < 0), the
+        least descent pairing <l, b> when w^-1 (root k) > 0 and when it is
+        < 0, the key of perm(s_b) and its translate table.
 
         Also ``_coroots``, the coroot of every root in the root numbering,
         and ``_node_of_root``, the node of each affine root +-(b + e) keyed
@@ -455,14 +453,13 @@ class ExtendedAffineWeylGroup:
             walls[i + 1] = (index(vals), 1, 1, 0)
         for j, theta in enumerate(datum.theta):
             walls[self.affine_node_of_component[j]] = (index(theta), -1, 1, 2)
-        self._walls = tuple(walls)
         self._coroots = datum.positive_coroots + tuple(map(vec_neg, datum.positive_coroots))
         nodes = []
         self._node_of_root = {}
-        for i, (k, sign, _, _) in enumerate(walls):
-            e = int(sign < 0)
+        for i, wall in enumerate(walls):
+            k, e = wall[0], int(wall[1] < 0)
             perm = self._wperm[self.simple_reflections[i].w]
-            nodes.append((k, e, perm[:self._base], _table(perm)))
+            nodes.append(wall + (perm[:self._base], _table(perm)))
             self._node_of_root[k + e * npos, e] = i
             self._node_of_root[k + (1 - e) * npos, -e] = i
         self._nodes = tuple(nodes)
@@ -470,9 +467,8 @@ class ExtendedAffineWeylGroup:
     def is_descent(self, x: ExtAffineElement, i: int) -> bool:
         """Whether s_i x is shorter than x, from one looked-up pairing."""
         self._check(x)
-        k, sign, hi, lo = self._walls[i]
-        return (sign * self._pairings(x.trans)[k]
-                >= (hi if self._wperm[x.w][k] < self._npos else lo))
+        return _descends(self._pairings(x.trans), self._wperm[x.w], self._npos,
+                         self._nodes[i])
 
     def _descent_nodes(self, x: ExtAffineElement):
         """The left descents of x in node order, lazily, from one read of
@@ -481,8 +477,8 @@ class ExtendedAffineWeylGroup:
         pairs = self._pairings(x.trans)
         perm = self._wperm[x.w]
         npos = self._npos
-        return (i for i, (k, sign, hi, lo) in enumerate(self._walls)
-                if sign * pairs[k] >= (hi if perm[k] < npos else lo))
+        return (i for i, node in enumerate(self._nodes)
+                if _descends(pairs, perm, npos, node))
 
     def descents(self, x: ExtAffineElement) -> list[int]:
         return list(self._descent_nodes(x))
@@ -495,8 +491,8 @@ class ExtendedAffineWeylGroup:
     def simple_times(self, i: int, x: ExtAffineElement) -> ExtAffineElement:
         """s_i x, from one looked-up pairing (module docstring)."""
         self._check(x)
-        k, e, key, _ = self._nodes[i]
-        c = self._pairings(x.trans)[k] + e
+        k, sign, _, _, key, _ = self._nodes[i]
+        c = self._pairings(x.trans)[k] + (sign < 0)
         trans = x.trans
         if c:
             trans = tuple([a - c * b for a, b in zip(trans, self._coroots[k])])
@@ -507,10 +503,10 @@ class ExtendedAffineWeylGroup:
         """x s_i: one translate for the finite part, and at an affine node
         one looked-up coroot for the translation (module docstring)."""
         self._check(x)
-        k, e, _, table = self._nodes[i]
+        k, sign, _, _, _, table = self._nodes[i]
         perm = self._wperm[x.w]
         trans = x.trans
-        if e:
+        if sign < 0:
             trans = vec_add(trans, self._coroots[perm.index(k + self._npos)])
         return ExtAffineElement(trans, self._windex[perm[:self._base].translate(table)], self)
 
@@ -519,7 +515,8 @@ class ExtendedAffineWeylGroup:
         not a simple reflection: x(b + e) must be +-(the root of i)
         (module docstring)."""
         self._check(x)
-        k, e, _, _ = self._nodes[j]
+        k, sign, _, _, _, _ = self._nodes[j]
+        e = int(sign < 0)
         npos = self._npos
         q = self._wperm[x.w].index(k + e * npos)  # the number of w b
         p = self._pairings(x.trans)[q % npos]
@@ -555,13 +552,13 @@ class ExtendedAffineWeylGroup:
                       omega: Optional[OmegaElement] = None) -> ExtAffineElement:
         """s_word[0] ... s_word[-1] omega, by right products.  omega moves
         to the front: s_i omega = omega s_j where omega s_j omega^-1 = s_i,
-        so j is the preimage of i under omega's node map."""
+        so j is the preimage of i under omega's node map, which is read
+        from ``omega_of`` (memoised), not from the given wrapper."""
         if omega is None:
             out, back = self.identity, range(self.num_nodes)
         else:
-            self._check(omega.element)
             out, back = omega.element, [0] * self.num_nodes
-            for j, i in enumerate(omega.node_images):
+            for j, i in enumerate(self.omega_of(out).node_images):
                 back[i] = j
         for i in word:
             out = self.times_simple(out, back[i])
@@ -585,7 +582,9 @@ class ExtendedAffineWeylGroup:
     # ------------------------------------------------------- Bruhat order
 
     def _pi1_class(self, trans: tuple) -> Pi1Class:
-        """Class of a translation in pi_1, memoised per translation."""
+        """Class of a translation in pi_1, memoised per translation: the
+        2,000 genus-5 element-queries of seed 0 ask 4,002 classes of only
+        42 translations, at about 10 us for each one computed."""
         got = self._pi1.get(trans)
         if got is None:
             got = self._pi1[trans] = self.pi1_gamma0.class_of(trans)
@@ -759,9 +758,7 @@ class ExtendedAffineWeylGroup:
             raise GroupError(f"{tuple(mu_ambient)} is not dominant")
         x = ExtAffineElement(mu, 0, self)
         omega = self.reduced_word(x).omega
-        want = self.pi1_gamma0.class_of(mu)
-        have = self.pi1_gamma0.class_of(omega.element.trans)
-        if (want + (-have)).is_zero() is False:
+        if not self.same_coset(x, omega.element):
             raise GroupError("no length-zero element in the required class")
         return omega
 
@@ -844,6 +841,13 @@ class ExtendedAffineWeylGroup:
         mat = tuple(tuple(cols[j][i] for j in range(self.rank))
                     for i in range(self.rank))
         return ExtAffineElement(trans, self.weyl_index(mat), self)
+
+
+def _descends(pairs: tuple, perm: bytes, npos: int, node: tuple) -> bool:
+    """The descent rule at one node (``_build_walls``), given the pairing
+    row and root permutation of x: whether s_i x is shorter than x."""
+    k, sign, hi, lo, _, _ = node
+    return sign * pairs[k] >= (hi if perm[k] < npos else lo)
 
 
 def _table(perm: bytes) -> bytes:

@@ -157,6 +157,25 @@ def test_reduced_word_round_trip(ctx2):
         assert group.evaluate_word(rd.word, rd.omega) == x
 
 
+def test_evaluate_word_reads_the_node_map_of_omega(gl3_twisted):
+    """The node map that moves omega to the front comes from omega_of, so a
+    hand-built wrapper with a wrong map gives the same product, and one
+    around an element of positive length is refused."""
+    from ekor_atlas.affine import OmegaElement
+
+    group = gl3_twisted
+    omega = group.length_zero_element((1, 0, 0))
+    wrong = OmegaElement(omega.element, tuple(range(group.num_nodes)))
+    assert wrong.node_images != omega.node_images
+    for word in [(0,), (1, 2), (2, 0, 1), (0, 1, 0, 2)]:
+        assert group.evaluate_word(word, wrong) == \
+            group.evaluate_word(word, omega) == \
+            group.mult(group.evaluate_word(word), omega.element)
+    with pytest.raises(GroupError):
+        s0 = group.simple_reflections[0]
+        group.evaluate_word((1,), OmegaElement(s0, tuple(range(group.num_nodes))))
+
+
 def _cold_words(datum, elements):
     """Reduced words from a new group, longest first: every element met
     while stripping is shorter than all those asked so far, so no memoised
