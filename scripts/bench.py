@@ -5,20 +5,28 @@
 For each genus 1..max-g (6 takes about a minute more, 7 is not offered) a
 new process runs, in order:
 
+* ``import``: importing the engine's command line module, which imports
+  every engine module;
 * ``context``: ``siegel_context(g)``, the finite Weyl table and generators;
 * ``adm``: the admissible set;
 * ``iwahori_report``: ``stratum_report`` at Iwahori level;
 * ``hyperspecial_report``: ``stratum_report`` at hyperspecial level;
+* ``serialization``: the Iwahori report already built, written as the JSON
+  of ``classify --format json`` (the command line's record writer) to
+  ``os.devnull``;
 * ``classify_json``: ``atlas classify --g g --level iwahori --format json``
   through the command line entry, written to ``os.devnull``.  The context
   and the admissible set are cached by then, so this is the Iwahori report
-  again plus its serialization; ``serialization`` is the difference.
+  again plus its serialization.
 
 Times are wall-clock seconds (``time.perf_counter``) on whatever machine
-runs the script; ``peak_rss_mb`` is the process's ``ru_maxrss``.  The run is
-stored in the output file under ``--label`` with the machine, the Python
-version and a digest of the engine's source, next to the runs already there,
-so one file can hold a before/after pair.
+runs the script; ``peak_rss_mb`` is the process's ``ru_maxrss``.  The
+workers get ``PYTHONPATH`` and a fixed ``PYTHONHASHSEED`` and no other
+``PYTHON*`` variable of the caller, so a ``PYTHONDONTWRITEBYTECODE`` does
+not put compilation into the import stage.  The run is stored in the output
+file under ``--label`` with the machine, the Python version and a digest of
+the engine's source, next to the runs already there, so one file can hold a
+before/after pair.
 """
 
 import argparse
@@ -37,28 +45,35 @@ SRC = ROOT / "src"
 
 
 def measure(g: int) -> dict:
-    from ekor_atlas.cli import main
-    from ekor_atlas.ekor import stratum_report
-    from ekor_atlas.siegel import siegel_context
-
     clock = time.perf_counter
     t0 = clock()
-    ctx = siegel_context(g)
+    from ekor_atlas import cli
+    from ekor_atlas.ekor import record_to_json, stratum_report
+    from ekor_atlas.siegel import siegel_context
     t1 = clock()
-    adm = ctx.adm()
+    ctx = siegel_context(g)
     t2 = clock()
-    strata = len(stratum_report(adm, ctx.iwahori))
+    adm = ctx.adm()
     t3 = clock()
-    basic = sum(rec.basic for rec in stratum_report(adm, ctx.hyperspecial))
+    report = stratum_report(adm, ctx.iwahori)
     t4 = clock()
-    code = main(["classify", "--g", str(g), "--level", "iwahori",
-                 "--format", "json", "--out", os.devnull])
+    basic = sum(rec.basic for rec in stratum_report(adm, ctx.hyperspecial))
     t5 = clock()
+    group = ctx.group
+    with open(os.devnull, "w", encoding="ascii") as out:
+        out.writelines(cli._json_list(report, lambda rec: record_to_json(group, rec),
+                                      cli._record_text))
+    strata = len(report)
+    del report  # the command line builds its own: one report alive at a time
+    t6 = clock()
+    code = cli.main(["classify", "--g", str(g), "--level", "iwahori",
+                     "--format", "json", "--out", os.devnull])
+    t7 = clock()
     if code != 0:
         raise SystemExit(f"classify --g {g} exited {code}")
-    stages = {"context": t1 - t0, "adm": t2 - t1, "iwahori_report": t3 - t2,
-              "hyperspecial_report": t4 - t3, "classify_json": t5 - t4}
-    stages["serialization"] = stages["classify_json"] - stages["iwahori_report"]
+    stages = {"import": t1 - t0, "context": t2 - t1, "adm": t3 - t2,
+              "iwahori_report": t4 - t3, "hyperspecial_report": t5 - t4,
+              "serialization": t6 - t5, "classify_json": t7 - t6}
     return {
         "g": g,
         "adm": len(adm),
@@ -87,7 +102,8 @@ def main() -> int:
         json.dump(measure(args.worker), sys.stdout)
         return 0
 
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
     genera = []
     for g in range(1, args.max_g + 1):
         done = subprocess.run([sys.executable, __file__, "--worker", str(g)],

@@ -36,9 +36,8 @@ inside the set are derived from the same data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ekor_atlas.affine import (
     ExtAffineElement,
@@ -62,14 +61,16 @@ def parahoric_label(group: ExtendedAffineWeylGroup,
     return label
 
 
-@dataclass(frozen=True)
 class AdmissibleSet:
     """The admissible set of a dominant cocharacter, fully enumerated."""
 
-    group: ExtendedAffineWeylGroup = field(compare=False, repr=False)
-    mu: tuple[int, ...]
-    elements: tuple[ExtAffineElement, ...]
-    maxima: tuple[ExtAffineElement, ...]
+    def __init__(self, group: ExtendedAffineWeylGroup, mu: tuple[int, ...],
+                 elements: tuple[ExtAffineElement, ...],
+                 maxima: tuple[ExtAffineElement, ...]):
+        self.group = group
+        self.mu = mu
+        self.elements = elements
+        self.maxima = maxima
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -201,8 +202,7 @@ def bruhat_hasse_edges(group: ExtendedAffineWeylGroup,
     return tuple(edges)
 
 
-@dataclass(frozen=True)
-class StraightClass:
+class StraightClass(NamedTuple):
     """A Frobenius-twisted conjugacy class met by the admissible set."""
 
     newton: tuple[Fraction, ...]

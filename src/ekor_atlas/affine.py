@@ -25,8 +25,11 @@ first nsimple entries are the key of the index.  Hence
 The table is built breadth-first from the identity, multiplying on the
 right by the simple reflections in order.  A new element's lattice and
 ambient matrices are kept as sparse rows, its parent's rows times the
-reflection, memoised per distinct row and interned, so no dense matrix is
-stored per element.  The dense-matrix table is kept as
+reflection, so no dense matrix is stored per element.  Each reflection has
+two lookup tables, for lattice and for ambient rows: a dict from a row to
+its product that computes and interns the product on a miss, so a child's
+rows are its parent's rows mapped through the table, with no Python call
+on a hit.  The dense-matrix table is kept as
 ``oracles.DenseWeylTable``; its search finds the elements in the same
 order, so indices agree.  A matrix lookup cannot stop at the permutation:
 -1 on the Siegel lattice permutes the roots like w0 but negates the
@@ -123,11 +126,10 @@ concurrent readers are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ekor_atlas.coxeter import INFINITE_BOND, CoxeterMatrix
 from ekor_atlas.lattice import (
@@ -148,32 +150,46 @@ class GroupError(ValueError):
     """Invalid element construction or cross-context operation."""
 
 
-@dataclass(frozen=True)
 class ExtAffineElement:
     """Element of an extended affine Weyl group.
 
     ``trans`` is the translation in lattice coordinates, ``w`` the index of
-    the finite part in the group's interned Weyl table.
+    the finite part in the group's interned Weyl table.  Equality and the
+    hash (computed once) see only these two, so elements of two groups
+    built from one datum compare equal; ``group`` is the owning group.
     """
 
-    trans: tuple[int, ...]
-    w: int
-    group: "ExtendedAffineWeylGroup" = field(compare=False, hash=False, repr=False)
+    __slots__ = ("trans", "w", "group", "_hash")
+
+    def __init__(self, trans: tuple[int, ...], w: int, group: "ExtendedAffineWeylGroup"):
+        self.trans = trans
+        self.w = w
+        self.group = group
+        self._hash = hash((trans, w))
+
+    def __eq__(self, other):
+        if other.__class__ is not ExtAffineElement:
+            return NotImplemented
+        return self.w == other.w and self.trans == other.trans
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"ExtAffineElement(trans={self.trans!r}, w={self.w!r})"
 
     def is_identity(self) -> bool:
         return self.w == 0 and not any(self.trans)
 
 
-@dataclass(frozen=True)
-class OmegaElement:
+class OmegaElement(NamedTuple):
     """A length-zero element together with its conjugation action on nodes."""
 
     element: ExtAffineElement
     node_images: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ReducedDecomposition:
+class ReducedDecomposition(NamedTuple):
     """A reduced word in node letters and the residual length-zero factor."""
 
     word: tuple[int, ...]
@@ -219,48 +235,34 @@ class ExtendedAffineWeylGroup:
         if len(self._roots) > 256:
             raise GroupError(f"{len(self._roots)} roots: the finite Weyl group has "
                              "more than 10^10 elements")
-        gens = [_table(self._root_perm(m)) for m in datum.reflections_lattice]
         interned: dict = {}
-        products = [({}, {}) for _ in gens]
-
-        def times(row, mat, memo):
-            got = memo.get(row)
-            if got is None:
-                dense = [0] * len(mat[0])
-                for j, c in row:
-                    for l, a in enumerate(mat[j]):
-                        dense[l] += c * a
-                new = _sparse(dense)
-                got = memo[row] = interned.setdefault(new, new)
-            return got
-
+        # per reflection: its translate table and the lookups of row products
+        steps = [(_table(self._root_perm(lat)), _RowProducts(lat, interned).__getitem__,
+                  _RowProducts(amb, interned).__getitem__)
+                 for lat, amb in zip(datum.reflections_lattice, datum.reflections_ambient)]
         base = self._base = datum.nsimple
         ident = bytes(range(len(self._roots)))
-        self._wperm = [ident]
-        self._wrows = [tuple(((i, 1),) for i in range(self.rank))]
-        self._wambient = [tuple(((i, 1),) for i in range(datum.dim))]
-        self._windex = {ident[:base]: 0}
+        wperm = self._wperm = [ident]
+        wrows = self._wrows = [tuple(((i, 1),) for i in range(self.rank))]
+        wambient = self._wambient = [tuple(((i, 1),) for i in range(datum.dim))]
+        windex = self._windex = {ident[:base]: 0}
         frontier = [0]
         while frontier:
             nxt = []
             for idx in frontier:
-                perm = self._wperm[idx]
-                for i, gen in enumerate(gens):
-                    child = perm.translate(gen)
-                    key = child[:base]
-                    if key not in self._windex:
-                        lat, amb = products[i]
-                        self._windex[key] = len(self._wperm)
-                        nxt.append(len(self._wperm))
-                        self._wperm.append(child)
-                        self._wrows.append(tuple(
-                            times(row, datum.reflections_lattice[i], lat)
-                            for row in self._wrows[idx]))
-                        self._wambient.append(tuple(
-                            times(row, datum.reflections_ambient[i], amb)
-                            for row in self._wambient[idx]))
+                perm = wperm[idx]
+                head = perm[:base]
+                rows, amb_rows = wrows[idx], wambient[idx]
+                for gen, lat, amb in steps:
+                    key = head.translate(gen)
+                    if key not in windex:
+                        windex[key] = len(wperm)
+                        nxt.append(len(wperm))
+                        wperm.append(perm.translate(gen))
+                        wrows.append(tuple(map(lat, rows)))
+                        wambient.append(tuple(map(amb, amb_rows)))
             frontier = nxt
-        self.finite_order = len(self._wperm)
+        self.finite_order = len(wperm)
 
     def _root_perm(self, matrix):
         """Permutation k -> index of (root k) o matrix, or None when some
@@ -848,6 +850,25 @@ def _descends(pairs: tuple, perm: bytes, npos: int, node: tuple) -> bool:
     row and root permutation of x: whether s_i x is shorter than x."""
     k, sign, hi, lo, _, _ = node
     return sign * pairs[k] >= (hi if perm[k] < npos else lo)
+
+
+class _RowProducts(dict):
+    """Sparse rows times one matrix, memoised per row: a miss computes the
+    product, interns it in the shared dict and stores it, so a hit is a
+    plain dict lookup."""
+
+    def __init__(self, mat, interned: dict):
+        self.mat = mat
+        self.interned = interned
+
+    def __missing__(self, row):
+        dense = [0] * len(self.mat[0])
+        for j, c in row:
+            for l, a in enumerate(self.mat[j]):
+                dense[l] += c * a
+        new = _sparse(dense)
+        got = self[row] = self.interned.setdefault(new, new)
+        return got
 
 
 def _table(perm: bytes) -> bytes:

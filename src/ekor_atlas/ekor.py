@@ -9,9 +9,8 @@ with the largest subset of the level that x sigma-conjugates into itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ekor_atlas.admissible import (
     AdmissibleSet,
@@ -23,8 +22,7 @@ from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup, GroupEr
 from ekor_atlas.coxeter import format_finite_type
 
 
-@dataclass(frozen=True)
-class SigmaSupport:
+class SigmaSupport(NamedTuple):
     """Letters of a reduced word and their closure under the twist.
 
     ``twist`` is the node map s -> tau sigma(s) tau^-1 for the length-zero
@@ -115,8 +113,7 @@ def is_sigma_coxeter(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> boo
     return True
 
 
-@dataclass(frozen=True)
-class DLDatum:
+class DLDatum(NamedTuple):
     """Finite flag datum of a basic stratum."""
 
     ambient_nodes: frozenset[int]
@@ -152,8 +149,7 @@ def dl_datum(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     )
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(NamedTuple):
     """One stratum at a fixed level: the element and all its invariants."""
 
     element: ExtAffineElement

@@ -8,10 +8,9 @@ point: everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vector = tuple
 Matrix = tuple
@@ -54,8 +53,7 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vector:
 
 def row_mat(r: Sequence, a: Sequence[Sequence]) -> Vector:
     """Row vector times matrix."""
-    cols = len(a[0])
-    return tuple(sum(r[l] * a[l][j] for l in range(len(r))) for j in range(cols))
+    return tuple(sum(map(mul, r, col)) for col in zip(*a))
 
 
 def solve_linear(columns: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
@@ -218,8 +216,7 @@ def smith_normal_form(relations: Sequence[Sequence[int]], rank: int):
     return diag, tuple(tuple(row) for row in V)
 
 
-@dataclass(frozen=True)
-class Pi1Class:
+class Pi1Class(NamedTuple):
     """An element of a finitely generated abelian quotient.
 
     ``free`` are the coordinates of infinite order, ``torsion`` the residues

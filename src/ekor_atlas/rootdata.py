@@ -15,17 +15,17 @@ matrix, validating the crystallographic axioms along the way.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from ekor_atlas.coxeter import CoxeterMatrix
+from ekor_atlas.coxeter import CoxeterError, CoxeterMatrix
 from ekor_atlas.lattice import (
     fraction_matrix_inverse,
     identity_matrix,
     mat_mul,
     mat_vec,
     row_mat,
-    solve_linear,
     vec_dot,
 )
 
@@ -82,11 +82,19 @@ class RootDatum:
 
         if self.rank == 0:
             raise RootDatumError("empty basis")
-        # independence: the Gram matrix of the basis must be invertible
-        probe = fraction_matrix_inverse(
+        # independence: the Gram matrix G of the basis B must be invertible.
+        # A vector v = c B of the span has c = v B^T G^-1; ``to_lattice``
+        # keeps the columns of the integer matrix den B^T G^-1.
+        inv = fraction_matrix_inverse(
             tuple(tuple(vec_dot(a, b) for b in self.basis) for a in self.basis))
-        if probe is None:
+        if inv is None:
             raise RootDatumError("basis vectors are not independent")
+        den = self._den = lcm(*(f.denominator for row in inv for f in row))
+        scaled = [[int(den * f) for f in row] for row in inv]
+        self._coord_cols = tuple(
+            tuple(sum(row[i] * b[j] for row, b in zip(scaled, self.basis))
+                  for j in range(self.dim))
+            for i in range(self.rank))
 
         self.coroots_lattice = tuple(self.to_lattice(c) for c in self.simple_coroots)
         # root functionals restricted to X: values on the basis
@@ -113,6 +121,10 @@ class RootDatum:
                         f"pairing of simple roots {i}, {j} is not of finite crystallographic type")
                 finite_rows[i][j] = _PRODUCT_TO_BOND[prod]
         self.finite_coxeter = CoxeterMatrix(finite_rows)
+        try:
+            self.finite_coxeter.finite_type(self.finite_coxeter.nodes())
+        except CoxeterError as exc:
+            raise RootDatumError(f"the Cartan matrix is not of finite type: {exc}") from None
 
         # simple reflections, in lattice and in ambient coordinates
         self.reflections_lattice = tuple(
@@ -144,20 +156,20 @@ class RootDatum:
     # ---------------------------------------------------------- coordinates
 
     def to_lattice(self, ambient: Sequence, integral: bool = True) -> tuple:
-        """Coordinates of an ambient vector in the basis of X."""
-        sol = solve_linear([tuple(b) for b in self.basis], tuple(ambient))
-        if sol is None:
-            raise RootDatumError(f"vector {tuple(ambient)} does not lie in the span of X")
-        # verify exactly (solve_linear zeroes free coefficients)
-        check = tuple(sum(Fraction(sol[i]) * self.basis[i][j] for i in range(self.rank))
-                      for j in range(self.dim))
-        if any(check[j] != Fraction(ambient[j]) for j in range(self.dim)):
-            raise RootDatumError(f"vector {tuple(ambient)} does not lie in the span of X")
+        """Coordinates of an ambient vector in the basis of X: den times
+        them is one integer product, checked exactly against the basis."""
+        v = tuple(ambient)
+        if len(v) != self.dim:
+            raise RootDatumError(f"vector {v} does not have the ambient length {self.dim}")
+        den = self._den
+        num = tuple(sum(map(mul, v, col)) for col in self._coord_cols)
+        if self.from_lattice(num) != tuple(den * t for t in v):
+            raise RootDatumError(f"vector {v} does not lie in the span of X")
         if integral:
-            if any(f.denominator != 1 for f in sol):
-                raise RootDatumError(f"vector {tuple(ambient)} is not in the lattice X")
-            return tuple(int(f) for f in sol)
-        return tuple(sol)
+            if any(c % den for c in num):
+                raise RootDatumError(f"vector {v} is not in the lattice X")
+            return tuple(c // den for c in num)
+        return tuple(Fraction(c, den) for c in num)
 
     def from_lattice(self, coords: Sequence) -> tuple:
         """Ambient vector with the given lattice coordinates."""
@@ -179,33 +191,38 @@ class RootDatum:
     # --------------------------------------------------------- root system
 
     def _build_root_system(self):
-        # close the simple (root, coroot) pairs under all simple reflections
-        pairs = {}
-        for i in range(self.nsimple):
-            pairs[self.root_values[i]] = self.coroots_lattice[i]
-        frontier = list(pairs.keys())
+        """Close the simple roots under the simple reflections in simple-root
+        coordinates.  For a root b = sum_j b_j a_j, s_i b = b - <b, a_i^vee> a_i
+        changes coordinate i alone, by the integer <b, a_i^vee> =
+        sum_j b_j cartan[i][j]; its coroot is s_i b^vee = b^vee -
+        <a_i, b^vee> a_i^vee.  The constructor checked that the Cartan matrix
+        is of finite type, so it is invertible: the simple roots are
+        independent on X, the coordinates name each root once, and the
+        closure is finite unless some root has coordinates of both signs,
+        which is refused as soon as it appears."""
+        n = self.nsimple
+        coroots = {tuple(int(i == j) for j in range(n)): self.coroots_lattice[i]
+                   for i in range(n)}
+        frontier = list(coroots)
         while frontier:
             new = []
-            for vals in frontier:
-                coroot = pairs[vals]
-                for s_lat in self.reflections_lattice:
-                    rv = row_mat(vals, s_lat)
-                    if rv not in pairs:
-                        pairs[rv] = mat_vec(s_lat, coroot)
-                        new.append(rv)
+            for coords in frontier:
+                coroot = coroots[coords]
+                for i, row in enumerate(self.cartan):
+                    p = sum(map(mul, coords, row))
+                    image = coords[:i] + (coords[i] - p,) + coords[i + 1:]
+                    if image not in coroots:
+                        if min(image) < 0 < max(image):
+                            raise RootDatumError("root with mixed-sign simple coordinates")
+                        q = vec_dot(self.root_values[i], coroot)
+                        coroots[image] = tuple(
+                            c - q * a for c, a in zip(coroot, self.coroots_lattice[i]))
+                        new.append(image)
             frontier = new
 
-        root_cols = [self.root_values[i] for i in range(self.nsimple)]
-        positive = []
-        for vals, coroot in pairs.items():
-            coeffs = solve_linear(root_cols, vals)
-            if coeffs is None:
-                raise RootDatumError("a root fell outside the span of the simple roots")
-            if all(c >= 0 for c in coeffs):
-                positive.append((vals, coroot, tuple(coeffs)))
-            elif not all(c <= 0 for c in coeffs):
-                raise RootDatumError("root with mixed-sign simple coordinates")
-        if 2 * len(positive) != len(pairs):
+        positive = [(row_mat(coords, self.root_values), coroot, coords)
+                    for coords, coroot in coroots.items() if min(coords) >= 0]
+        if 2 * len(positive) != len(coroots):
             raise RootDatumError("root system is not symmetric under negation")
 
         # deterministic order: by height then by values

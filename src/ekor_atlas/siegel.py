@@ -22,8 +22,7 @@ and the gortz-yu comparison checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ekor_atlas.admissible import (
     AdmissibleSet,
@@ -86,17 +85,19 @@ def siegel_datum(g: int) -> RootDatum:
                      simple_coroots=tuple(coroots), ambient_weyl=tuple(weyl))
 
 
-@dataclass
 class SiegelContext:
     """A genus together with its group, cocharacter and named levels."""
 
-    g: int
-    datum: RootDatum
-    group: ExtendedAffineWeylGroup
-    mu: tuple[int, ...]
-    tau: OmegaElement
-    iwahori: frozenset[int]
-    hyperspecial: frozenset[int]
+    def __init__(self, g: int, datum: RootDatum, group: ExtendedAffineWeylGroup,
+                 mu: tuple[int, ...], tau: OmegaElement, iwahori: frozenset[int],
+                 hyperspecial: frozenset[int]):
+        self.g = g
+        self.datum = datum
+        self.group = group
+        self.mu = mu
+        self.tau = tau
+        self.iwahori = iwahori
+        self.hyperspecial = hyperspecial
 
     def adm(self) -> AdmissibleSet:
         return admissible_set(self.group, self.mu)
@@ -277,8 +278,7 @@ class SiegelContext:
                                 labels=tuple(s.label for s in strata))
 
 
-@dataclass(frozen=True)
-class EOStratum:
+class EOStratum(NamedTuple):
     """A predicted basic stratum at maximal level."""
 
     label: str
@@ -288,8 +288,7 @@ class EOStratum:
     dimension: int
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Outcome of one comparison mode; construction already hard-checked."""
 
     mode: str

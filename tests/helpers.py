@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 
 from ekor_atlas.admissible import AdmissibleSet, is_left_minimal, parahoric_label
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
+from ekor_atlas.lattice import mat_vec, row_mat, solve_linear
 from ekor_atlas.oracles import cayley_ball, twisted_power
 from ekor_atlas.rootdata import RootDatum
 
@@ -108,6 +109,45 @@ def double_coset_minima(adm: AdmissibleSet,
     return tuple(x for x in saturated_set(adm, nodes)
                  if is_left_minimal(group, x, label)
                  and is_right_minimal(group, x, label))
+
+
+def root_system_by_solving(datum: RootDatum) -> dict:
+    """The positive system the slow way, as the root datum once built it:
+    close the simple (root, coroot) pairs under the lattice reflections,
+    keyed by root values, then solve each root for its simple-root
+    coordinates in Fractions.  The reference for the integer closure of
+    ``RootDatum._build_root_system``."""
+    pairs = dict(zip(datum.root_values, datum.coroots_lattice))
+    frontier = list(pairs)
+    while frontier:
+        new = []
+        for vals in frontier:
+            for s_lat in datum.reflections_lattice:
+                image = row_mat(vals, s_lat)
+                if image not in pairs:
+                    pairs[image] = mat_vec(s_lat, pairs[vals])
+                    new.append(image)
+        frontier = new
+    positive = []
+    for vals, coroot in pairs.items():
+        coeffs = solve_linear(datum.root_values, vals)
+        assert coeffs is not None
+        assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+        if all(c >= 0 for c in coeffs):
+            positive.append((vals, coroot, tuple(coeffs)))
+    assert 2 * len(positive) == len(pairs)
+    positive.sort(key=lambda t: (sum(t[2]), t[0]))
+    highest = [max((p for p in positive
+                    if {i for i, c in enumerate(p[2]) if c} <= comp),
+                   key=lambda p: sum(p[2]))
+               for comp in datum.finite_coxeter.connected_components()]
+    return {
+        "positive_roots": tuple(p[0] for p in positive),
+        "positive_coroots": tuple(p[1] for p in positive),
+        "positive_coords": tuple(p[2] for p in positive),
+        "theta": tuple(p[0] for p in highest),
+        "theta_coroot": tuple(p[1] for p in highest),
+    }
 
 
 def build_gl(n: int, twisted: bool = False):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -332,7 +331,7 @@ def test_record_json_newton_strings(ctx3):
         payload = record_to_json(group, rec)
         assert payload["newton"] == want
         payload["newton"].append("edited")
-        copy = dataclasses.replace(rec, newton=tuple(list(rec.newton)))
+        copy = rec._replace(newton=tuple(list(rec.newton)))
         assert copy.newton is not rec.newton
         assert record_to_json(group, copy)["newton"] == want
         assert record_to_json(group, rec)["newton"] == want

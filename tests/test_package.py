@@ -6,6 +6,8 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
+
 import ekor_atlas
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -104,9 +106,42 @@ def test_bench_runs(tmp_path):
     run = json.loads(out.read_text())["runs"]["probe"]
     assert [row["adm"] for row in run["genera"]] == [3, 13]
     assert set(run["genera"][0]["stages_s"]) == {
-        "context", "adm", "iwahori_report", "hyperspecial_report",
-        "classify_json", "serialization"}
+        "import", "context", "adm", "iwahori_report", "hyperspecial_report",
+        "serialization", "classify_json"}
     assert run["genera"][1]["peak_rss_mb"] > 0
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Importing the engine stays cheap: no module imports ``dataclasses``
+    (with ``inspect``, ``ast`` and ``dis`` behind it)."""
+    done = run_script("-c", "import sys, ekor_atlas.cli; "
+                            "print('dataclasses' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_element_repr():
+    from ekor_atlas.siegel import siegel_context
+    group = siegel_context(2).group
+    assert repr(group.simple_reflections[0]) == "ExtAffineElement(trans=(-1, 0, 0), w=5)"
+    assert repr(group.identity) == "ExtAffineElement(trans=(0, 0, 0), w=0)"
+
+
+def test_elements_of_two_groups_on_one_datum():
+    """Equality and hashing see the translation and the finite index only,
+    so elements of two groups built from one datum are interchangeable as
+    keys; the group operations still refuse the other group's elements."""
+    from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
+    from ekor_atlas.siegel import siegel_context
+    group = siegel_context(2).group
+    other = ExtendedAffineWeylGroup(group.datum)
+    for x, y in zip(group.simple_reflections, other.simple_reflections):
+        assert x == y and hash(x) == hash(y) and x.group is not y.group
+        assert {x: 1}[y] == 1
+    assert group.simple_reflections[0] != group.simple_reflections[1]
+    assert group.identity != (group.identity.trans, group.identity.w)
+    with pytest.raises(GroupError):
+        group.length(other.identity)
 
 
 def test_test_only_code_is_out_of_src():

@@ -1,8 +1,13 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from ekor_atlas.coxeter import format_finite_type
+from ekor_atlas.lattice import solve_linear
 from ekor_atlas.rootdata import RootDatum, RootDatumError
 from ekor_atlas.siegel import siegel_datum
+from helpers import build_from_cartan, build_g2, build_gl2_gl3, build_gl3_twisted
 
 
 def test_siegel_cartan_g2():
@@ -48,6 +53,49 @@ def test_to_lattice_rejects_outside_span():
         datum.to_lattice((1, 1, 1, 3), integral=True)  # in span over Q only
 
 
+def _coords_by_solving(datum, v):
+    """Lattice coordinates of v by one Fraction solve, None off the span."""
+    sol = solve_linear(datum.basis, v)
+    if sol is None or datum.from_lattice(sol) != tuple(v):
+        return None
+    return tuple(sol)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: siegel_datum(2), lambda: siegel_datum(3), lambda: siegel_datum(4),
+    lambda: build_gl3_twisted().datum, lambda: build_gl2_gl3().datum,
+    lambda: build_g2().datum,
+], ids=["siegel2", "siegel3", "siegel4", "gl3_twisted", "gl2_gl3", "g2"])
+def test_to_lattice_against_solving(build):
+    """Integral, rational and out-of-span vectors: the coordinates, the
+    span check and the integrality check of one Fraction solve each."""
+    datum = build()
+    rng = random.Random(17)
+    for _ in range(150):
+        coords = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+                       for _ in range(datum.rank))
+        shift = tuple(rng.choice((0, 0, 0, 1, -1)) for _ in range(datum.dim))
+        for v in (datum.from_lattice(tuple(map(int, coords))),
+                  datum.from_lattice(coords),
+                  tuple(a + b for a, b in zip(datum.from_lattice(coords), shift))):
+            want = _coords_by_solving(datum, v)
+            if want is None:
+                for integral in (True, False):
+                    with pytest.raises(RootDatumError):
+                        datum.to_lattice(v, integral=integral)
+                continue
+            got = datum.to_lattice(v, integral=False)
+            assert got == want and all(type(c) is Fraction for c in got)
+            if all(c.denominator == 1 for c in want):
+                got = datum.to_lattice(v)
+                assert got == want and all(type(c) is int for c in got)
+            else:
+                with pytest.raises(RootDatumError):
+                    datum.to_lattice(v)
+    with pytest.raises(RootDatumError):
+        datum.to_lattice((0,) * (datum.dim + 1))
+
+
 def test_lattice_round_trip():
     datum = siegel_datum(3)
     for v in [(1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0), (2, 1, 0, 2, 1, 0)]:
@@ -58,6 +106,17 @@ def test_cartan_diagonal_enforced():
     with pytest.raises(RootDatumError):
         RootDatum(dim=2, basis=((1, 0), (0, 1)),
                   simple_roots=((1, -1),), simple_coroots=((2, -2),))
+
+
+@pytest.mark.parametrize("cartan", [
+    ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # affine A2: an infinite closure
+    ((2, 0), (-1, 2)),  # zero against nonzero: s_0 s_1 has infinite order
+], ids=["affine_a2", "zero_against_nonzero"])
+def test_cartan_outside_finite_type_rejected(cartan):
+    """The root closure is finite only for a Cartan matrix of finite type;
+    anything else is refused when the datum is built."""
+    with pytest.raises(RootDatumError):
+        build_from_cartan(cartan)
 
 
 def test_dependent_basis_rejected():

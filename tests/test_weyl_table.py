@@ -8,7 +8,7 @@ import pytest
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.lattice import row_mat, vec_dot, vec_neg
 from ekor_atlas.oracles import DenseWeylTable, cayley_ball, twisted_power
-from ekor_atlas.siegel import siegel_context
+from ekor_atlas.siegel import siegel_context, siegel_datum
 from helpers import (
     build_b2,
     build_from_cartan,
@@ -16,6 +16,7 @@ from helpers import (
     build_gl2_gl3,
     build_gl2_unitary,
     build_gl3_twisted,
+    root_system_by_solving,
 )
 
 DATA = {
@@ -36,6 +37,17 @@ ORDERS = {"siegel1": 2, "siegel2": 8, "siegel3": 48, "gl3_twisted": 6,
 def pair(request):
     group = DATA[request.param]()
     return request.param, group, DenseWeylTable(group.datum)
+
+
+@pytest.mark.parametrize("name", sorted(DATA) + ["siegel4", "siegel5"])
+def test_root_closure_against_solving(name):
+    """The integer closure in simple-root coordinates finds the roots,
+    coroots, coordinates and highest roots of the per-root Fraction solve,
+    in the same order, with integer coordinates."""
+    datum = DATA[name]().datum if name in DATA else siegel_datum(int(name[-1]))
+    for field, want in root_system_by_solving(datum).items():
+        assert getattr(datum, field) == want, field
+    assert all(type(c) is int for coords in datum.positive_coords for c in coords)
 
 
 def test_same_elements_same_indices(pair):
