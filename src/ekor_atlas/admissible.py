@@ -190,16 +190,17 @@ def kw_elements(adm: AdmissibleSet,
 def bruhat_hasse_edges(group: ExtendedAffineWeylGroup,
                        elements: Sequence[ExtAffineElement],
                        ) -> tuple[tuple[int, int], ...]:
-    """Transitive reduction of the induced order; edges point upward."""
-    n = len(elements)
-    leq = [[a != b and group.bruhat_leq(elements[a], elements[b])
-            for b in range(n)] for a in range(n)]
-    edges = []
-    for a in range(n):
-        for b in range(n):
-            if leq[a][b] and not any(leq[a][k] and leq[k][b] for k in range(n)):
-                edges.append((a, b))
-    return tuple(edges)
+    """Covers of the induced Bruhat order as index pairs (a, b), a below b,
+    in lexicographic order.  ``elements`` must be an order ideal of the
+    left-minimal elements of some level, as Adm(mu) and its left-minimal
+    parts are: these are graded by length (Bjoerner-Brenti, Combinatorics
+    of Coxeter Groups, 2.5), so a cover is a comparable pair one apart."""
+    by_length: dict[int, list[int]] = {}
+    for b, y in enumerate(elements):
+        by_length.setdefault(group.length(y), []).append(b)
+    return tuple((a, b) for a, x in enumerate(elements)
+                 for b in by_length.get(group.length(x) + 1, ())
+                 if group.bruhat_leq(x, elements[b]))
 
 
 class StraightClass(NamedTuple):

@@ -58,10 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=blurb)
         q.add_argument("--g", type=int, required=True, metavar="G",
                        help="genus, at least 1")
-        q.add_argument("--level", default="iwahori", metavar="LEVEL",
-                       help="iwahori, hyperspecial, or comma separated nodes")
-        q.add_argument("--format", dest="fmt", default="text",
-                       choices=["text", "json", "dot"])
+        if name in ("classify", "dl-data", "compare"):
+            q.add_argument("--level", default="iwahori", metavar="LEVEL",
+                           help="iwahori, hyperspecial, or comma separated nodes")
+        if name != "check":
+            q.add_argument("--format", dest="fmt", default="text",
+                           choices=["text", "json", "dot"])
         q.add_argument("--out", default=None, metavar="PATH",
                        help="write output to a file instead of stdout")
     return parser
@@ -255,7 +257,7 @@ def _cmd_compare(ctx, level, fmt: str) -> Iterable[str]:
     return _lines(lines)
 
 
-def _cmd_check(ctx, fmt: str) -> Iterable[str]:
+def _cmd_check(ctx) -> Iterable[str]:
     group = ctx.group
     lines = []
 
@@ -309,15 +311,17 @@ def dispatch(args) -> Iterable[str]:
     if order > MAX_FINITE_ORDER:
         raise UsageError(f"--g {args.g}: the finite Weyl group has {order} elements, "
                          f"more than the {MAX_FINITE_ORDER} this tool enumerates")
+    if args.command == "check":
+        if args.g > 3:
+            raise UsageError("check supports g up to 3; larger genera take too long")
+        return _cmd_check(siegel_context(args.g))
     if args.fmt == "dot" and args.command not in ("adm", "classify"):
         raise UsageError("dot output is only available for adm and classify")
-    if args.command == "check" and args.g > 3:
-        raise UsageError("check supports g up to 3; larger genera take too long")
+    if args.fmt == "dot" and args.g > 4:  # genus 5 compares millions of pairs
+        raise UsageError("dot output supports g up to 4; larger genera take too long")
     ctx = siegel_context(args.g)
     if args.command == "adm":
         return _cmd_adm(ctx, args.fmt)
-    if args.command == "check":
-        return _cmd_check(ctx, args.fmt)
     try:
         level = ctx.level_nodes(args.level)
     except GroupError as exc:

@@ -18,6 +18,9 @@ from g = 3 on that locus is not a union of EO strata, so its dimension
 need not be the length of any basic stratum.  At Iwahori level the longest
 basic stratum does have the Goertz-Yu dimension of the supersingular locus,
 and the gortz-yu comparison checks it.
+
+The shape of a context (diagram types, generators, tau, the class of mu)
+is fixed by the datum and asserted for g = 1..5 in the tests, not on build.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from ekor_atlas.affine import (
     GroupError,
     OmegaElement,
 )
-from ekor_atlas.coxeter import format_finite_type
 from ekor_atlas.ekor import StratumRecord, stratum_report
 from ekor_atlas.rootdata import RootDatum
 
@@ -185,7 +187,8 @@ class SiegelContext:
     # ------------------------------------------------------- basic strata
 
     def eo_strata(self) -> tuple["EOStratum", ...]:
-        """Predicted basic strata at maximal level, labeled by defect."""
+        """Predicted basic strata at maximal level, labeled by the defect and
+        the reduced word of a parabolic element, which the word determines."""
         group = self.group
         out = []
         for c in range(self.g // 2 + 1):
@@ -202,9 +205,6 @@ class SiegelContext:
                     element=group.mult(self.tau.element, w),
                     dimension=group.length(w),
                 ))
-        labels = [s.label for s in out]
-        if len(set(labels)) != len(labels):
-            raise GroupError("stratum labels collide")
         return tuple(sorted(out, key=lambda s: (s.dimension, s.label)))
 
     def compare(self, mode: str) -> "ComparisonReport":
@@ -332,51 +332,6 @@ def siegel_context(g: int) -> SiegelContext:
         iwahori=frozenset(),
         hyperspecial=frozenset(range(1, g + 1)),
     )
-    _check_context(ctx)
     _CONTEXTS[g] = ctx
     return ctx
 
-
-def _check_context(ctx: SiegelContext) -> None:
-    """Construction-time facts: generator shapes, diagram, class map."""
-    g, d = ctx.g, 2 * ctx.g
-    group = ctx.group
-
-    fin = format_finite_type(ctx.datum.finite_coxeter.finite_type(
-        frozenset(range(g))))
-    if fin != ("A1" if g == 1 else f"C{g}"):
-        raise GroupError(f"unexpected finite diagram {fin}")
-    comps = group.affine_coxeter.affine_components()
-    want_family = ("A~", 1) if g == 1 else ("C~", g)
-    if len(comps) != 1 or comps[0][1] != want_family:
-        raise GroupError("unexpected affine diagram")
-
-    swaps = {0: (0, d - 1), g: (g - 1, g)}
-    for i in range(1, g):
-        swaps[i] = (i - 1, i, d - 1 - i, d - i)
-    for i in range(g + 1):
-        data = group.element_to_json(group.simple_reflections[i])
-        perm = list(range(d))
-        s = swaps[i]
-        perm[s[0]], perm[s[1]] = perm[s[1]], perm[s[0]]
-        if len(s) == 4:
-            perm[s[2]], perm[s[3]] = perm[s[3]], perm[s[2]]
-        want_t = [0] * d
-        if i == 0:
-            want_t[0], want_t[d - 1] = -1, 1
-        if data["w"] != perm or data["t"] != want_t:
-            raise GroupError(f"reflection {i} has unexpected shape")
-
-    tau_data = group.element_to_json(ctx.tau.element)
-    if tau_data["t"] != [0] * g + [1] * g:
-        raise GroupError("length-zero element has unexpected translation")
-    if tau_data["w"] != [(j + g) % d for j in range(d)]:
-        raise GroupError("length-zero element has unexpected finite part")
-    if ctx.tau.node_images != tuple(g - i for i in range(g + 1)):
-        raise GroupError("length-zero element acts unexpectedly on nodes")
-
-    kappa = group.kottwitz(group.translation(ctx.mu))
-    if kappa.moduli != () or len(kappa.free) != 1 or abs(kappa.free[0]) != 1:
-        raise GroupError("class of mu should generate a free rank-one quotient")
-    if kappa != group.kottwitz(ctx.tau.element):
-        raise GroupError("mu and its length-zero part fall in different classes")

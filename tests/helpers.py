@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 
 from ekor_atlas.admissible import AdmissibleSet, is_left_minimal, parahoric_label
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
+from ekor_atlas.coxeter import INFINITE_BOND
 from ekor_atlas.lattice import mat_vec, row_mat, solve_linear
 from ekor_atlas.oracles import cayley_ball, twisted_power
 from ekor_atlas.rootdata import RootDatum
@@ -22,6 +23,30 @@ def random_element(rng: random.Random, group: ExtendedAffineWeylGroup,
         x = group.mult(x, group.simple_reflections[
             rng.randrange(group.num_nodes)])
     return x
+
+
+def product_order(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
+                  y: ExtAffineElement, cap: int = 6) -> int:
+    """Order of x y by repeated products, ``INFINITE_BOND`` past ``cap``:
+    the reference for the bonds the group reads from its wall roots."""
+    p = group.mult(x, y)
+    acc = p
+    for m in range(1, cap + 1):
+        if acc.is_identity():
+            return m
+        acc = group.mult(acc, p)
+    return INFINITE_BOND
+
+
+def hasse_by_reduction(group: ExtendedAffineWeylGroup,
+                       elements: Sequence[ExtAffineElement]):
+    """Transitive reduction of the Bruhat order induced on ``elements``,
+    edges pointing upward: the reference for ``bruhat_hasse_edges``."""
+    n = len(elements)
+    leq = [[a != b and group.bruhat_leq(elements[a], elements[b])
+            for b in range(n)] for a in range(n)]
+    return tuple((a, b) for a in range(n) for b in range(n)
+                 if leq[a][b] and not any(leq[a][k] and leq[k][b] for k in range(n)))
 
 
 def random_descent_word(rng: random.Random, group: ExtendedAffineWeylGroup,

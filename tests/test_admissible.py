@@ -15,13 +15,14 @@ from ekor_atlas.admissible import (
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError, element_label
 from ekor_atlas.oracles import admissible_by_right_words, admissible_by_subwords
 from ekor_atlas.rootdata import RootDatum
-from ekor_atlas.siegel import siegel_datum
+from ekor_atlas.siegel import siegel_context, siegel_datum
 from helpers import (
     build_b2,
     build_gl,
     build_gl2_gl3,
     build_gl2_unitary,
     double_coset_minima,
+    hasse_by_reduction,
     is_right_minimal,
     saturated_set,
 )
@@ -310,6 +311,17 @@ def test_hasse_edges_transitive_reduction(ctx2):
                    if z not in (lo, hi)
                    and group.bruhat_leq(lo, z) and group.bruhat_leq(z, hi)]
         assert not between
+
+
+@pytest.mark.parametrize("level", ["iwahori", "hyperspecial", "0"])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_hasse_edges_against_transitive_reduction(g, level):
+    """The covers read from the length grading are the transitive
+    reduction of the order, on Adm and on its left-minimal parts."""
+    ctx = siegel_context(g)
+    elements = kw_elements(ctx.adm(), ctx.level_nodes(level))
+    assert bruhat_hasse_edges(ctx.group, elements) == \
+        hasse_by_reduction(ctx.group, elements)
 
 
 # --------------------------------------------------------- straight classes

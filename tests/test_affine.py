@@ -316,13 +316,20 @@ def test_sigma_is_automorphism(gl3_twisted):
 
 
 def test_bruhat_matches_subword_oracle(ctx2):
+    """On Adm(mu), and on the radius-3 Cayley ball around e, tau, tau^-1
+    and tau^2, where most pairs lie in different cosets of the affine Weyl
+    group and the recursion alone has to answer False."""
     group = ctx2.group
-    adm = ctx2.adm()
+    tau = ctx2.tau.element
+    seeds = [group.identity, tau, group.inv(tau), group.mult(tau, tau)]
+    ball = list(cayley_ball(group, 3, seeds))
+    assert len(ball) == 68
     cache = {}
-    for x in adm.elements:
-        for y in adm.elements:
-            assert group.bruhat_leq(x, y) == \
-                bruhat_leq_subword(group, x, y, cache)
+    for elements in (ctx2.adm().elements, ball):
+        for x in elements:
+            for y in elements:
+                assert group.bruhat_leq(x, y) == \
+                    bruhat_leq_subword(group, x, y, cache)
 
 
 def test_bruhat_is_an_order(ctx2):

@@ -189,6 +189,33 @@ def test_check_refuses_large_genus_before_building(capsys, monkeypatch, g):
     assert err == "error: check supports g up to 3; larger genera take too long\n"
 
 
+@pytest.mark.parametrize("g", [5, 7])
+def test_dot_refuses_large_genus_before_building(capsys, monkeypatch, g):
+    """A Hasse diagram stops at genus 4 without building the genus-g
+    context: genus 5 compares millions of pairs."""
+    def build(genus):
+        raise AssertionError("context built for a refused dot output")
+    monkeypatch.setattr("ekor_atlas.cli.siegel_context", build)
+    for command in ("adm", "classify"):
+        code, out, err = run_cli(capsys, command, "--g", str(g), "--format", "dot")
+        assert code == 2
+        assert out == ""
+        assert err == "error: dot output supports g up to 4; larger genera take too long\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("adm", "--g", "1", "--level", "bogus"),
+    ("check", "--g", "1", "--level", "iwahori"),
+    ("check", "--g", "1", "--format", "json"),
+])
+def test_options_unread_by_a_command_exit_two(capsys, argv):
+    """--level and --format exist only where the command reads them."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--g", "2"])

@@ -63,19 +63,32 @@ def _name_refs(tree) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def _definitions(tree):
+    """Top-level functions and classes, and the methods of those classes
+    other than dunders, with their qualified names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_no_dead_definitions():
-    """Every top-level function and class in src/ is referenced outside its
-    own body, somewhere in src/, tests/, scripts/ or perfbench/."""
+    """Every top-level function and class in src/, and every method of such
+    a class other than dunders, is referenced outside its own body,
+    somewhere in src/, tests/, scripts/ or perfbench/."""
     refs: Counter = Counter()
     for folder in ("src", "tests", "scripts", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             refs.update(_name_refs(ast.parse(path.read_text())))
     dead = []
     for path in sorted((ROOT / "src" / "ekor_atlas").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and refs[node.name] <= _name_refs(node)[node.name]):
-                dead.append(f"{path.name}: {node.name}")
+        for qualname, node in _definitions(ast.parse(path.read_text())):
+            if refs[node.name] <= _name_refs(node)[node.name]:
+                dead.append(f"{path.name}: {qualname}")
     assert not dead
 
 

@@ -18,6 +18,40 @@ def test_context_constructs(g):
     assert ctx.mu == tuple([1] * g + [0] * g)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_context_facts(g):
+    """The shape of the context: diagram types, the one-line form and
+    translation of each of the g+1 reflections, tau's translation, finite
+    part and node map i -> g-i, and kappa(mu) = kappa(tau) generating a free
+    quotient of rank one."""
+    ctx = siegel_context(g)
+    group, d = ctx.group, 2 * g
+    assert format_finite_type(ctx.datum.finite_coxeter.finite_type(range(g))) == \
+        ("A1" if g == 1 else f"C{g}")
+    assert [family for _, family in group.affine_coxeter.affine_components()] == \
+        [("A~", 1) if g == 1 else ("C~", g)]
+
+    swaps = {0: (0, d - 1), g: (g - 1, g)}
+    for i in range(1, g):
+        swaps[i] = (i - 1, i, d - 1 - i, d - i)
+    for i, s in swaps.items():
+        perm = list(range(d))
+        for a, b in zip(s[::2], s[1::2]):
+            perm[a], perm[b] = b, a
+        t = [0] * d
+        if i == 0:
+            t[0], t[d - 1] = -1, 1
+        assert group.element_to_json(group.simple_reflections[i]) == {"t": t, "w": perm}
+
+    assert group.element_to_json(ctx.tau.element) == {
+        "t": [0] * g + [1] * g, "w": [(j + g) % d for j in range(d)]}
+    assert ctx.tau.node_images == tuple(g - i for i in range(g + 1))
+
+    kappa = group.kottwitz(group.translation(ctx.mu))
+    assert kappa.moduli == () and len(kappa.free) == 1 and abs(kappa.free[0]) == 1
+    assert kappa == group.kottwitz(ctx.tau.element)
+
+
 def test_context_is_cached():
     assert siegel_context(2) is siegel_context(2)
 

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from ekor_atlas import siegel
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.lattice import row_mat, vec_dot, vec_neg
 from ekor_atlas.oracles import DenseWeylTable, cayley_ball, twisted_power
@@ -16,6 +17,7 @@ from helpers import (
     build_gl2_gl3,
     build_gl2_unitary,
     build_gl3_twisted,
+    product_order,
     root_system_by_solving,
 )
 
@@ -48,6 +50,29 @@ def test_root_closure_against_solving(name):
     for field, want in root_system_by_solving(datum).items():
         assert getattr(datum, field) == want, field
     assert all(type(c) is int for coords in datum.positive_coords for c in coords)
+
+
+@pytest.mark.parametrize("name", sorted(DATA) + ["siegel4", "siegel5"])
+def test_bonds_against_product_orders(name):
+    """The bonds read from the wall roots are the orders of the products
+    of two generators."""
+    group = DATA[name]() if name in DATA else siegel_context(int(name[-1])).group
+    gens = group.simple_reflections
+    assert group.affine_coxeter.rows == tuple(
+        tuple(product_order(group, x, y) for y in gens) for x in gens)
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_build_forms_no_group_products(name, monkeypatch):
+    """A fresh group, or a fresh Siegel context up to genus 3, is built
+    from root lookups alone: mult and inv are never called."""
+    def refuse(*args):
+        raise AssertionError("the group law was called")
+
+    monkeypatch.setattr(siegel, "_CONTEXTS", {})
+    monkeypatch.setattr(ExtendedAffineWeylGroup, "mult", refuse)
+    monkeypatch.setattr(ExtendedAffineWeylGroup, "inv", refuse)
+    DATA[name]()
 
 
 def test_same_elements_same_indices(pair):
