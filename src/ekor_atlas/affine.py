@@ -339,7 +339,6 @@ class ExtendedAffineWeylGroup:
                 n = vec_dot(coroots[q], roots[k]) * vec_dot(coroots[k], roots[q])
                 rows[a][b] = rows[b][a] = (2, 3, 4, 6, INFINITE_BOND)[n]
         self.affine_coxeter = CoxeterMatrix(rows)
-        self.affine_coxeter.affine_components()  # validates the diagram
 
     def _build_sigma(self):
         datum = self.datum
@@ -690,30 +689,25 @@ class ExtendedAffineWeylGroup:
 
     def newton_leq(self, nu1_ambient: Sequence, nu2_ambient: Sequence) -> bool:
         """Dominance order: nu2 - nu1 a nonnegative rational coroot sum."""
-        v1 = self.datum.to_lattice(nu1_ambient, integral=False)
-        v2 = self.datum.to_lattice(nu2_ambient, integral=False)
-        delta = tuple(b - a for a, b in zip(v1, v2))
-        coeffs = solve_linear(list(self.datum.coroots_lattice), delta)
+        delta = tuple(b - a for a, b in zip(nu1_ambient, nu2_ambient))
+        coeffs = solve_linear(self.datum.simple_coroots, delta)
         return coeffs is not None and all(c >= 0 for c in coeffs)
 
     def is_dominant(self, ambient: Sequence) -> bool:
-        v = self.datum.to_lattice(ambient, integral=False)
-        return all(vec_dot(v, vals) >= 0 for vals in self.datum.root_values)
+        return all(vec_dot(ambient, root) >= 0 for root in self.datum.simple_roots)
 
     def galois_average(self, mu_ambient: Sequence) -> tuple[Fraction, ...]:
-        """Average of a dominant vector over the Frobenius orbit, ambient."""
-        v = self.datum.to_lattice(mu_ambient, integral=False)
+        """Average of a dominant vector of X over its Frobenius orbit,
+        in ambient coordinates."""
         order = self.datum.frobenius_order
-        acc = (Fraction(0),) * self.rank
-        cur = tuple(Fraction(t) for t in v)
-        for _ in range(order):
+        acc = cur = tuple(mu_ambient)
+        for _ in range(order - 1):
+            cur = mat_vec(self.datum.frobenius_ambient, cur)
             acc = vec_add(acc, cur)
-            cur = mat_vec(self.datum.frobenius_lattice, cur)
-        avg = tuple(a / order for a in acc)
-        dom = self.dominantize_lattice(avg)
-        if dom != avg:
+        avg = tuple(Fraction(a, order) for a in acc)
+        if not self.is_dominant(avg):
             raise GroupError("galois average of a dominant vector must stay dominant")
-        return tuple(self.datum.from_lattice(avg))
+        return avg
 
     def length_zero_element(self, mu_ambient: Sequence[int]) -> OmegaElement:
         """The unique length-zero element in the coset attached to mu.
@@ -732,8 +726,8 @@ class ExtendedAffineWeylGroup:
     def parabolic_subgroup_elements(self, nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
         """All elements of the standard parabolic on the given nodes.
 
-        The node set must generate a finite group, which is checked against
-        the affine diagram first.
+        The node set must generate a finite group, which the finite-type
+        recogniser of the affine Coxeter matrix checks first.
         """
         key = frozenset(nodes)
         got = self._parabolic.get(key)

@@ -3,10 +3,18 @@
 A :class:`CoxeterMatrix` records the bond orders between abstract generators.
 Only crystallographic orders (2, 3, 4, 6 and infinity) are admitted, which is
 all the affine Weyl machinery ever produces.  On top of the matrix we provide
-connected components, recognition of finite and affine component types,
-validation of diagram automorphisms (node maps kept as plain tuples of
-images), and the finiteness test for standard parabolic subgroups of affine
-diagrams.
+connected components, validation of diagram automorphisms (node maps kept as
+plain tuples of images), and one recogniser of finite types, which answers
+both whether a standard parabolic subgroup is finite and which finite type it
+has.
+
+W_J is finite exactly when every connected component of J is the diagram of
+a finite Coxeter group.  With the bonds above, the classification of finite
+Coxeter groups (Humphreys, *Reflection Groups and Coxeter Groups*,
+2.4-2.7) leaves the trees A_n, B_n = C_n, D_n, E_6, E_7, E_8, F_4 and G_2:
+H_3, H_4 and I_2(5) need a bond of order 5, and I_2(m) for m > 6 an order
+that is not admitted.  So the catalogue below is complete, and a component
+it does not recognise generates an infinite group.
 
 Everything here is immutable and pure, hence safe to share between threads.
 """
@@ -25,9 +33,13 @@ _ALLOWED_BONDS = (2, 3, 4, 6, INFINITE_BOND)
 #: connected component.  The empty tuple is the trivial group.
 FiniteTypeLabel = tuple[tuple[str, int], ...]
 
+#: Arm lengths of a simply laced tree with one node of degree three, beyond
+#: the (1, 1, k) of D_n.
+_E_ARMS = {(1, 2, 2): ("E", 6), (1, 2, 3): ("E", 7), (1, 2, 4): ("E", 8)}
+
 
 class CoxeterError(ValueError):
-    """Malformed diagram, or a type query outside the supported catalogue."""
+    """Malformed diagram, or a type query outside the finite catalogue."""
 
 
 class CoxeterMatrix:
@@ -53,8 +65,7 @@ class CoxeterMatrix:
         self.rows = mat
         self.n = n
         self._components: Optional[tuple[frozenset[int], ...]] = None
-        self._affine_labels: Optional[tuple[tuple[str, int], ...]] = None
-        self._finite_parabolic: dict[frozenset[int], bool] = {}
+        self._finite: dict[frozenset[int], Optional[FiniteTypeLabel]] = {}
 
     def bond(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -118,54 +129,31 @@ class CoxeterMatrix:
             self._components = result
         return result
 
-    def affine_components(self) -> tuple[tuple[frozenset[int], tuple[str, int]], ...]:
-        """Components of the full diagram, each recognised as an affine type.
-
-        Raises CoxeterError when some component is not an irreducible affine
-        diagram.  The result is cached.
-        """
-        comps = self.connected_components()
-        if self._affine_labels is None:
-            labels = []
-            for comp in comps:
-                kind, label = _classify_component(self, comp)
-                if kind != "affine":
-                    raise CoxeterError(
-                        f"component {sorted(comp)} is not an affine diagram (got {kind})")
-                labels.append(label)
-            self._affine_labels = tuple(labels)
-        return tuple(zip(comps, self._affine_labels))
+    def _finite_label(self, Jset: frozenset[int]) -> Optional[FiniteTypeLabel]:
+        """The finite type of the sub-diagram on a validated node set, or
+        None when W_J is infinite.  Memoised per node set."""
+        if Jset not in self._finite:
+            labels = [_finite_component(self, comp)
+                      for comp in self.connected_components(Jset)]
+            self._finite[Jset] = None if None in labels else tuple(sorted(labels))
+        return self._finite[Jset]
 
     def is_finite_parabolic(self, J: Iterable[int]) -> bool:
-        """True when the standard parabolic on J is a finite group.
-
-        Requires the full diagram to be affine per component; then W_J is
-        finite exactly when J omits at least one node of every component.
-        Memoised per node set, after the set is validated.
-        """
-        Jset = self._check_subset(J)
-        got = self._finite_parabolic.get(Jset)
-        if got is None:
-            got = self._finite_parabolic[Jset] = all(
-                not comp <= Jset for comp, _ in self.affine_components())
-        return got
+        """True when the standard parabolic on J is a finite group, that is
+        when every component of J is in the finite catalogue."""
+        return self._finite_label(self._check_subset(J)) is not None
 
     def finite_type(self, J: Iterable[int]) -> FiniteTypeLabel:
         """Classify the sub-diagram on J as a product of finite types.
 
-        Every connected component must match the crystallographic finite
-        catalogue (families A, C, D, E, F, G; a path with one terminal bond
-        of order 4 is reported as C since the B and C diagrams coincide).
+        A path with one terminal bond of order 4 is reported as C, since the
+        B and C diagrams coincide.  Raises CoxeterError when W_J is infinite.
         """
         Jset = self._check_subset(J)
-        labels = []
-        for comp in self.connected_components(Jset):
-            kind, label = _classify_component(self, comp)
-            if kind != "finite":
-                raise CoxeterError(
-                    f"subset {sorted(comp)} is not of finite type (got {kind})")
-            labels.append(label)
-        return tuple(sorted(labels))
+        label = self._finite_label(Jset)
+        if label is None:
+            raise CoxeterError(f"subset {sorted(Jset)} is not of finite type")
+        return label
 
 
 def format_finite_type(label: FiniteTypeLabel) -> str:
@@ -175,146 +163,42 @@ def format_finite_type(label: FiniteTypeLabel) -> str:
     return "x".join(f"{fam}{rank}" for fam, rank in label)
 
 
-def _path_order(nodes: list[int], adj: dict[int, list[int]]) -> Optional[list[int]]:
-    """Nodes of a degree<=2 tree in path order, or None when not a path."""
-    if len(nodes) == 1:
-        return nodes
-    ends = [v for v in nodes if len(adj[v]) == 1]
-    if len(ends) != 2 or any(len(adj[v]) > 2 for v in nodes):
-        return None
-    order = [min(ends)]
-    prev = None
-    while len(order) < len(nodes):
-        nxt = [u for u in adj[order[-1]] if u != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+def _finite_component(mat: CoxeterMatrix, comp: frozenset[int]) -> Optional[tuple[str, int]]:
+    """(family, rank) of a connected diagram of finite type, or None.
 
-
-def _arm_profile(center: int, adj: dict[int, list[int]]) -> Optional[list[list[int]]]:
-    """Arms hanging off a branch node, as node lists walking outward."""
-    arms = []
-    for nb in sorted(adj[center]):
-        arm = [nb]
-        prev = center
-        while True:
-            nxt = [u for u in adj[arm[-1]] if u != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None  # a second branch point on this arm
-            prev = arm[-1]
-            arm.append(nxt[0])
-        arms.append(arm)
-    return arms
-
-
-def _classify_component(mat: CoxeterMatrix, comp: frozenset[int]):
-    """Classify one connected diagram: ('finite', (family, rank)),
-    ('affine', (family~, rank)), or ('other', None)."""
-    nodes = sorted(comp)
-    n = len(nodes)
-    if n == 1:
-        return "finite", ("A", 1)
+    The diagram must be a tree with finite bonds, and then either a path
+    (A_n; C_n with one terminal 4; F_4 = [3, 4, 3]; G_2 = [6]) or a simply
+    laced tree with one node of degree three, whose arms, the components
+    left when it is removed, have lengths (1, 1, k) for D_n and (1, 2, 2),
+    (1, 2, 3), (1, 2, 4) for E_6, E_7, E_8.
+    """
+    n = len(comp)
     edges = mat.edges(comp)
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
+    # a connected diagram on n nodes with n - 1 edges is a tree
+    if len(edges) != n - 1 or any(m == INFINITE_BOND for _, _, m in edges):
+        return None
+    adj: dict[int, list[int]] = {v: [] for v in comp}
     for i, j, _ in edges:
         adj[i].append(j)
         adj[j].append(i)
-
-    orders = [m for _, _, m in edges]
-    if INFINITE_BOND in orders:
-        if n == 2 and len(edges) == 1:
-            return "affine", ("A~", 1)
-        return "other", None
-
-    if len(edges) == n:  # unique cycle
-        if all(len(adj[v]) == 2 for v in nodes) and all(m == 3 for m in orders):
-            return "affine", ("A~", n - 1)
-        return "other", None
-    if len(edges) != n - 1:
-        return "other", None
-
-    # tree from here on
-    maxdeg = max(len(adj[v]) for v in nodes)
-    if maxdeg <= 2:
-        order = _path_order(nodes, adj)
-        assert order is not None
-        labels = [mat.bond(order[i], order[i + 1]) for i in range(n - 1)]
-        canon = min(labels, labels[::-1])
-        n4 = labels.count(4)
-        n6 = labels.count(6)
-        if n6 == 1 and n4 == 0:
-            if n == 2:
-                return "finite", ("G", 2)
-            if n == 3 and canon == [3, 6]:
-                return "affine", ("G~", 2)
-            return "other", None
-        if n6 > 1:
-            return "other", None
-        if n4 == 0:
-            return "finite", ("A", n)
-        if n4 == 1:
-            if labels[0] == 4 or labels[-1] == 4:
-                # terminal bond of order 4: the B and C diagrams agree, we
-                # use the C label throughout
-                return "finite", ("C", n)
-            if n == 4 and labels[1] == 4:
-                return "finite", ("F", 4)
-            if n == 5 and canon == [3, 3, 4, 3]:
-                return "affine", ("F~", 4)
-            return "other", None
-        if n4 == 2:
-            if labels[0] == 4 and labels[-1] == 4 and all(m == 3 for m in labels[1:-1]):
-                return "affine", ("C~", n - 1)
-            return "other", None
-        return "other", None
-
-    if maxdeg >= 4:
-        if maxdeg == 4 and n == 5 and all(m == 3 for m in orders):
-            return "affine", ("D~", 4)
-        return "other", None
-
-    branch = [v for v in nodes if len(adj[v]) == 3]
-    if len(branch) == 1:
-        center = branch[0]
-        arms = _arm_profile(center, adj)
-        if arms is None:
-            return "other", None
-        sizes = tuple(sorted(len(a) for a in arms))
-        if all(m == 3 for m in orders):
-            if sizes[:2] == (1, 1):
-                return "finite", ("D", n)
-            table = {
-                (1, 2, 2): ("finite", ("E", 6)),
-                (1, 2, 3): ("finite", ("E", 7)),
-                (1, 2, 4): ("finite", ("E", 8)),
-                (2, 2, 2): ("affine", ("E~", 6)),
-                (1, 3, 3): ("affine", ("E~", 7)),
-                (1, 2, 5): ("affine", ("E~", 8)),
-            }
-            if sizes in table:
-                return table[sizes]
-            return "other", None
-        fours = [(i, j) for i, j, m in edges if m == 4]
-        if len(fours) == 1 and sizes[:2] == (1, 1) and all(m in (3, 4) for m in orders):
-            # a single order-4 bond at the leaf end of the long arm
-            long_arm = max(arms, key=len)
-            i, j = fours[0]
-            if len(long_arm) >= 2 and {i, j} == {long_arm[-1], long_arm[-2]}:
-                return "affine", ("B~", n - 1)
-            if len(long_arm) == 1 and long_arm[0] in (i, j) and center in (i, j):
-                return "affine", ("B~", n - 1)
-        return "other", None
-    if len(branch) == 2 and all(m == 3 for m in orders):
-        b1, b2 = branch
-        ok = True
-        for b in (b1, b2):
-            leaf_arms = [u for u in adj[b] if len(adj[u]) == 1]
-            if len(leaf_arms) < 2:
-                ok = False
-        if ok:
-            return "affine", ("D~", n - 1)
-    return "other", None
+    branch = [v for v in comp if len(adj[v]) > 2]
+    if not branch:
+        order = [min(v for v in comp if len(adj[v]) < 2)]
+        while len(order) < n:
+            order.append(next(u for u in adj[order[-1]] if u not in order[-2:]))
+        bonds = [mat.bond(a, b) for a, b in zip(order, order[1:])]
+        if all(m == 3 for m in bonds):
+            return "A", n
+        if bonds == [6]:
+            return "G", 2
+        if bonds == [3, 4, 3]:
+            return "F", 4
+        if 4 in (bonds[0], bonds[-1]) and sorted(bonds) == [3] * (n - 2) + [4]:
+            return "C", n
+        return None
+    if len(branch) > 1 or len(adj[branch[0]]) > 3 or any(m != 3 for _, _, m in edges):
+        return None
+    arms = tuple(sorted(map(len, mat.connected_components(comp - {branch[0]}))))
+    if arms[:2] == (1, 1):
+        return "D", n
+    return _E_ARMS.get(arms)

@@ -56,19 +56,19 @@ def row_mat(r: Sequence, a: Sequence[Sequence]) -> Vector:
     return tuple(sum(map(mul, r, col)) for col in zip(*a))
 
 
-def solve_linear(columns: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
-    """Solve sum_j c_j columns[j] = target exactly over the rationals.
+def _row_reduce(aug: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination in place on the first ncols columns.
 
-    Returns the coefficient list, or None when the system is inconsistent.
-    Free coefficients (underdetermined systems) are set to zero.
+    Row r ends with 1 in the column of the r-th pivot and 0 above and below
+    it; the rows past the pivots are 0 on these columns.  Returns the pivot
+    columns in order.
     """
-    rows = len(target)
-    ncols = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
+    rows = len(aug)
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
         pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
         if pr is None:
             continue
@@ -79,38 +79,36 @@ def solve_linear(columns: Sequence[Sequence], target: Sequence) -> Optional[list
             if i != r and aug[i][c] != 0:
                 g = aug[i][c]
                 aug[i] = [v - g * u for v, u in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][ncols] != 0:
-            return None
+        pivots.append(c)
+    return pivots
+
+
+def solve_linear(columns: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
+    """Solve sum_j c_j columns[j] = target exactly over the rationals.
+
+    Returns the coefficient list, or None when the system is inconsistent.
+    Free coefficients (underdetermined systems) are set to zero.
+    """
+    ncols = len(columns)
+    aug = [[Fraction(col[i]) for col in columns] + [Fraction(t)]
+           for i, t in enumerate(target)]
+    pivots = _row_reduce(aug, ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+        return None
     sol = [Fraction(0)] * ncols
-    for pr, pc in pivots:
-        sol[pc] = aug[pr][ncols]
+    for r, c in enumerate(pivots):
+        sol[c] = aug[r][ncols]
     return sol
 
 
 def fraction_matrix_inverse(a: Sequence[Sequence]) -> Optional[Matrix]:
     """Exact inverse of a square matrix, or None when singular."""
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == k)) for k in range(n)]
-           for i in range(n)]
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pr is None:
-            return None
-        aug[r], aug[pr] = aug[pr], aug[r]
-        f = aug[r][c]
-        aug[r] = [v / f for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                g = aug[i][c]
-                aug[i] = [v - g * u for v, u in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == k)) for k in range(n)]
+           for i, row in enumerate(a)]
+    if len(_row_reduce(aug, n)) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def smith_normal_form(relations: Sequence[Sequence[int]], rank: int):

@@ -32,10 +32,14 @@ def _reflection_generators(mat: CoxeterMatrix, nodes: Sequence[int]):
     """Integer reflection representation with pairing products 4cos^2(pi/m).
 
     s_i sends a_j to a_j - p(i,j) a_i where p(i,i) = 2 and off the diagonal
-    p is 0, 1x1, 1x2, 1x3 or 2x2 for bonds 2, 3, 4, 6 and infinity, the
-    asymmetric weight going to the larger index.
+    p is 0, -1x-1, -1x-2, -1x-3 or -2x-2 for bonds 2, 3, 4, 6 and infinity,
+    the asymmetric weight going to the larger index.  p is a generalized
+    Cartan matrix, whose Weyl group is the Coxeter group with these bonds
+    (Kac, *Infinite-dimensional Lie algebras*, Prop. 3.13).  The signs
+    matter on a cycle: with p >= 0 the triangle of bonds 3 closes up into a
+    group of order 24, although affine A2 is infinite.
     """
-    weights = {2: (0, 0), 3: (1, 1), 4: (1, 2), 6: (1, 3), INFINITE_BOND: (2, 2)}
+    weights = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), INFINITE_BOND: (-2, -2)}
     n = len(nodes)
     pairing = [[0] * n for _ in range(n)]
     for a in range(n):
@@ -44,9 +48,7 @@ def _reflection_generators(mat: CoxeterMatrix, nodes: Sequence[int]):
             m = mat.bond(nodes[a], nodes[b])
             if m not in weights:
                 raise OracleError(f"no integer representation for bond {m}")
-            lo, hi = weights[m]
-            pairing[a][b] = lo
-            pairing[b][a] = hi
+            pairing[a][b], pairing[b][a] = weights[m]
     gens = []
     for i in range(n):
         rows = []

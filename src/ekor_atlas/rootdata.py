@@ -14,12 +14,11 @@ matrix, validating the crystallographic axioms along the way.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from ekor_atlas.coxeter import CoxeterError, CoxeterMatrix
+from ekor_atlas.coxeter import CoxeterMatrix
 from ekor_atlas.lattice import (
     fraction_matrix_inverse,
     identity_matrix,
@@ -121,10 +120,8 @@ class RootDatum:
                         f"pairing of simple roots {i}, {j} is not of finite crystallographic type")
                 finite_rows[i][j] = _PRODUCT_TO_BOND[prod]
         self.finite_coxeter = CoxeterMatrix(finite_rows)
-        try:
-            self.finite_coxeter.finite_type(self.finite_coxeter.nodes())
-        except CoxeterError as exc:
-            raise RootDatumError(f"the Cartan matrix is not of finite type: {exc}") from None
+        if not self.finite_coxeter.is_finite_parabolic(self.finite_coxeter.nodes()):
+            raise RootDatumError("the Cartan matrix is not of finite type")
 
         # simple reflections, in lattice and in ambient coordinates
         self.reflections_lattice = tuple(
@@ -155,9 +152,9 @@ class RootDatum:
 
     # ---------------------------------------------------------- coordinates
 
-    def to_lattice(self, ambient: Sequence, integral: bool = True) -> tuple:
-        """Coordinates of an ambient vector in the basis of X: den times
-        them is one integer product, checked exactly against the basis."""
+    def to_lattice(self, ambient: Sequence) -> tuple:
+        """Integer coordinates of a vector of X in its basis: den times them
+        is one integer product, checked exactly against the basis."""
         v = tuple(ambient)
         if len(v) != self.dim:
             raise RootDatumError(f"vector {v} does not have the ambient length {self.dim}")
@@ -165,11 +162,9 @@ class RootDatum:
         num = tuple(sum(map(mul, v, col)) for col in self._coord_cols)
         if self.from_lattice(num) != tuple(den * t for t in v):
             raise RootDatumError(f"vector {v} does not lie in the span of X")
-        if integral:
-            if any(c % den for c in num):
-                raise RootDatumError(f"vector {v} is not in the lattice X")
-            return tuple(c // den for c in num)
-        return tuple(Fraction(c, den) for c in num)
+        if any(c % den for c in num):
+            raise RootDatumError(f"vector {v} is not in the lattice X")
+        return tuple(c // den for c in num)
 
     def from_lattice(self, coords: Sequence) -> tuple:
         """Ambient vector with the given lattice coordinates."""

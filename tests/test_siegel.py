@@ -2,7 +2,7 @@ import pytest
 
 from ekor_atlas.admissible import kw_elements
 from ekor_atlas.affine import GroupError, element_label
-from ekor_atlas.coxeter import format_finite_type
+from ekor_atlas.coxeter import INFINITE_BOND, format_finite_type
 from ekor_atlas.ekor import is_basic, sigma_support, stable_level_subset
 from ekor_atlas.oracles import brute_stable_subset, coxeter_group_size
 from ekor_atlas.rootdata import RootDatumError
@@ -20,16 +20,17 @@ def test_context_constructs(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_context_facts(g):
-    """The shape of the context: diagram types, the one-line form and
-    translation of each of the g+1 reflections, tau's translation, finite
-    part and node map i -> g-i, and kappa(mu) = kappa(tau) generating a free
-    quotient of rank one."""
+    """The shape of the context: the finite type, the affine bonds (the
+    path 4, 3, ..., 3, 4 of affine C_g on the nodes 0..g, or the infinite
+    bond of affine A_1), the one-line form and translation of each of the
+    g+1 reflections, tau's translation, finite part and node map i -> g-i,
+    and kappa(mu) = kappa(tau) generating a free quotient of rank one."""
     ctx = siegel_context(g)
     group, d = ctx.group, 2 * g
     assert format_finite_type(ctx.datum.finite_coxeter.finite_type(range(g))) == \
         ("A1" if g == 1 else f"C{g}")
-    assert [family for _, family in group.affine_coxeter.affine_components()] == \
-        [("A~", 1) if g == 1 else ("C~", g)]
+    bonds = [INFINITE_BOND] if g == 1 else [4] + [3] * (g - 2) + [4]
+    assert group.affine_coxeter.edges() == [(i, i + 1, m) for i, m in enumerate(bonds)]
 
     swaps = {0: (0, d - 1), g: (g - 1, g)}
     for i in range(1, g):
