@@ -131,7 +131,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from ekor_atlas.coxeter import INFINITE_BOND, CoxeterMatrix
+from ekor_atlas.coxeter import BOND_OF_PRODUCT, CoxeterMatrix
 from ekor_atlas.lattice import (
     AbelianQuotient,
     Pi1Class,
@@ -143,7 +143,7 @@ from ekor_atlas.lattice import (
     vec_dot,
     vec_neg,
 )
-from ekor_atlas.rootdata import RootDatum, RootDatumError
+from ekor_atlas.rootdata import RootDatum
 
 
 class GroupError(ValueError):
@@ -328,8 +328,8 @@ class ExtendedAffineWeylGroup:
         """Bonds from the wall roots of ``_nodes``, with no group product:
         for the affine roots b + e and b' + e' of two nodes, n = <b, b'^vee>
         <b', b^vee> (the signs of b and b' cancel) is 4 cos^2 of the angle of
-        their walls, and n = 0, 1, 2, 3, 4 gives the order 2, 3, 4, 6,
-        infinity of s s' (n = 4: parallel walls, as in affine A1)."""
+        their walls, which ``BOND_OF_PRODUCT`` turns into the order of s s'
+        (n = 4: parallel walls, as in affine A1)."""
         roots, coroots = self._roots, self._coroots
         walls = [node[0] for node in self._nodes]
         rows = [[1] * len(walls) for _ in walls]
@@ -337,7 +337,7 @@ class ExtendedAffineWeylGroup:
             for b in range(a + 1, len(walls)):
                 q = walls[b]
                 n = vec_dot(coroots[q], roots[k]) * vec_dot(coroots[k], roots[q])
-                rows[a][b] = rows[b][a] = (2, 3, 4, 6, INFINITE_BOND)[n]
+                rows[a][b] = rows[b][a] = BOND_OF_PRODUCT[n]
         self.affine_coxeter = CoxeterMatrix(rows)
 
     def _build_sigma(self):
@@ -779,27 +779,6 @@ class ExtendedAffineWeylGroup:
         if got is None:
             got = self._newton_json[id(nu)] = (nu, tuple(map(str, nu)))
         return list(got[1])
-
-    def element_from_json(self, data: dict) -> ExtAffineElement:
-        trans = self.datum.to_lattice(data["t"])
-        w = data["w"]
-        d = self.datum.dim
-        if isinstance(w, dict):
-            amb = tuple(tuple(int(v) for v in row) for row in w["rows"])
-        else:
-            if sorted(w) != list(range(d)):
-                raise GroupError(f"{w} is not a permutation of 0..{d - 1}")
-            amb = tuple(tuple(int(w[j] == i) for j in range(d)) for i in range(d))
-        cols = []
-        for j in range(self.rank):
-            image = mat_vec(amb, self.datum.basis[j])
-            try:
-                cols.append(self.datum.to_lattice(image))
-            except RootDatumError as exc:
-                raise GroupError(f"matrix does not preserve the lattice: {exc}") from exc
-        mat = tuple(tuple(cols[j][i] for j in range(self.rank))
-                    for i in range(self.rank))
-        return ExtAffineElement(trans, self.weyl_index(mat), self)
 
 
 def _descends(pairs: tuple, perm: bytes, npos: int, node: tuple) -> bool:

@@ -307,9 +307,13 @@ def dispatch(args) -> Iterable[str]:
     fail is computed before this returns; the chunks only serialize."""
     if args.g < 1:
         raise UsageError("--g must be at least 1")
-    order = 2 ** args.g * math.factorial(args.g)
+    # 2^g g! grows with g, so its value at min(g, 20) (25 digits) decides;
+    # past genus 20 the message names the count instead of printing it
+    capped = min(args.g, 20)
+    order = 2 ** capped * math.factorial(capped)
     if order > MAX_FINITE_ORDER:
-        raise UsageError(f"--g {args.g}: the finite Weyl group has {order} elements, "
+        count = order if args.g <= 20 else f"2^{args.g} * {args.g}!"
+        raise UsageError(f"--g {args.g}: the finite Weyl group has {count} elements, "
                          f"more than the {MAX_FINITE_ORDER} this tool enumerates")
     if args.command == "check":
         if args.g > 3:

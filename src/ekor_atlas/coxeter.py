@@ -27,7 +27,10 @@ from typing import Iterable, Optional
 #: it can never be confused with a finite label.
 INFINITE_BOND = 0
 
-_ALLOWED_BONDS = (2, 3, 4, 6, INFINITE_BOND)
+#: The bond of two reflections s_a, s_b, indexed by n = <a, b^vee><b, a^vee>,
+#: which is 4 cos^2 of the angle of their walls: n = 0, 1, 2, 3, 4 gives the
+#: order 2, 3, 4, 6, infinity of s_a s_b.  These are the only bonds admitted.
+BOND_OF_PRODUCT = (2, 3, 4, 6, INFINITE_BOND)
 
 #: A finite Coxeter type: sorted tuple of (family, rank) pairs, one per
 #: connected component.  The empty tuple is the trivial group.
@@ -60,7 +63,7 @@ class CoxeterMatrix:
             for j in range(n):
                 if mat[i][j] != mat[j][i]:
                     raise CoxeterError("matrix must be symmetric")
-                if i != j and mat[i][j] not in _ALLOWED_BONDS:
+                if i != j and mat[i][j] not in BOND_OF_PRODUCT:
                     raise CoxeterError(f"unsupported bond order {mat[i][j]!r}")
         self.rows = mat
         self.n = n

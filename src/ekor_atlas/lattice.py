@@ -118,100 +118,50 @@ def smith_normal_form(relations: Sequence[Sequence[int]], rank: int):
     d_1 | d_2 | ... and V is the accumulated column transform: writing the
     input rows as a matrix M, there are unimodular U, V with U M V diagonal.
     Only V is tracked; row moves act on copies of the relations.
+
+    One pivot rule: each round moves the smallest nonzero entry of the
+    remaining block to position (t, t) and reduces its column and its row
+    by it.  A nonzero remainder is smaller than the pivot.  A block entry
+    that the pivot does not divide is brought into the pivot row by adding
+    its row; the next round then picks a smaller pivot, or the same one and
+    leaves a remainder in that row.  Either way the pivot shrinks, so the
+    loop ends.
     """
     m = [list(map(int, row)) for row in relations]
-    nr = len(m)
+    if any(len(row) != rank for row in m):
+        raise ValueError("relation length does not match the rank")
     V = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    if nr == 0:
-        return [], tuple(tuple(row) for row in V)
-    for row in m:
-        if len(row) != rank:
-            raise ValueError("relation length does not match the rank")
-
-    def col_swap(a, b):
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
-
-    def col_addmul(dst, src, q):
-        for row in m:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def col_negate(a):
-        for row in m:
-            row[a] = -row[a]
-        for row in V:
-            row[a] = -row[a]
-
+    nr = len(m)
     t = 0
     while t < min(nr, rank):
-        # pick the smallest nonzero pivot in the remaining block
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, rank):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        block = [(abs(m[i][j]), i, j) for i in range(t, nr)
+                 for j in range(t, rank) if m[i][j]]
+        if not block:
             break
-        pi, pj = pivot
+        _, pi, pj = min(block)
         m[t], m[pi] = m[pi], m[t]
-        if pj != t:
-            col_swap(t, pj)
-        while True:
-            # clear the column below and the row to the right of the pivot
-            for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    if q:
-                        for j in range(rank):
-                            m[i][j] -= q * m[t][j]
-            for j in range(t + 1, rank):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    if q:
-                        col_addmul(j, t, -q)
-            residue = None
-            for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    residue = True
-            for j in range(t + 1, rank):
-                if m[t][j] != 0:
-                    residue = True
-            if not residue:
-                # enforce divisibility of the remaining block
-                offender = None
-                for i in range(t + 1, nr):
-                    for j in range(t + 1, rank):
-                        if m[i][j] % m[t][t] != 0:
-                            offender = j
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                col_addmul(t, offender, 1)
-                continue
-            # the euclidean steps shrank something; re-select a pivot in row/col t
-            best = (t, t)
-            for i in range(t, nr):
-                if m[i][t] != 0 and abs(m[i][t]) < abs(m[best[0]][best[1]]):
-                    best = (i, t)
-            for j in range(t, rank):
-                if m[t][j] != 0 and abs(m[t][j]) < abs(m[best[0]][best[1]]):
-                    best = (t, j)
-            bi, bj = best
-            if bi != t:
-                m[t], m[bi] = m[bi], m[t]
-            if bj != t:
-                col_swap(t, bj)
-        if m[t][t] < 0:
-            col_negate(t)
+        for row in m + V:
+            row[t], row[pj] = row[pj], row[t]
+        p = m[t][t]
+        for i in range(t + 1, nr):
+            q = m[i][t] // p
+            m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+        for j in range(t + 1, rank):
+            q = m[t][j] // p
+            for row in m + V:
+                row[j] -= q * row[t]
+        if any(m[i][t] for i in range(t + 1, nr)) or any(m[t][t + 1:]):
+            continue
+        bad = next((i for i in range(t + 1, nr)
+                    if any(v % p for v in m[i][t + 1:])), None)
+        if bad is not None:
+            m[t] = [a + b for a, b in zip(m[t], m[bad])]
+            continue
+        if p < 0:
+            for row in m + V:
+                row[t] = -row[t]
         t += 1
-    diag = [m[i][i] for i in range(t)]
-    return diag, tuple(tuple(row) for row in V)
+    return [m[i][i] for i in range(t)], tuple(tuple(row) for row in V)
 
 
 class Pi1Class(NamedTuple):
@@ -241,23 +191,17 @@ class Pi1Class(NamedTuple):
     def is_zero(self) -> bool:
         return not any(self.free) and not any(self.torsion)
 
-    def to_json(self) -> dict:
-        return {"free": list(self.free), "torsion": list(self.torsion)}
-
 
 class AbelianQuotient:
     """Z^rank modulo the row span of integer relations, via Smith form."""
 
     def __init__(self, rank: int, relations: Iterable[Sequence[int]]):
-        rel = [tuple(map(int, r)) for r in relations]
-        rel = [r for r in rel if any(r)]
         self.rank = rank
-        diag, V = smith_normal_form(rel, rank)
+        diag, V = smith_normal_form(relations, rank)
         self._V = V
         self._torsion_pos = tuple((i, d) for i, d in enumerate(diag) if d > 1)
         self._free_pos = tuple(range(len(diag), rank))
         self.moduli = tuple(d for _, d in self._torsion_pos)
-        self.free_rank = rank - len(diag)
 
     def class_of(self, x: Sequence[int]) -> Pi1Class:
         if len(x) != self.rank:

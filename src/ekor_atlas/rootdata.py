@@ -18,7 +18,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from ekor_atlas.coxeter import CoxeterMatrix
+from ekor_atlas.coxeter import BOND_OF_PRODUCT, CoxeterMatrix
 from ekor_atlas.lattice import (
     fraction_matrix_inverse,
     identity_matrix,
@@ -31,9 +31,6 @@ from ekor_atlas.lattice import (
 
 class RootDatumError(ValueError):
     """Input data violating the root datum axioms."""
-
-
-_PRODUCT_TO_BOND = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
 class RootDatum:
@@ -115,10 +112,10 @@ class RootDatum:
                 if i == j:
                     continue
                 prod = self.cartan[i][j] * self.cartan[j][i]
-                if prod not in _PRODUCT_TO_BOND or self.cartan[i][j] > 0:
+                if not 0 <= prod < 4 or self.cartan[i][j] > 0:
                     raise RootDatumError(
                         f"pairing of simple roots {i}, {j} is not of finite crystallographic type")
-                finite_rows[i][j] = _PRODUCT_TO_BOND[prod]
+                finite_rows[i][j] = BOND_OF_PRODUCT[prod]
         self.finite_coxeter = CoxeterMatrix(finite_rows)
         if not self.finite_coxeter.is_finite_parabolic(self.finite_coxeter.nodes()):
             raise RootDatumError("the Cartan matrix is not of finite type")

@@ -5,6 +5,8 @@ The brute-force references the engine is checked against stay in
 """
 
 import random
+from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from ekor_atlas.admissible import AdmissibleSet, is_left_minimal, parahoric_label
@@ -80,6 +82,34 @@ def twisted_conjugates(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
         out.add(group.mult(group.mult(gelt, x),
                            group.inv(group.sigma(gelt))))
     return frozenset(out)
+
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Integer determinant by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def invariant_factors_by_minors(rows: Sequence[Sequence[int]],
+                                rank: int) -> list[int]:
+    """Invariant factors of an integer matrix from its determinantal
+    divisors: d_k is the gcd of the k x k minors, and the k-th factor is
+    d_k / d_(k-1), up to the last k with d_k nonzero.  The reference for
+    ``lattice.smith_normal_form``."""
+    rows = [tuple(r) for r in rows]
+    factors, prev = [], 1
+    for k in range(1, min(len(rows), rank) + 1):
+        d = 0
+        for picked in combinations(rows, k):
+            for cols in combinations(range(rank), k):
+                d = gcd(d, determinant([tuple(r[c] for c in cols) for r in picked]))
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    return factors
 
 
 def dominantize(group: ExtendedAffineWeylGroup, ambient: Sequence):

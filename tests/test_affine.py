@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError, element_label
 from ekor_atlas.lattice import mat_vec, vec_dot
 from ekor_atlas.oracles import (
+    DenseWeylTable,
     bruhat_leq_subword,
     cayley_ball,
     descents_by_length,
@@ -566,26 +567,41 @@ def test_dominantize_is_exact_on_fractions(build):
 # ---------------------------------------------------------- serialization
 
 
+def ambient_json(dense, x):
+    """The ``w`` of ``element_to_json`` from the dense ambient matrix: the
+    one-line form c -> r of a permutation matrix with ones at (r, c), else
+    the rows."""
+    amb = dense.ambient[x.w]
+    if all(sorted(row) == [0] * (len(row) - 1) + [1] for row in amb):
+        line = [0] * len(amb)
+        for r, row in enumerate(amb):
+            line[row.index(1)] = r
+        return line
+    return {"rows": [list(row) for row in amb]}
+
+
 def test_element_json_round_trip(ctx2, gl3_twisted):
-    group = ctx2.group
-    for x in ctx2.adm().elements:
-        data = group.element_to_json(x)
-        assert group.element_from_json(data) == x
-        assert isinstance(data["w"], list)  # signed permutations stay one-line
+    """Each serialized element against its dense ambient matrix, on the
+    Siegel, twisted gl3 and B2 data; B2's reflections are not permutation
+    matrices, so it takes the ``rows`` form."""
     rng = random.Random(37)
-    for _ in range(20):
-        x = random_element(rng, gl3_twisted, 5, [gl3_twisted.identity])
-        assert gl3_twisted.element_from_json(
-            gl3_twisted.element_to_json(x)) == x
-
-
-def test_element_json_validation(ctx2):
-    group = ctx2.group
-    with pytest.raises(GroupError):
-        group.element_from_json({"t": [0, 0, 0, 0], "w": [1, 1, 2, 3]})
-    with pytest.raises(GroupError):
-        # transposition of one pair only: not in the group
-        group.element_from_json({"t": [0, 0, 0, 0], "w": [1, 0, 2, 3]})
+    b2 = build_b2()
+    cases = [(ctx2.group, ctx2.adm().elements),
+             (gl3_twisted, [random_element(rng, gl3_twisted, 5, [gl3_twisted.identity])
+                            for _ in range(20)]),
+             (b2, [random_element(rng, b2, 6, [b2.identity]) for _ in range(20)])]
+    rows_form = False
+    for group, elements in cases:
+        dense = DenseWeylTable(group.datum)
+        for x in elements:
+            data = group.element_to_json(x)
+            assert data == {"t": list(group.datum.from_lattice(x.trans)),
+                            "w": ambient_json(dense, x)}
+            if group is b2:
+                rows_form |= isinstance(data["w"], dict)
+            else:
+                assert isinstance(data["w"], list)  # permutations stay one-line
+    assert rows_form
 
 
 def test_element_label(ctx2):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from ekor_atlas.lattice import (
     solve_linear,
     vec_add,
 )
+from helpers import determinant, invariant_factors_by_minors
 
 small_vec = st.tuples(*([st.integers(min_value=-9, max_value=9)] * 3))
 
@@ -41,14 +43,35 @@ def test_matrix_inverse():
     assert fraction_matrix_inverse(((1, 2), (2, 4))) is None
 
 
+def random_relations(rng):
+    """Up to 4 x 4, with zero rows and rows that are sums of earlier ones."""
+    rank = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append((0,) * rank)
+        elif kind < 0.35 and rows:
+            rows.append(vec_add(rng.choice(rows), rng.choice(rows)))
+        else:
+            rows.append(tuple(rng.randint(-6, 6) for _ in range(rank)))
+    return rows, rank
+
+
 def test_smith_diagonal_divides():
-    relations = [(2, 0, 0), (0, 6, 0)]
-    diag, v = smith_normal_form(relations, 3)
-    assert diag == [2, 6] or diag == [1, 12] or diag[0] % 1 == 0
-    # invariant factors divide in order
-    positive = [d for d in diag if d != 0]
-    for a, b in zip(positive, positive[1:]):
-        assert b % a == 0
+    """The invariant factors against determinantal divisors; V is
+    unimodular and every relation has class zero in the quotient."""
+    rng = random.Random(2718)
+    for _ in range(400):
+        rows, rank = random_relations(rng)
+        diag, v = smith_normal_form(rows, rank)
+        assert diag == invariant_factors_by_minors(rows, rank), rows
+        assert abs(determinant(v)) == 1
+        q = AbelianQuotient(rank, rows)
+        assert all(q.class_of(r).is_zero() for r in rows)
+    assert smith_normal_form([(2, 0, 0), (0, 6, 0)], 3)[0] == [2, 6]
+    assert smith_normal_form([(2, 0), (0, 3)], 2)[0] == [1, 6]
+    assert smith_normal_form([(0, 0)], 2)[0] == []
 
 
 def test_quotient_with_torsion():

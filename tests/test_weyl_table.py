@@ -239,13 +239,6 @@ def test_minus_identity_is_rejected(g):
         group.weyl_index(minus)
 
 
-def test_minus_identity_json_rejected(ctx2):
-    group = ctx2.group
-    rows = [[-int(i == j) for j in range(4)] for i in range(4)]
-    with pytest.raises(GroupError):
-        group.element_from_json({"t": [0, 0, 0, 0], "w": {"rows": rows}})
-
-
 def test_more_than_256_roots_refused():
     """C12 has 288 roots and 2^12 12! elements: refused before the search."""
     n = 12
