@@ -12,8 +12,8 @@ new process runs, in order:
 * ``iwahori_report``: ``stratum_report`` at Iwahori level;
 * ``hyperspecial_report``: ``stratum_report`` at hyperspecial level;
 * ``serialization``: the Iwahori report already built, written as the JSON
-  of ``classify --format json`` (the command line's record writer) to
-  ``os.devnull``;
+  of ``classify --format json`` (``cli.record_to_json``, the command line's
+  record writer) to ``os.devnull``;
 * ``classify_json``: ``atlas classify --g g --level iwahori --format json``
   through the command line entry, written to ``os.devnull``.  The context
   and the admissible set are cached by then, so this is the Iwahori report
@@ -48,7 +48,7 @@ def measure(g: int) -> dict:
     clock = time.perf_counter
     t0 = clock()
     from ekor_atlas import cli
-    from ekor_atlas.ekor import record_to_json, stratum_report
+    from ekor_atlas.ekor import stratum_report
     from ekor_atlas.siegel import siegel_context
     t1 = clock()
     ctx = siegel_context(g)
@@ -61,8 +61,7 @@ def measure(g: int) -> dict:
     t5 = clock()
     group = ctx.group
     with open(os.devnull, "w", encoding="ascii") as out:
-        out.writelines(cli._json_list(report, lambda rec: record_to_json(group, rec),
-                                      cli._record_text))
+        out.writelines(cli._json_list(cli.record_to_json(group, rec) for rec in report))
     strata = len(report)
     del report  # the command line builds its own: one report alive at a time
     t6 = clock()

@@ -33,7 +33,6 @@ from ekor_atlas.ekor import (
     is_basic,
     is_basic_element,
     is_sigma_coxeter,
-    record_to_json,
     sigma_support,
     stable_level_subset,
     stratum_report,
@@ -81,7 +80,6 @@ __all__ = [
     "is_sigma_coxeter",
     "kw_elements",
     "parahoric_label",
-    "record_to_json",
     "siegel_context",
     "siegel_datum",
     "sigma_support",

@@ -7,7 +7,8 @@ Subcommands:
   compare    recompute basic strata from closed forms and diff
   check      run the internal consistency suite for one genus
 
-Exit codes: 0 success, 1 internal mismatch, 2 bad configuration.
+Exit codes: 0 success, 1 internal mismatch, 2 bad configuration or an --out
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ekor_atlas.admissible import bruhat_hasse_edges, straight_classes
 from ekor_atlas.affine import GroupError, element_label
 from ekor_atlas.coxeter import CoxeterError
-from ekor_atlas.ekor import record_to_json, stratum_report
+from ekor_atlas.ekor import StratumRecord, stratum_report
 from ekor_atlas.oracles import (
     OracleError,
     bruhat_leq_subword,
@@ -84,14 +85,14 @@ def _indented(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
-def _json_list(items, to_json, write=_indented) -> Iterator[str]:
-    """The bytes of ``json.dumps([to_json(i) for i in items], indent=2,
-    sort_keys=True)`` and a newline, one item at a time: ``write`` gives
-    the text of each item, ``_indented`` or a writer of the same bytes."""
+def _json_list(texts) -> Iterator[str]:
+    """The bytes of ``json.dumps(items, indent=2, sort_keys=True)`` and a
+    newline, one item at a time, from the texts of the items as
+    ``_indented`` gives them."""
     sep = "[\n  "
-    for item in items:
+    for text in texts:
         yield sep
-        yield write(to_json(item))
+        yield text
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
@@ -99,7 +100,7 @@ def _json_list(items, to_json, write=_indented) -> Iterator[str]:
 _NL6, _NL8 = "\n      ", "\n        "
 _BOOL = {True: "true", False: "false"}
 
-# ``_indented`` of a dict of ``record_to_json``, keys in sorted order
+# ``_indented`` of a record as a dict, keys in sorted order
 _RECORD = """{
     "basic": %s,
     "dl": %s,
@@ -138,35 +139,37 @@ def _ints(vals, nl: str) -> str:
     return _items(map(str, vals), nl)
 
 
-def _record_text(d: dict) -> str:
-    """``_indented(d)`` for a dict of ``record_to_json``, filled into its
-    fixed layout: ``json.dumps`` with an indent runs the pure-Python
-    encoder, which takes three to five times as long."""
-    w = d["w"]
+def record_to_json(group, rec: StratumRecord) -> str:
+    """``_indented`` of the record as a dict, filled into its fixed layout
+    straight from the record: ``json.dumps`` with an indent runs the
+    pure-Python encoder, which takes three to five times as long.  The flag
+    datum's ``parabolic``, ``dim`` and ``frobenius`` are the record's
+    stable subset, length and twist."""
+    w = group.element_to_json(rec.element)
     perm = w["w"]
-    dl = d["dl"]
-    supp = d["supp_sigma"]
+    dl = rec.datum
+    supp = rec.support
     return _RECORD % (
-        _BOOL[d["basic"]],
+        _BOOL[rec.basic],
         "null" if dl is None else _DL % (
-            _ints(dl["ambient"], _NL8),
-            dl["dim"],
-            _ints(dl["frobenius"], _NL8),
-            _ints(dl["parabolic"], _NL8),
-            _BOOL[dl["sigma_coxeter"]],
-            _BOOL[dl["stabilizes_parabolic"]],
-            encode_basestring_ascii(dl["type"])),
-        _ints(d["i_set"], _NL6),
-        d["length"],
-        _ints(d["level"], _NL6),
-        _items(map(encode_basestring_ascii, d["newton"]), _NL6),
-        _ints(supp["closure"], _NL8),
-        _ints(supp["raw"], _NL8),
+            _ints(sorted(dl.ambient_nodes), _NL8),
+            rec.length,
+            _ints(supp.twist, _NL8),
+            _ints(sorted(rec.stable_subset), _NL8),
+            _BOOL[dl.sigma_coxeter],
+            _BOOL[dl.stabilizes_parabolic],
+            encode_basestring_ascii(dl.ambient_type)),
+        _ints(sorted(rec.stable_subset), _NL6),
+        rec.length,
+        _ints(rec.level, _NL6),
+        _items(map(encode_basestring_ascii, group.newton_to_json(rec.newton)), _NL6),
+        _ints(sorted(supp.closure), _NL8),
+        _ints(sorted(supp.raw), _NL8),
         _ints(w["t"], _NL8),
         # a finite part that is no permutation is {"rows": ...}
         _ints(perm, _NL8) if isinstance(perm, list)
         else json.dumps(perm, indent=2, sort_keys=True).replace("\n", _NL6),
-        _ints(d["word"], _NL6))
+        _ints(rec.word, _NL6))
 
 
 def _lines(lines) -> Iterator[str]:
@@ -189,7 +192,7 @@ def _cmd_adm(ctx, fmt: str) -> Iterable[str]:
     adm = ctx.adm()
     group = ctx.group
     if fmt == "json":
-        return _json_list(adm.elements, group.element_to_json)
+        return _json_list(map(_indented, map(group.element_to_json, adm.elements)))
     if fmt == "dot":
         return _lines(_hasse_dot(group, adm.elements, name="admissible"))
     profile = adm.by_length()
@@ -205,7 +208,7 @@ def _cmd_classify(ctx, level, fmt: str) -> Iterable[str]:
     report = stratum_report(ctx.adm(), level)
     group = ctx.group
     if fmt == "json":
-        return _json_list(report, lambda rec: record_to_json(group, rec), _record_text)
+        return _json_list(record_to_json(group, rec) for rec in report)
     if fmt == "dot":
         doubled = frozenset(rec.element for rec in report if rec.basic)
         return _lines(_hasse_dot(group, [rec.element for rec in report],
@@ -227,14 +230,14 @@ def _cmd_dl_data(ctx, level, fmt: str) -> Iterable[str]:
     report = [rec for rec in stratum_report(ctx.adm(), level) if rec.basic]
     group = ctx.group
     if fmt == "json":
-        return _json_list(report, lambda rec: record_to_json(group, rec), _record_text)
+        return _json_list(record_to_json(group, rec) for rec in report)
     lines = [f"{len(report)} basic strata"]
     for rec in report:
         dl = rec.datum
         lines.append(
             f"{element_label(group, rec.element)} type={dl.ambient_type} "
             f"ambient={_fmt_nodes(dl.ambient_nodes)} "
-            f"parabolic={_fmt_nodes(dl.parabolic_nodes)} dim={dl.dimension} "
+            f"parabolic={_fmt_nodes(rec.stable_subset)} dim={rec.length} "
             f"coxeter={'yes' if dl.sigma_coxeter else 'no'} "
             f"stable={'yes' if dl.stabilizes_parabolic else 'no'}")
     return _lines(lines)
@@ -340,6 +343,19 @@ def dispatch(args) -> Iterable[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out is None:
+        return _write(args, sys.stdout)
+    # opened before any work, like a shell redirect, so a bad path fails fast
+    try:
+        handle = open(args.out, "w", encoding="ascii")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with handle:
+        return _write(args, handle)
+
+
+def _write(args, out) -> int:
     try:
         chunks = dispatch(args)
     except UsageError as exc:
@@ -348,11 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GroupError, RootDatumError, CoxeterError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    out.writelines(chunks)
     return 0
 
 

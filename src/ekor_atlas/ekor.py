@@ -12,12 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from ekor_atlas.admissible import (
-    AdmissibleSet,
-    is_left_minimal,
-    kw_elements,
-    parahoric_label,
-)
+from ekor_atlas.admissible import AdmissibleSet, kw_elements, parahoric_label
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.coxeter import format_finite_type
 
@@ -100,51 +95,34 @@ def twist_orbits(twist: tuple[int, ...], nodes: frozenset[int]) -> list[frozense
     return sorted(orbits, key=min)
 
 
-def is_sigma_coxeter(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> bool:
-    """Reduced word uses exactly one letter from each twist orbit of its closure."""
-    rd = group.reduced_word(x)
-    supp = sigma_support(group, x)
-    counts: dict[int, int] = {}
-    for letter in rd.word:
-        counts[letter] = counts.get(letter, 0) + 1
-    for orbit in twist_orbits(supp.twist, supp.closure):
-        if sum(counts.get(i, 0) for i in orbit) != 1:
-            return False
-    return True
+def is_sigma_coxeter(word: tuple[int, ...], supp: SigmaSupport) -> bool:
+    """The reduced word uses exactly one letter from each twist orbit of the
+    closure of its support."""
+    return all(sum(map(word.count, orbit)) == 1
+               for orbit in twist_orbits(supp.twist, supp.closure))
 
 
 class DLDatum(NamedTuple):
-    """Finite flag datum of a basic stratum."""
+    """Finite flag datum of a basic stratum, beyond what its record holds:
+    the parabolic is the record's stable subset, the dimension its length
+    and the Frobenius the twist of its support."""
 
     ambient_nodes: frozenset[int]
-    parabolic_nodes: frozenset[int]
     ambient_type: str
-    dimension: int
-    frobenius_nodes: tuple[int, ...]
     sigma_coxeter: bool
     stabilizes_parabolic: bool
 
 
-def dl_datum(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
-             nodes: Iterable[int]) -> DLDatum:
-    label = parahoric_label(group, nodes)
-    if not is_left_minimal(group, x, label):
-        raise GroupError("element is not minimal in its level coset")
-    supp = sigma_support(group, x)
-    if not is_basic(group, supp):
-        raise GroupError("stratum is not basic, no finite flag datum exists")
-    iset = stable_level_subset(group, x, label)
+def dl_datum(group: ExtendedAffineWeylGroup, word: tuple[int, ...],
+             supp: SigmaSupport, iset: frozenset[int]) -> DLDatum:
+    """The flag datum of a basic stratum from the reduced word, twisted
+    support and stable subset of its record; ``finite_type`` raises when
+    the ambient set is not of finite type."""
     ambient = supp.closure | iset
-    if not group.affine_coxeter.is_finite_parabolic(ambient):
-        raise GroupError("flag datum is not finite")
-    label_type = format_finite_type(group.affine_coxeter.finite_type(ambient))
     return DLDatum(
         ambient_nodes=ambient,
-        parabolic_nodes=iset,
-        ambient_type=label_type,
-        dimension=group.length(x),
-        frobenius_nodes=supp.twist,
-        sigma_coxeter=is_sigma_coxeter(group, x),
+        ambient_type=format_finite_type(group.affine_coxeter.finite_type(ambient)),
+        sigma_coxeter=is_sigma_coxeter(word, supp),
         stabilizes_parabolic=all(supp.twist[i] in iset for i in iset),
     )
 
@@ -165,50 +143,26 @@ class StratumRecord(NamedTuple):
 
 def stratum_report(adm: AdmissibleSet,
                    nodes: Iterable[int]) -> tuple[StratumRecord, ...]:
-    """Classify every stratum of the admissible set at the given level."""
+    """Classify every stratum of the admissible set at the given level,
+    computing each invariant of a stratum once."""
     group = adm.group
     label = parahoric_label(group, nodes)
+    level = tuple(sorted(label))
     records = []
     for x in kw_elements(adm, label):
+        word = group.reduced_word(x).word
         supp = sigma_support(group, x)
+        iset = stable_level_subset(group, x, label)
         basic = is_basic(group, supp)
         records.append(StratumRecord(
             element=x,
-            word=group.reduced_word(x).word,
+            word=word,
             length=group.length(x),
-            level=tuple(sorted(label)),
+            level=level,
             basic=basic,
             support=supp,
-            stable_subset=stable_level_subset(group, x, label),
+            stable_subset=iset,
             newton=group.newton_vector(x),
-            datum=dl_datum(group, x, label) if basic else None,
+            datum=dl_datum(group, word, supp, iset) if basic else None,
         ))
     return tuple(records)
-
-
-def record_to_json(group: ExtendedAffineWeylGroup, rec: StratumRecord) -> dict:
-    dl = None
-    if rec.datum is not None:
-        dl = {
-            "ambient": sorted(rec.datum.ambient_nodes),
-            "parabolic": sorted(rec.datum.parabolic_nodes),
-            "type": rec.datum.ambient_type,
-            "dim": rec.datum.dimension,
-            "frobenius": list(rec.datum.frobenius_nodes),
-            "sigma_coxeter": rec.datum.sigma_coxeter,
-            "stabilizes_parabolic": rec.datum.stabilizes_parabolic,
-        }
-    return {
-        "w": group.element_to_json(rec.element),
-        "word": list(rec.word),
-        "length": rec.length,
-        "level": list(rec.level),
-        "basic": rec.basic,
-        "supp_sigma": {
-            "raw": sorted(rec.support.raw),
-            "closure": sorted(rec.support.closure),
-        },
-        "i_set": sorted(rec.stable_subset),
-        "newton": group.newton_to_json(rec.newton),
-        "dl": dl,
-    }

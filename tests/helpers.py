@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 from ekor_atlas.admissible import AdmissibleSet, is_left_minimal, parahoric_label
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
 from ekor_atlas.coxeter import INFINITE_BOND
+from ekor_atlas.ekor import StratumRecord
 from ekor_atlas.lattice import mat_vec, row_mat, solve_linear
 from ekor_atlas.oracles import cayley_ball, twisted_power
 from ekor_atlas.rootdata import RootDatum
@@ -38,6 +39,13 @@ def product_order(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
             return m
         acc = group.mult(acc, p)
     return INFINITE_BOND
+
+
+def siegel_levels(g: int) -> list[frozenset[int]]:
+    """Every level of the genus-g Siegel group: the node sets that leave
+    out at least one of the g + 1 affine nodes."""
+    return [frozenset(c) for r in range(g + 1)
+            for c in combinations(range(g + 1), r)]
 
 
 def hasse_by_reduction(group: ExtendedAffineWeylGroup,
@@ -264,3 +272,33 @@ def build_b2():
 def build_g2():
     """Type G2 (root 0 short, root 1 long): one bond of order 6."""
     return build_from_cartan(((2, -1), (-3, 2)))
+
+
+def record_dict(group: ExtendedAffineWeylGroup, rec: StratumRecord) -> dict:
+    """A stratum record as the dict whose ``json.dumps`` the command line's
+    record writer reproduces: the reference for ``cli.record_to_json``."""
+    dl = None
+    if rec.datum is not None:
+        dl = {
+            "ambient": sorted(rec.datum.ambient_nodes),
+            "parabolic": sorted(rec.stable_subset),
+            "type": rec.datum.ambient_type,
+            "dim": rec.length,
+            "frobenius": list(rec.support.twist),
+            "sigma_coxeter": rec.datum.sigma_coxeter,
+            "stabilizes_parabolic": rec.datum.stabilizes_parabolic,
+        }
+    return {
+        "w": group.element_to_json(rec.element),
+        "word": list(rec.word),
+        "length": rec.length,
+        "level": list(rec.level),
+        "basic": rec.basic,
+        "supp_sigma": {
+            "raw": sorted(rec.support.raw),
+            "closure": sorted(rec.support.closure),
+        },
+        "i_set": sorted(rec.stable_subset),
+        "newton": group.newton_to_json(rec.newton),
+        "dl": dl,
+    }

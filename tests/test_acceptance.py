@@ -263,11 +263,11 @@ def test_c8_dl_datum_sanity(criterion):
                 basic_count += 1
                 d = rec.datum
                 ok &= group.affine_coxeter.is_finite_parabolic(d.ambient_nodes)
-                ok &= d.dimension == group.length(rec.element)
+                ok &= rec.length == group.length(rec.element)
                 if d.sigma_coxeter:
                     orbits = twist_orbits(rec.support.twist,
                                           rec.support.closure)
-                    ok &= d.dimension == len(orbits)
+                    ok &= rec.length == len(orbits)
     criterion("C8 flag datum sanity", ok,
               f"{basic_count} basic strata across all levels, g<=3")
 

@@ -5,10 +5,12 @@ import math
 import pytest
 
 from ekor_atlas import cli
+from ekor_atlas.admissible import admissible_set
 from ekor_atlas.affine import GroupError
 from ekor_atlas.cli import main
-from ekor_atlas.ekor import record_to_json, stratum_report
+from ekor_atlas.ekor import stratum_report
 from ekor_atlas.siegel import SiegelContext, siegel_context
+from helpers import build_b2, build_g2, record_dict, siegel_levels
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +249,16 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text(encoding="ascii") == out
 
 
+@pytest.mark.parametrize("target", ["missing/adm.json", "."])
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, target):
+    """A missing directory or a directory as --out fails before any work."""
+    monkeypatch.setattr(cli, "siegel_context", None)
+    code, out, err = run_cli(capsys, "adm", "--g", "1", "--out",
+                             str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
 def test_runs_are_deterministic(capsys):
     outputs = set()
     for _ in range(3):
@@ -262,7 +274,7 @@ def test_runs_are_deterministic(capsys):
 @pytest.mark.parametrize("items", [[], [{"a": [1, {"b": []}]}],
                                    [{"x": 1}, [], {"y": {"z": [2, 3]}}]])
 def test_json_list_matches_whole_dump(items):
-    streamed = "".join(cli._json_list(items, lambda item: item))
+    streamed = "".join(cli._json_list(map(cli._indented, items)))
     assert streamed == json.dumps(items, indent=2, sort_keys=True) + "\n"
 
 
@@ -270,25 +282,20 @@ def _indented_dump(d):
     return json.dumps(d, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
-def _levels(g):
-    """Every level: the node sets that leave out at least one node."""
-    return [frozenset(c) for r in range(g + 1)
-            for c in itertools.combinations(range(g + 1), r)]
-
-
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_record_writer_matches_indented_dump(g):
-    """The record writer against ``json.dumps(indent=2, sort_keys=True)``,
-    record by record and for the whole classify and dl-data JSON: at every
-    level for g <= 3, at Iwahori and hyperspecial level for g = 4."""
+    """The record writer against ``json.dumps(indent=2, sort_keys=True)`` of
+    the record as a dict, record by record and for the whole classify and
+    dl-data JSON: at every level for g <= 3, at Iwahori and hyperspecial
+    level for g = 4."""
     ctx = siegel_context(g)
-    levels = _levels(g) if g <= 3 else [ctx.iwahori, ctx.hyperspecial]
+    levels = siegel_levels(g) if g <= 3 else [ctx.iwahori, ctx.hyperspecial]
     flags = set()
     for level in levels:
-        dicts = [record_to_json(ctx.group, rec)
-                 for rec in stratum_report(ctx.adm(), level)]
-        for d in dicts:
-            assert cli._record_text(d) == _indented_dump(d)
+        recs = stratum_report(ctx.adm(), level)
+        dicts = [record_dict(ctx.group, rec) for rec in recs]
+        for rec, d in zip(recs, dicts):
+            assert cli.record_to_json(ctx.group, rec) == _indented_dump(d)
         basic = [d for d in dicts if d["basic"]]
         flags |= {d["basic"] for d in dicts}
         for command, want in ((cli._cmd_classify, dicts), (cli._cmd_dl_data, basic)):
@@ -297,15 +304,20 @@ def test_record_writer_matches_indented_dump(g):
     assert flags == {True, False}
 
 
-def test_record_writer_rows_form_and_null_dl(ctx2):
-    """A finite part that is no permutation is written as {"rows": ...}."""
-    rec = stratum_report(ctx2.adm(), ctx2.iwahori)[0]
-    d = record_to_json(ctx2.group, rec)
-    d["w"] = {"t": [1, -2, 0, 3], "w": {"rows": [[0, 1, 0, 0], [-1, 0, 0, 0],
-                                                 [0, 0, 1, 0], [0, 0, 0, 1]]}}
-    d["dl"] = None
-    d["newton"] = ["1/2", "-1", "0"]
-    assert cli._record_text(d) == _indented_dump(d)
+def test_record_writer_rows_form_and_null_dl():
+    """A finite part that is no permutation is written as {"rows": ...}:
+    split B2 and G2 on their coroot lattices at Iwahori level, where most
+    finite parts are no permutation matrix, with and without a flag datum."""
+    for group, mu, rows, rows_dl in ((build_b2(), (1, 1), 14, 10),
+                                     (build_g2(), (2, 1), 34, 14)):
+        dicts = []
+        for rec in stratum_report(admissible_set(group, mu), frozenset()):
+            d = record_dict(group, rec)
+            assert cli.record_to_json(group, rec) == _indented_dump(d)
+            dicts.append(d)
+        with_rows = [d for d in dicts if isinstance(d["w"]["w"], dict)]
+        assert len(with_rows) == rows
+        assert sum(d["dl"] is not None for d in with_rows) == rows_dl
 
 
 def test_record_writer_empty_report(capsys, monkeypatch):

@@ -1,24 +1,28 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from ekor_atlas import ekor
 from ekor_atlas.admissible import kw_elements, parahoric_label
 from ekor_atlas.affine import GroupError, element_label
+from ekor_atlas.cli import record_to_json
+from ekor_atlas.coxeter import CoxeterError
 from ekor_atlas.ekor import (
     _orbit_closure,
     dl_datum,
     is_basic,
     is_basic_element,
     is_sigma_coxeter,
-    record_to_json,
     sigma_support,
     stable_level_subset,
     stratum_report,
     twist_orbits,
 )
 from ekor_atlas.oracles import brute_stable_subset, cayley_ball
-from helpers import random_descent_word, random_element
+from ekor_atlas.siegel import siegel_context
+from helpers import random_descent_word, random_element, siegel_levels
 
 G2_CLOSURES = {
     "tau": frozenset(),
@@ -206,50 +210,50 @@ def test_stable_subset_at_iwahori_level_skips_the_inverse(ctx2, monkeypatch):
 # ----------------------------------------------------------------- DL data
 
 
+def _basic_records(ctx, nodes):
+    group = ctx.group
+    return {element_label(group, r.element): r
+            for r in stratum_report(ctx.adm(), nodes) if r.basic}
+
+
 def test_dl_datum_g2_iwahori(ctx2):
-    group = ctx2.group
-    data = {}
-    for x in _basic_iwahori(ctx2):
-        data[element_label(group, x)] = dl_datum(group, x, frozenset())
-    tau = data["tau"]
+    recs = _basic_records(ctx2, frozenset())
+    tau = recs["tau"]
     # empty ambient diagram: the flag datum of a point
-    assert tau.ambient_type == "1"
-    assert tau.ambient_nodes == frozenset()
-    assert tau.parabolic_nodes == frozenset()
-    assert tau.dimension == 0
-    s0 = data["s0.tau"]
-    assert s0.ambient_type == "A1xA1"
-    assert s0.ambient_nodes == frozenset({0, 2})
-    assert s0.parabolic_nodes == frozenset()
-    assert s0.dimension == 1
-    assert data["s1.tau"].ambient_type == "A1"
-    assert data["s0.s2.tau"].dimension == 2
+    assert tau.datum.ambient_type == "1"
+    assert tau.datum.ambient_nodes == frozenset()
+    assert tau.stable_subset == frozenset()
+    assert tau.length == 0
+    s0 = recs["s0.tau"]
+    assert s0.datum.ambient_type == "A1xA1"
+    assert s0.datum.ambient_nodes == frozenset({0, 2})
+    assert s0.stable_subset == frozenset()
+    assert s0.length == 1
+    assert recs["s1.tau"].datum.ambient_type == "A1"
+    assert recs["s0.s2.tau"].length == 2
 
 
 def test_dl_datum_g2_hyperspecial(ctx2):
-    group = ctx2.group
-    data = {element_label(group, r.element): r.datum
-            for r in stratum_report(ctx2.adm(), ctx2.hyperspecial)
-            if r.datum is not None}
-    tau = data["tau"]
-    assert tau.ambient_type == "A1"
-    assert tau.ambient_nodes == frozenset({1})
-    assert tau.parabolic_nodes == frozenset({1})
-    assert tau.dimension == 0
-    s0 = data["s0.tau"]
-    assert s0.ambient_type == "A1xA1"
-    assert s0.ambient_nodes == frozenset({0, 2})
-    assert s0.parabolic_nodes == frozenset()
-    assert s0.dimension == 1
-    assert set(data) == {"tau", "s0.tau"}
+    recs = _basic_records(ctx2, ctx2.hyperspecial)
+    tau = recs["tau"]
+    assert tau.datum.ambient_type == "A1"
+    assert tau.datum.ambient_nodes == frozenset({1})
+    assert tau.stable_subset == frozenset({1})
+    assert tau.length == 0
+    s0 = recs["s0.tau"]
+    assert s0.datum.ambient_type == "A1xA1"
+    assert s0.datum.ambient_nodes == frozenset({0, 2})
+    assert s0.stable_subset == frozenset()
+    assert s0.length == 1
+    assert set(recs) == {"tau", "s0.tau"}
 
 
 def test_sigma_coxeter_g2(ctx2):
-    group = ctx2.group
-    flags = {element_label(group, x): is_sigma_coxeter(group, x)
-             for x in _basic_iwahori(ctx2)}
+    recs = _basic_records(ctx2, frozenset())
+    flags = {label: is_sigma_coxeter(r.word, r.support) for label, r in recs.items()}
     assert flags == {"tau": True, "s0.tau": True, "s1.tau": True,
                      "s2.tau": True, "s0.s2.tau": False}
+    assert flags == {label: r.datum.sigma_coxeter for label, r in recs.items()}
 
 
 def test_dl_datum_frobenius_stabilizes(ctx2, ctx3):
@@ -259,30 +263,23 @@ def test_dl_datum_frobenius_stabilizes(ctx2, ctx3):
             if rec.datum is None:
                 continue
             d = rec.datum
-            assert d.parabolic_nodes <= d.ambient_nodes
-            # frobenius image tuple covers every affine node once and
-            # restricts to a symmetry of the ambient sub diagram
-            assert sorted(d.frobenius_nodes) == list(range(group.num_nodes))
-            assert {d.frobenius_nodes[i] for i in d.ambient_nodes} == \
-                d.ambient_nodes
+            twist = rec.support.twist
+            assert rec.stable_subset <= d.ambient_nodes
+            # the twist covers every affine node once and restricts to a
+            # symmetry of the ambient sub diagram
+            assert sorted(twist) == list(range(group.num_nodes))
+            assert {twist[i] for i in d.ambient_nodes} == d.ambient_nodes
             assert d.stabilizes_parabolic
-            assert d.dimension == rec.length
+            assert dl_datum(group, rec.word, rec.support, rec.stable_subset) == d
 
 
 def test_dl_datum_rejects_nonbasic(ctx2):
+    """A support whose closure is of infinite type has no flag datum."""
     group = ctx2.group
-    top = max(ctx2.adm().elements, key=group.length)
-    assert not is_basic_element(group, top)
-    with pytest.raises(GroupError):
-        dl_datum(group, top, frozenset())
-
-
-def test_dl_datum_rejects_nonminimal(ctx2):
-    group = ctx2.group
-    x = group.mult(group.simple_reflections[1], ctx2.tau.element)
-    assert is_basic_element(group, x)
-    with pytest.raises(GroupError):
-        dl_datum(group, x, frozenset({1}))
+    top = max(stratum_report(ctx2.adm(), frozenset()), key=lambda r: r.length)
+    assert not top.basic and top.datum is None
+    with pytest.raises(CoxeterError):
+        dl_datum(group, top.word, top.support, top.stable_subset)
 
 
 def test_twist_orbits(ctx2):
@@ -307,19 +304,36 @@ def test_stratum_report_counts(ctx2):
     assert sum(r.basic for r in hyper) == 2
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_stratum_report_computes_each_invariant_once(g, monkeypatch):
+    """One twisted support and one stable subset per record, basic or not,
+    at every level."""
+    ctx = siegel_context(g)
+    adm = ctx.adm()
+    calls = Counter()
+    for name in ("sigma_support", "stable_level_subset"):
+        def counted(*args, _orig=getattr(ekor, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(ekor, name, counted)
+    for level in siegel_levels(g):
+        calls.clear()
+        recs = stratum_report(adm, level)
+        assert calls == {"sigma_support": len(recs),
+                         "stable_level_subset": len(recs)}, level
+
+
 def test_record_json_shape(ctx2):
     group = ctx2.group
     recs = stratum_report(ctx2.adm(), ctx2.hyperspecial)
     for rec in recs:
-        payload = record_to_json(group, rec)
+        text = record_to_json(group, rec)
+        payload = json.loads(text)
         assert set(payload) == {"w", "word", "length", "level", "basic",
                                 "supp_sigma", "i_set", "newton", "dl"}
         assert set(payload["supp_sigma"]) == {"raw", "closure"}
         assert (payload["dl"] is None) == (not rec.basic)
-        json.dumps(payload)  # no stray non-serializable values
-        again = record_to_json(group, rec)
-        assert json.dumps(payload, sort_keys=True) == \
-            json.dumps(again, sort_keys=True)
+        assert record_to_json(group, rec) == text
 
 
 def test_record_json_newton_strings(ctx3):
@@ -328,18 +342,18 @@ def test_record_json_newton_strings(ctx3):
     group = ctx3.group
     for rec in stratum_report(ctx3.adm(), ctx3.iwahori):
         want = [str(c) for c in rec.newton]
-        payload = record_to_json(group, rec)
-        assert payload["newton"] == want
-        payload["newton"].append("edited")
+        strings = group.newton_to_json(rec.newton)
+        assert strings == want
+        strings.append("edited")
         copy = rec._replace(newton=tuple(list(rec.newton)))
         assert copy.newton is not rec.newton
-        assert record_to_json(group, copy)["newton"] == want
-        assert record_to_json(group, rec)["newton"] == want
+        assert json.loads(record_to_json(group, copy))["newton"] == want
+        assert json.loads(record_to_json(group, rec))["newton"] == want
 
 
 def test_record_json_values(ctx2):
     group = ctx2.group
-    recs = {element_label(group, r.element): record_to_json(group, r)
+    recs = {element_label(group, r.element): json.loads(record_to_json(group, r))
             for r in stratum_report(ctx2.adm(), frozenset())}
     tau = recs["tau"]
     assert tau["length"] == 0
