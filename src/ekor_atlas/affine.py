@@ -213,7 +213,9 @@ class ExtendedAffineWeylGroup:
         self._rd: dict = {}
         self._omega: dict = {}
         self._newton: dict = {}
-        self._newton_json: dict = {}
+        # ekor.sigma_support by (omega, letters); the record writer's texts
+        self._supports: dict = {}
+        self._json_texts: dict = {}
         self._bruhat: dict = {}
         self._parabolic: dict = {}
         self._adm_cache: dict = {}
@@ -759,26 +761,19 @@ class ExtendedAffineWeylGroup:
 
     def element_to_json(self, x: ExtAffineElement) -> dict:
         self._check(x)
-        rows = self._wambient[x.w]
+        return {"t": list(self.datum.from_lattice(x.trans)), "w": self.finite_to_json(x.w)}
+
+    def finite_to_json(self, w: int):
+        """The finite part with table index w: a permutation as the list of
+        images, any other matrix as ``{"rows": ...}`` in ambient coordinates."""
+        rows = self._wambient[w]
         # an invertible matrix whose rows are single ones is a permutation
         if all(len(row) == 1 and row[0][1] == 1 for row in rows):
             w_json = [0] * len(rows)
             for r, ((c, _),) in enumerate(rows):
                 w_json[c] = r
-        else:
-            w_json = {"rows": [list(r) for r in _dense(rows, self.datum.dim)]}
-        return {"t": list(self.datum.from_lattice(x.trans)), "w": w_json}
-
-    def newton_to_json(self, nu: tuple) -> list[str]:
-        """A Newton point's coordinates as strings.  Memoised by the identity
-        of the tuple: records share the tuples of the Newton memo, a few
-        dozen per genus, and hashing Fractions costs more than printing
-        them.  The entry holds the tuple, so its id is not reused while the
-        entry exists."""
-        got = self._newton_json.get(id(nu))
-        if got is None:
-            got = self._newton_json[id(nu)] = (nu, tuple(map(str, nu)))
-        return list(got[1])
+            return w_json
+        return {"rows": [list(r) for r in _dense(rows, self.datum.dim)]}
 
 
 def _descends(pairs: tuple, perm: bytes, npos: int, node: tuple) -> bool:

@@ -139,33 +139,62 @@ def _ints(vals, nl: str) -> str:
     return _items(map(str, vals), nl)
 
 
+def _memo_ints(texts: dict, vals, nl: str) -> str:
+    """``_ints`` of a tuple in order or of a frozenset sorted, memoised by
+    value and indent."""
+    key = (vals, nl)
+    got = texts.get(key)
+    if got is None:
+        got = texts[key] = _ints(sorted(vals) if vals.__class__ is frozenset else vals, nl)
+    return got
+
+
 def record_to_json(group, rec: StratumRecord) -> str:
     """``_indented`` of the record as a dict, filled into its fixed layout
     straight from the record: ``json.dumps`` with an indent runs the
     pure-Python encoder, which takes three to five times as long.  The flag
     datum's ``parabolic``, ``dim`` and ``frobenius`` are the record's
-    stable subset, length and twist."""
-    w = group.element_to_json(rec.element)
-    perm = w["w"]
-    dl = rec.datum
+    stable subset, length and twist.
+
+    Only the reduced word and the finite part are formatted per record.
+    The other lists depend on far fewer values than there are records, so
+    their texts are memoised on the group: node sets, twists and levels by
+    value and indent, the translation by its lattice coordinates, and the
+    Newton point by the identity of its tuple, which records share with the
+    Newton memo (hashing Fractions costs more than printing them).  A
+    Newton entry holds its tuple, so the id is not reused while it exists."""
+    texts = group._json_texts
+    x = rec.element
     supp = rec.support
+    iset = rec.stable_subset
+    dl = rec.datum
+    # tagged: lattice coordinates can equal a twist, also written at _NL8
+    key = ("t", x.trans)
+    t = texts.get(key)
+    if t is None:
+        t = texts[key] = _ints(group.datum.from_lattice(x.trans), _NL8)
+    nu = rec.newton
+    got = texts.get(id(nu))
+    if got is None:
+        got = texts[id(nu)] = (nu, _items(map(encode_basestring_ascii, map(str, nu)), _NL6))
+    perm = group.finite_to_json(x.w)
     return _RECORD % (
         _BOOL[rec.basic],
         "null" if dl is None else _DL % (
-            _ints(sorted(dl.ambient_nodes), _NL8),
+            _memo_ints(texts, dl.ambient_nodes, _NL8),
             rec.length,
-            _ints(supp.twist, _NL8),
-            _ints(sorted(rec.stable_subset), _NL8),
+            _memo_ints(texts, supp.twist, _NL8),
+            _memo_ints(texts, iset, _NL8),
             _BOOL[dl.sigma_coxeter],
             _BOOL[dl.stabilizes_parabolic],
             encode_basestring_ascii(dl.ambient_type)),
-        _ints(sorted(rec.stable_subset), _NL6),
+        _memo_ints(texts, iset, _NL6),
         rec.length,
-        _ints(rec.level, _NL6),
-        _items(map(encode_basestring_ascii, group.newton_to_json(rec.newton)), _NL6),
-        _ints(sorted(supp.closure), _NL8),
-        _ints(sorted(supp.raw), _NL8),
-        _ints(w["t"], _NL8),
+        _memo_ints(texts, rec.level, _NL6),
+        got[1],
+        _memo_ints(texts, supp.closure, _NL8),
+        _memo_ints(texts, supp.raw, _NL8),
+        t,
         # a finite part that is no permutation is {"rows": ...}
         _ints(perm, _NL8) if isinstance(perm, list)
         else json.dumps(perm, indent=2, sort_keys=True).replace("\n", _NL6),

@@ -41,12 +41,20 @@ def _orbit_closure(twist: tuple[int, ...], nodes: frozenset[int]) -> frozenset[i
 
 def sigma_support(group: ExtendedAffineWeylGroup,
                   x: ExtAffineElement) -> SigmaSupport:
+    """Memoised on the group by the length-zero part and the letters of the
+    reduced word, which determine it: the strata of ``Adm(mu)`` share one
+    length-zero part, so they share a few supports (64 for the 6,331
+    genus-5 strata)."""
     rd = group.reduced_word(x)
-    # tau acts by conjugation, which keeps the order of every product, so
-    # tau after sigma preserves the bonds because sigma_diagram does
-    twist = tuple(rd.omega.node_images[s] for s in group.sigma_diagram)
     raw = frozenset(rd.word)
-    return SigmaSupport(raw, _orbit_closure(twist, raw), twist)
+    key = (rd.omega.element, raw)
+    got = group._supports.get(key)
+    if got is None:
+        # tau acts by conjugation, which keeps the order of every product, so
+        # tau after sigma preserves the bonds because sigma_diagram does
+        twist = tuple(rd.omega.node_images[s] for s in group.sigma_diagram)
+        got = group._supports[key] = SigmaSupport(raw, _orbit_closure(twist, raw), twist)
+    return got
 
 
 def is_basic(group: ExtendedAffineWeylGroup, supp: SigmaSupport) -> bool:
@@ -59,14 +67,14 @@ def is_basic_element(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> boo
 
 
 def stable_level_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
-                        nodes: Iterable[int]) -> frozenset[int]:
+                        label: frozenset[int]) -> frozenset[int]:
     """Largest subset I of the level with x sigma(I) x^-1 = I.
 
-    Greatest fixed point: repeatedly drop nodes whose twisted conjugate by x
-    is not a simple reflection inside the current set.  The conjugates are
-    root lookups, one per node of the level.
+    ``label`` is a level as ``parahoric_label`` returns it; it is not
+    validated again.  Greatest fixed point: repeatedly drop nodes whose
+    twisted conjugate by x is not a simple reflection inside the current
+    set.  The conjugates are root lookups, one per node of the level.
     """
-    label = parahoric_label(group, nodes)
     # node of x sigma(s_i) x^-1, or None when it is no simple reflection
     image = {i: group.conjugate_simple(x, group.sigma_diagram[i]) for i in label}
     cur = label

@@ -299,6 +299,6 @@ def record_dict(group: ExtendedAffineWeylGroup, rec: StratumRecord) -> dict:
             "closure": sorted(rec.support.closure),
         },
         "i_set": sorted(rec.stable_subset),
-        "newton": group.newton_to_json(rec.newton),
+        "newton": [str(c) for c in rec.newton],
         "dl": dl,
     }

@@ -6,10 +6,10 @@ import pytest
 
 from ekor_atlas import cli
 from ekor_atlas.admissible import admissible_set
-from ekor_atlas.affine import GroupError
+from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.cli import main
 from ekor_atlas.ekor import stratum_report
-from ekor_atlas.siegel import SiegelContext, siegel_context
+from ekor_atlas.siegel import SiegelContext, siegel_context, siegel_datum
 from helpers import build_b2, build_g2, record_dict, siegel_levels
 
 
@@ -302,6 +302,37 @@ def test_record_writer_matches_indented_dump(g):
             text = "".join(command(ctx, level, "json"))
             assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
     assert flags == {True, False}
+
+
+def test_record_writer_reuses_its_texts():
+    """The writer's memo gives the same bytes when warm: the genus-3 report
+    at every level, again in reverse level order, then the genus-2 report,
+    on fresh groups in one process.  The stable subset of a basic record is
+    written at two indents, as ``i_set`` and as the flag datum's
+    ``parabolic``, and the genus-2 group follows the genus-3 one."""
+    both_indents = set()
+    for g in (3, 2):
+        group = ExtendedAffineWeylGroup(siegel_datum(g))
+        adm = admissible_set(group, (1,) * g + (0,) * g)
+        levels = siegel_levels(g)
+        for level in levels + levels[::-1] if g == 3 else levels:
+            for rec in stratum_report(adm, level):
+                d = record_dict(group, rec)
+                assert cli.record_to_json(group, rec) == _indented_dump(d)
+                if rec.basic and rec.stable_subset:
+                    both_indents.add(rec.stable_subset)
+    assert len(both_indents) > 1
+
+
+def test_record_writer_tells_a_translation_from_a_twist(ctx2):
+    """A translation whose lattice coordinates equal the twist, a tuple of
+    the same length at the same indent, still gets its own text."""
+    group = ctx2.group
+    for rec in stratum_report(ctx2.adm(), frozenset()):
+        if rec.basic:
+            moved = rec._replace(element=group.from_parts(rec.support.twist, rec.element.w))
+            for r in (rec, moved):
+                assert cli.record_to_json(group, r) == _indented_dump(record_dict(group, r))
 
 
 def test_record_writer_rows_form_and_null_dl():

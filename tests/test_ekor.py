@@ -10,6 +10,7 @@ from ekor_atlas.affine import GroupError, element_label
 from ekor_atlas.cli import record_to_json
 from ekor_atlas.coxeter import CoxeterError
 from ekor_atlas.ekor import (
+    SigmaSupport,
     _orbit_closure,
     dl_datum,
     is_basic,
@@ -60,6 +61,51 @@ def test_closure_properties(ctx2, ctx3):
             assert supp.raw <= supp.closure
             assert frozenset(supp.twist[i] for i in supp.closure) == supp.closure
             assert _orbit_closure(supp.twist, supp.raw) == supp.closure
+
+
+def _support_from_scratch(group, x):
+    """The twisted support built afresh: the letters of the reduced word,
+    the twist s -> omega sigma(s) omega^-1 by conjugation, and the closure."""
+    rd = group.reduced_word(x)
+    twist = tuple(group.conjugate_simple(rd.omega.element, group.sigma_diagram[s])
+                  for s in range(group.num_nodes))
+    raw = frozenset(rd.word)
+    return SigmaSupport(raw, _orbit_closure(twist, raw), twist)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_shared_support_is_the_fresh_one(g):
+    ctx = siegel_context(g)
+    group = ctx.group
+    for level in siegel_levels(g):
+        for rec in stratum_report(ctx.adm(), level):
+            assert rec.support == _support_from_scratch(group, rec.element)
+            assert sigma_support(group, rec.element) is rec.support
+
+
+def test_shared_support_twisted(gl3_twisted):
+    """On a Cayley ball of twisted GL3, around three length-zero parts with
+    three different twists, elements with the same length-zero part and the
+    same letters share one support, and no other elements do."""
+    group = gl3_twisted
+    tau = group.length_zero_element((1, 0, 0)).element
+    ball = cayley_ball(group, 4, [group.identity, tau, group.mult(tau, tau)])
+    by_key = {}
+    for x in ball:
+        supp = sigma_support(group, x)
+        assert supp == _support_from_scratch(group, x)
+        rd = group.reduced_word(x)
+        assert by_key.setdefault((rd.omega.element, supp.raw), supp) is supp
+    assert len({omega for omega, _ in by_key}) == 3
+    assert len({supp.twist for supp in by_key.values()}) == 3
+    assert len({id(sigma_support(group, x)) for x in ball}) == len(by_key) < len(ball)
+
+
+def test_genus_five_iwahori_report_shares_64_supports():
+    ctx = siegel_context(5)
+    recs = stratum_report(ctx.adm(), ctx.iwahori)
+    assert len(recs) == 6331
+    assert len({id(rec.support) for rec in recs}) == 64
 
 
 def test_twist_is_a_diagram_automorphism(ctx1, ctx2, ctx3):
@@ -337,18 +383,18 @@ def test_record_json_shape(ctx2):
 
 
 def test_record_json_newton_strings(ctx3):
-    """The memoised Newton strings are those of str, for shared and for
-    equal but distinct tuples, and a caller's edit does not reach them."""
+    """The writer's Newton strings are those of str, for the tuples the
+    records share with the Newton memo, for equal but distinct tuples and
+    for tuples of other values: its memo is keyed by the identity of the
+    tuple, so it must not hand one tuple's text to another."""
     group = ctx3.group
     for rec in stratum_report(ctx3.adm(), ctx3.iwahori):
-        want = [str(c) for c in rec.newton]
-        strings = group.newton_to_json(rec.newton)
-        assert strings == want
-        strings.append("edited")
-        copy = rec._replace(newton=tuple(list(rec.newton)))
-        assert copy.newton is not rec.newton
-        assert json.loads(record_to_json(group, copy))["newton"] == want
-        assert json.loads(record_to_json(group, rec))["newton"] == want
+        copy = tuple(list(rec.newton))
+        assert copy is not rec.newton
+        shifted = tuple(c + 1 for c in rec.newton)
+        for nu in (rec.newton, copy, shifted, rec.newton):
+            got = json.loads(record_to_json(group, rec._replace(newton=nu)))["newton"]
+            assert got == [str(c) for c in nu]
 
 
 def test_record_json_values(ctx2):
