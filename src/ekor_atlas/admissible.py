@@ -138,7 +138,7 @@ def _vertex_rule(group: ExtendedAffineWeylGroup,
     """Perm(mu) from the one-line forms of the finite table, or None when the
     datum is outside the theorem."""
     datum = group.datum
-    if not all(map(_is_permutation, datum.reflections_ambient)):
+    if not group._permutations:
         return None
     # a nonnegative sum of the e_j - e_(j+1): partial sums >= 0, total 0
     for root in datum.simple_roots:
@@ -167,11 +167,6 @@ def _vertex_rule(group: ExtendedAffineWeylGroup,
                 table.setdefault(mask & moved, []).append(lam)
         out += [ExtAffineElement(lam, widx, group) for lam in table.get(ones, ())]
     return out
-
-
-def _is_permutation(mat) -> bool:
-    cols = [row.index(1) for row in mat if sorted(row) == [0] * (len(row) - 1) + [1]]
-    return sorted(cols) == list(range(len(mat)))
 
 
 def is_left_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,

@@ -44,7 +44,9 @@ keeps the positive roots positive (sigma permutes the simple roots); the
 only such element of W is 1, so f divides n.  Conversely, if f and every
 cycle length divide n, then (w sigma)^n = w' fixes every root, so w' = 1
 by faithfulness.  The order of sigma cannot be left out: on the radical
-w sigma acts as sigma, which the roots do not see.
+w sigma acts as sigma, which the roots do not see.  The cycles of the
+simple roots suffice: a power of w sigma that fixes the simple roots fixes
+their span, hence every root.
 
 The alcove convention follows the generators: the extra reflection of each
 affine component is ``t^(-theta_coroot) s_theta``, the reflection through the
@@ -55,9 +57,10 @@ length is
              + sum_{a > 0, w^-1 a < 0} |<l, a> + 1|
 
 which the test suite cross-checks against breadth-first word distance.
-The pairings <l, a> over the positive roots depend on l alone, and few
+The pairings <l, a> over the roots depend on l alone, and few
 translations occur (the 2^g of the Weyl orbit of mu for the whole Siegel
-Adm(mu)), so they are a table memoised per translation.  The sign of
+Adm(mu)), so they are a table memoised per translation, the N positive
+roots first and then their negatives.  The sign of
 w^-1 a is read off perm(w): translating its first N bytes by a table that
 sends k to 1 if k >= N and to 0 otherwise gives 1 exactly where the term
 is |<l, a> + 1|, so the length is the sum of |pairing + byte|.
@@ -111,15 +114,37 @@ e = 0 or c = theta, e = 1.
   pair (the root system is reduced), so x s_j x^-1 is the generator s_i
   iff x a_j = +-a_i.  A dict keyed by (root number, constant) names i.
 
-Newton points are computed in integers.  If (x sigma)^n = t^m then the
-Newton point is nu = m / n, and <m, a> and <nu, a> have the same sign for
-n > 0, so dominantizing m picks the same reflections as dominantizing nu and
-returns n times its dominant form.  The only division is the last step
-of ``newton_vector``, and sigma-straightness, <nu, 2 rho> = l(x), is tested
-as <n nu, 2 rho> = n l(x) without one.
+Newton points come from the pairing table too, with no matrix power.  Let
+x = t^l w and let P be perm(w) translated by the table of sigma, so that
+<w sigma v, root k> = <v, root P(k)>.  If (x sigma)^n = t^m, then
+m = sum_(k<n) (w sigma)^k l, and for the simple root a_j with cycle C_j
+under P
+
+    <m, a_j> = sum_(k<n) <l, root P^k(j)> = (n / |C_j|) sum_(i in C_j) <l, root i>,
+
+as |C_j| divides n.  The least n is lcm(f, |C_1|, ..., |C_r|), the order
+above.  The roots do not see the radical part of m.  Take the integer
+functionals phi that vanish on the coroots (the kernel of the coroots, from
+the Smith form).  As s_a v = v - <v, a> a^vee, phi o w = phi for w in W;
+and (w sigma)^k = w_k sigma^k with w_k in W, since sigma normalizes W.  So
+phi((w sigma)^k l) = phi(sigma^k l), which has period f, and
+phi(m) = (n / f) sum_(k<f) phi(sigma^k l), memoised per translation.  The
+simple roots and the phi are a basis of the rational dual of X: evaluating
+a relation sum c_j a_j + sum d phi = 0 on the coroots gives c = 0, as the
+Cartan matrix is invertible, and then d = 0.  So the key
+(n, <m, a_j>_j, phi(m)) names m.
+
+The Newton point is nu = m / n, and <m, a> and <nu, a> have the same sign
+for n > 0, so dominantizing m picks the same reflections as dominantizing
+nu.  The Cartan-row loop runs on the key's pairings, and the phi, being
+W-invariant, do not move, so it returns the key of n times the dominant
+nu.  Only a new dominant key is turned back into n nu, by a fixed
+rational inverse of the rows [simple roots; phi].  The only division is in
+that step, and sigma-straightness, <nu, 2 rho> = l(x), is tested as
+<n nu, 2 rho> = n l(x) without one.
 
 Group objects memoise root pairings per translation, lengths, reduced
-words and Bruhat comparisons.  The caches are only ever extended with
+words, Newton points and Bruhat comparisons.  The caches are only ever extended with
 values that any thread would recompute identically, so concurrent readers
 are safe.
 """
@@ -127,6 +152,7 @@ are safe.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -135,9 +161,10 @@ from ekor_atlas.coxeter import BOND_OF_PRODUCT, CoxeterMatrix
 from ekor_atlas.lattice import (
     AbelianQuotient,
     Pi1Class,
-    identity_matrix,
+    fraction_matrix_inverse,
     mat_vec,
     row_mat,
+    smith_normal_form,
     solve_linear,
     vec_add,
     vec_dot,
@@ -189,6 +216,14 @@ class OmegaElement(NamedTuple):
     node_images: tuple[int, ...]
 
 
+class _NewtonFrame(NamedTuple):
+    """Fixed data of the Newton map (``_newton_frame``)."""
+
+    orbit_sums: tuple   # per radical functional phi, sum_(k<f) phi o sigma^k
+    inverse: tuple      # den [simple roots; phi]^-1, in integers
+    den: int
+
+
 class ReducedDecomposition(NamedTuple):
     """A reduced word in node letters and the residual length-zero factor."""
 
@@ -213,6 +248,7 @@ class ExtendedAffineWeylGroup:
         self._rd: dict = {}
         self._omega: dict = {}
         self._newton: dict = {}
+        self._radical: dict = {}
         # ekor.sigma_support by (omega, letters); the record writer's texts
         self._supports: dict = {}
         self._json_texts: dict = {}
@@ -231,6 +267,7 @@ class ExtendedAffineWeylGroup:
         self._npos = len(datum.positive_roots)
         self._roots = datum.positive_roots + tuple(vec_neg(v) for v in datum.positive_roots)
         self._root_index = {vals: k for k, vals in enumerate(self._roots)}
+        self._simple = tuple(map(self._root_index.__getitem__, datum.root_values))
         # translate table: a root number to 1 if the root is negative, else 0
         self._negative = bytes(int(k >= self._npos) for k in range(256))
         if len(self._roots) > 256:
@@ -264,6 +301,8 @@ class ExtendedAffineWeylGroup:
                         wambient.append(tuple(map(amb, amb_rows)))
             frontier = nxt
         self.finite_order = len(wperm)
+        # products of permutation matrices are permutations
+        self._permutations = all(map(_is_permutation, datum.reflections_ambient))
 
     def _root_perm(self, matrix):
         """Permutation k -> index of (root k) o matrix, or None when some
@@ -362,8 +401,6 @@ class ExtendedAffineWeylGroup:
         frob_perm = self._root_perm(frob)
         self._frob_table = _table(frob_perm)
         self._frob_inv = bytes(map(frob_perm.index, range(len(frob_perm))))
-        split = frob == identity_matrix(self.rank)
-        self._frob_rows = None if split else tuple(_sparse(row) for row in frob)
 
     def _build_pi1(self):
         sig = self.datum.frobenius_lattice
@@ -407,11 +444,12 @@ class ExtendedAffineWeylGroup:
     # ------------------------------------------------------------ length
 
     def _pairings(self, trans: tuple) -> tuple:
-        """<l, a> over the positive roots, memoised per translation."""
+        """<l, a> over all 2N roots in the root numbering, positive roots
+        first, memoised per translation."""
         got = self._pairs.get(trans)
         if got is None:
-            got = self._pairs[trans] = tuple(
-                vec_dot(trans, vals) for vals in self.datum.positive_roots)
+            pos = tuple(vec_dot(trans, vals) for vals in self.datum.positive_roots)
+            got = self._pairs[trans] = pos + tuple(-p for p in pos)
         return got
 
     def length(self, x: ExtAffineElement) -> int:
@@ -419,7 +457,8 @@ class ExtendedAffineWeylGroup:
         key = (x.trans, x.w)
         got = self._length.get(key)
         if got is None:
-            # 1 exactly where w^-1 a < 0, the terms |<l, a> + 1|
+            # 1 exactly where w^-1 a < 0, the terms |<l, a> + 1|; map
+            # stops with neg, at the last positive root
             neg = self._wperm[x.w][:self._npos].translate(self._negative)
             got = self._length[key] = sum(
                 map(abs, map(add, self._pairings(x.trans), neg)))
@@ -438,12 +477,11 @@ class ExtendedAffineWeylGroup:
         by (number of the root, constant)."""
         datum = self.datum
         npos = self._npos
-        index = datum.positive_roots.index
         walls = [None] * self.num_nodes
-        for i, vals in enumerate(datum.root_values):
-            walls[i + 1] = (index(vals), 1, 1, 0)
+        for i, k in enumerate(self._simple):
+            walls[i + 1] = (k, 1, 1, 0)
         for j, theta in enumerate(datum.theta):
-            walls[self.affine_node_of_component[j]] = (index(theta), -1, 1, 2)
+            walls[self.affine_node_of_component[j]] = (self._root_index[theta], -1, 1, 2)
         self._coroots = datum.positive_coroots + tuple(map(vec_neg, datum.positive_coroots))
         nodes = []
         self._node_of_root = {}
@@ -508,10 +546,8 @@ class ExtendedAffineWeylGroup:
         self._check(x)
         k, sign, _, _, _, _ = self._nodes[j]
         e = int(sign < 0)
-        npos = self._npos
-        q = self._wperm[x.w].index(k + e * npos)  # the number of w b
-        p = self._pairings(x.trans)[q % npos]
-        return self._node_of_root.get((q, e + (p if q < npos else -p)))
+        q = self._wperm[x.w].index(k + e * self._npos)  # the number of w b
+        return self._node_of_root.get((q, e + self._pairings(x.trans)[q]))
 
     def reduced_word(self, x: ExtAffineElement) -> ReducedDecomposition:
         """Greedy reduced word: strip the least left descent until the rest
@@ -606,46 +642,86 @@ class ExtendedAffineWeylGroup:
         self._check(x)
         return self.pi1_gamma.class_of(x.trans)
 
-    def _newton_translation(self, x: ExtAffineElement):
-        """Smallest n with (x sigma)^n a translation t^m, and m."""
-        # the order of w sigma: the lcm of the order of its permutation of
-        # the roots and of the order of sigma (module docstring)
+    def _newton_key(self, x: ExtAffineElement) -> tuple:
+        """(n, <m, a_j> over the simple roots, phi(m) over the radical
+        functionals) for the least n with (x sigma)^n = t^m: one walk of
+        the cycle of each simple root through the pairing row of the
+        translation (module docstring)."""
         perm = self._wperm[x.w].translate(self._frob_table)
-        step = _table(perm)
-        order, power = 1, perm
-        while power != self._wperm[0]:
-            power = power.translate(step)
-            order += 1
-        n = lcm(self.datum.frobenius_order, order)
-        lam = x.trans
-        rows = self._wrows[x.w]
-        m = lam
-        for _ in range(n - 1):
-            if self._frob_rows is not None:
-                m = _apply(self._frob_rows, m)
-            m = tuple(map(add, lam, _apply(rows, m)))
-        return n, m
+        ext = self._pairings(x.trans)
+        sums, sizes = [], []
+        for j in self._simple:
+            s, i, c = ext[j], perm[j], 1
+            while i != j:
+                s += ext[i]
+                i = perm[i]
+                c += 1
+            sums.append(s)
+            sizes.append(c)
+        f = self.datum.frobenius_order
+        n = lcm(f, *sizes)
+        rad = self._radical.get(x.trans)
+        if rad is None:
+            rad = self._radical[x.trans] = tuple(
+                vec_dot(x.trans, psi) for psi in self._newton_frame.orbit_sums)
+        return (n, tuple([n // c * s for s, c in zip(sums, sizes)]),
+                tuple([n // f * p for p in rad]))
 
-    def _newton_scaled(self, x: ExtAffineElement):
-        """Smallest n with (x sigma)^n a translation t^m, and the dominant
-        form of m, which is n times the dominant Newton point."""
-        n, m = self._newton_translation(x)
-        return n, self.dominantize_lattice(m)
-
-    def dominantize_lattice(self, v: Sequence) -> tuple:
-        """Dominant representative of a lattice vector.
-
-        The simple-root pairings are taken once.  Reflecting by s_i with
-        p = <v, a_i> < 0 subtracts p a_i^vee from v, so the pairing with a_j
-        drops by p <a_i^vee, a_j>, the Cartan entry cartan[i][j]; the coroot
-        coefficients are summed and the vector is built at the end.  The
-        result does not depend on which negative pairing is reflected first:
-        the orbit has one dominant member, and the coroots are independent.
-        The rescanning loop is kept as ``oracles.dominantize_by_rescan``.
-        Exact in whatever numbers it is given: integers stay integers.
-        """
+    @cached_property
+    def _newton_frame(self) -> "_NewtonFrame":
+        """Built on the first Newton call.  The radical functionals are the
+        integer kernel of the coroots, the last columns of the Smith
+        transform.  ``inverse`` is den times the inverse of the rows
+        [simple roots; radical functionals]."""
         datum = self.datum
-        pair = [vec_dot(v, vals) for vals in datum.root_values]
+        _, cols = smith_normal_form(datum.coroots_lattice, self.rank)
+        phis = tuple(tuple(row[k] for row in cols)
+                     for k in range(datum.nsimple, self.rank))
+        orbit_sums = []
+        for phi in phis:
+            acc = cur = phi
+            for _ in range(datum.frobenius_order - 1):
+                cur = row_mat(cur, datum.frobenius_lattice)
+                acc = vec_add(acc, cur)
+            orbit_sums.append(acc)
+        inv = fraction_matrix_inverse(datum.root_values + phis)
+        den = lcm(*(c.denominator for row in inv for c in row))
+        return _NewtonFrame(tuple(orbit_sums),
+                            tuple(tuple(int(den * c) for c in row) for row in inv), den)
+
+    def _newton_entry(self, x: ExtAffineElement):
+        """n and the memoised (Newton point, <n nu, 2 rho>) of x.
+
+        The memo is keyed by ``_newton_key``.  A missed key is made
+        dominant in pairing coordinates, which gives the key of n nu; only
+        a new dominant key rebuilds n nu, with the fixed inverse of the
+        frame, so every key that shares a point shares its tuple."""
+        self._check(x)
+        key = self._newton_key(x)
+        got = self._newton.get(key)
+        if got is None:
+            n, pairs, rad = key
+            dom = (n, tuple(self._dominant_pairings(list(pairs))[0]), rad)
+            got = self._newton.get(dom)
+            if got is None:
+                frame = self._newton_frame
+                values = dom[1] + rad
+                scaled = [vec_dot(row, values) for row in frame.inverse]
+                # den n nu in lattice coordinates; n nu is integral
+                got = self._newton[dom] = (
+                    tuple(Fraction(t, frame.den * n) for t in self.datum.from_lattice(scaled)),
+                    vec_dot(scaled, self.datum.two_rho) // frame.den)
+            self._newton[key] = got
+        return key[0], got
+
+    def _dominant_pairings(self, pair: list):
+        """The simple-root pairings of the dominant member of an orbit, and
+        the coroot coefficients that reach it, from the pairings of any
+        member: reflecting by s_i with p = <v, a_i> < 0 subtracts p a_i^vee
+        from v, so the pairing with a_j drops by p <a_i^vee, a_j>, the
+        Cartan entry cartan[i][j].  The result does not depend on which
+        negative pairing is reflected first: the orbit has one dominant
+        member, and the coroots are independent."""
         coef = [0] * len(pair)
         while pair:
             p = min(pair)
@@ -653,7 +729,18 @@ class ExtendedAffineWeylGroup:
                 break
             i = pair.index(p)
             coef[i] -= p
-            pair = [q - p * c for q, c in zip(pair, datum.cartan[i])]
+            pair = [q - p * c for q, c in zip(pair, self.datum.cartan[i])]
+        return pair, coef
+
+    def dominantize_lattice(self, v: Sequence) -> tuple:
+        """Dominant representative of a lattice vector, by the Cartan-row
+        loop of ``_dominant_pairings``; the coroot coefficients are summed
+        and the vector is built at the end.  The rescanning loop is kept
+        as ``oracles.dominantize_by_rescan``.  Exact in whatever numbers
+        it is given: integers stay integers.
+        """
+        datum = self.datum
+        _, coef = self._dominant_pairings([vec_dot(v, vals) for vals in datum.root_values])
         out = list(v)
         for c, coroot in zip(coef, datum.coroots_lattice):
             if c:
@@ -664,30 +751,17 @@ class ExtendedAffineWeylGroup:
     def newton_vector(self, x: ExtAffineElement) -> tuple[Fraction, ...]:
         """Dominant Newton point of the element, in ambient coordinates.
 
-        Memoised by (n, m) for (x sigma)^n = t^m, which spares most
-        dominantizations (the Siegel Adm has 1,542 such keys for 6,331
-        elements at genus 5), and shared through the key (n, n nu) of the
-        dominant form, a key of the same kind with the same point (25 of
-        them at genus 5).
+        Memoised by ``_newton_key``, which spares most dominantizations
+        (the Siegel Adm has 1,542 such keys for 6,331 elements at genus 5),
+        and shared through the key of the dominant form n nu (25 of them
+        at genus 5, for 13 Newton points).
         """
-        self._check(x)
-        key = self._newton_translation(x)
-        got = self._newton.get(key)
-        if got is None:
-            n, m = key
-            scaled = (n, self.dominantize_lattice(m))
-            got = self._newton.get(scaled)
-            if got is None:
-                got = self._newton[scaled] = tuple(
-                    Fraction(t, n) for t in self.datum.from_lattice(scaled[1]))
-            self._newton[key] = got
-        return got
+        return self._newton_entry(x)[1][0]
 
     def is_sigma_straight(self, x: ExtAffineElement) -> bool:
         """Length equals the pairing of the Newton point with 2*rho."""
-        self._check(x)
-        n, dom = self._newton_scaled(x)
-        return vec_dot(dom, self.datum.two_rho) == n * self.length(x)
+        n, (_, two_rho) = self._newton_entry(x)
+        return two_rho == n * self.length(x)
 
     def newton_leq(self, nu1_ambient: Sequence, nu2_ambient: Sequence) -> bool:
         """Dominance order: nu2 - nu1 a nonnegative rational coroot sum."""
@@ -765,10 +839,11 @@ class ExtendedAffineWeylGroup:
 
     def finite_to_json(self, w: int):
         """The finite part with table index w: a permutation as the list of
-        images, any other matrix as ``{"rows": ...}`` in ambient coordinates."""
+        images, any other matrix as ``{"rows": ...}`` in ambient coordinates.
+        When the simple reflections are permutations, so is every w."""
         rows = self._wambient[w]
         # an invertible matrix whose rows are single ones is a permutation
-        if all(len(row) == 1 and row[0][1] == 1 for row in rows):
+        if self._permutations or all(len(row) == 1 and row[0][1] == 1 for row in rows):
             w_json = [0] * len(rows)
             for r, ((c, _),) in enumerate(rows):
                 w_json[c] = r
@@ -806,6 +881,11 @@ def _table(perm: bytes) -> bytes:
     """A permutation padded to the 256 bytes that ``bytes.translate`` takes:
     p.translate(_table(q)) sends k to q[p[k]]."""
     return perm.ljust(256, b"\0")
+
+
+def _is_permutation(mat) -> bool:
+    cols = [row.index(1) for row in mat if sorted(row) == [0] * (len(row) - 1) + [1]]
+    return sorted(cols) == list(range(len(mat)))
 
 
 def _sparse(dense: Sequence[int]) -> tuple:

@@ -19,7 +19,9 @@ from ekor_atlas.siegel import siegel_context
 from helpers import (
     build_b2,
     build_g2,
+    build_gl,
     build_gl2_gl3,
+    build_gl2_unitary,
     build_gl3_twisted,
     dominantize,
     random_element,
@@ -468,7 +470,7 @@ def test_newton_of_the_twisted_power(request, g):
     ctx = request.getfixturevalue(f"ctx{g}")
     group = ctx.group
     for x in ctx.adm().elements:
-        n, _ = group._newton_scaled(x)
+        n = group._newton_key(x)[0]
         nu = group.newton_vector(x)
         y = twisted_power(group, x, n)
         assert group.newton_vector(y) == tuple(n * c for c in nu)
@@ -479,6 +481,58 @@ def test_newton_matches_definition_other_data(gl3_twisted):
                        (build_gl2_gl3(), [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)])):
         for x in _random_sample(group, mus, 150, 47):
             assert group.newton_vector(x) == newton_by_definition(group, x)
+
+
+TWIN_DATA = {
+    "gl2_unitary": build_gl2_unitary,
+    "gl4_twisted": lambda: build_gl(4, twisted=True),
+    "gl5_twisted": lambda: build_gl(5, twisted=True),
+    "b2": build_b2,
+    "g2": build_g2,
+    "gl2_gl3": build_gl2_gl3,
+    "siegel1": lambda: siegel_context(1).group,
+    "siegel2": lambda: siegel_context(2).group,
+    "siegel3": lambda: siegel_context(3).group,
+}
+
+
+def _random_parts(group, count, seed):
+    """Random translations with entries -4..4 times random finite parts."""
+    rng = random.Random(seed)
+    return [group.from_parts(tuple(rng.randint(-4, 4) for _ in range(group.rank)),
+                             rng.randrange(group.finite_order))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_DATA))
+def test_newton_matches_definition_random_parts(name):
+    """The cycle sums of the pairing row against twisted powers: twisted
+    and split data, a nontrivial radical (unitary GL2, where sigma is -1
+    on it), and asymmetric Cartan matrices."""
+    group = TWIN_DATA[name]()
+    for x in _random_parts(group, 40, 61):
+        assert group.newton_vector(x) == newton_by_definition(group, x)
+
+
+def test_newton_frame_is_built_on_first_use():
+    group = build_gl2_unitary()
+    assert "_newton_frame" not in vars(group)
+    group.newton_vector(group.identity)
+    assert "_newton_frame" in vars(group)
+
+
+@pytest.mark.parametrize("name", ["b2", "g2", "gl2_unitary"])
+def test_straightness_matches_definition_random_parts(name):
+    """Six twisted powers decide straightness here: the order n of
+    w sigma is at most 6 (dihedral groups of orders 8 and 12, and n <= 2
+    for unitary GL2), and l((x sigma)^n) = l(t^(n nu)) = n <nu, 2 rho>."""
+    group = TWIN_DATA[name]()
+    seen = set()
+    for x in _random_parts(group, 150, 67):
+        straight = group.is_sigma_straight(x)
+        assert straight == straight_by_definition(group, x, powers=6)
+        seen.add(straight)
+    assert seen == {False, True}
 
 
 def test_newton_leq_on_known_points(ctx2):
@@ -522,17 +576,21 @@ def test_dominantize(ctx2):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_dominantize_matches_rescan_on_newton_translations(request, g):
-    """For every admissible x, the translation m of (x sigma)^n = t^m,
-    dominantized by the Cartan-row update and by the rescanning oracle."""
+    """For every admissible x, the translation m of (x sigma)^n = t^m:
+    its Newton key names m, and n nu is m dominantized by the Cartan-row
+    update and by the rescanning oracle."""
     ctx = request.getfixturevalue(f"ctx{g}")
     group = ctx.group
+    frame = group._newton_frame
     moved = 0
     for x in ctx.adm().elements:
-        n, dom = group._newton_scaled(x)
+        n, pairs, rad = group._newton_key(x)
         y = twisted_power(group, x, n)
-        assert y.w == 0 and group._newton_translation(x) == (n, y.trans)
-        assert dom == group.dominantize_lattice(y.trans) \
-            == dominantize_by_rescan(group, y.trans)
+        m = tuple(Fraction(vec_dot(row, pairs + rad), frame.den) for row in frame.inverse)
+        assert y.w == 0 and m == y.trans
+        dom = dominantize_by_rescan(group, y.trans)
+        assert group.dominantize_lattice(y.trans) == dom
+        assert tuple(n * c for c in group.newton_vector(x)) == group.datum.from_lattice(dom)
         moved += dom != y.trans
     assert moved > 0
 
@@ -583,13 +641,15 @@ def ambient_json(dense, x):
 def test_element_json_round_trip(ctx2, gl3_twisted):
     """Each serialized element against its dense ambient matrix, on the
     Siegel, twisted gl3 and B2 data; B2's reflections are not permutation
-    matrices, so it takes the ``rows`` form."""
+    matrices, so it takes the ``rows`` form, except at permutation matrices
+    such as the identity, which are tested element by element."""
     rng = random.Random(37)
     b2 = build_b2()
     cases = [(ctx2.group, ctx2.adm().elements),
              (gl3_twisted, [random_element(rng, gl3_twisted, 5, [gl3_twisted.identity])
                             for _ in range(20)]),
-             (b2, [random_element(rng, b2, 6, [b2.identity]) for _ in range(20)])]
+             (b2, [b2.identity] + [random_element(rng, b2, 6, [b2.identity])
+                                   for _ in range(20)])]
     rows_form = False
     for group, elements in cases:
         dense = DenseWeylTable(group.datum)

@@ -119,8 +119,8 @@ def test_bench_runs(tmp_path):
     run = json.loads(out.read_text())["runs"]["probe"]
     assert [row["adm"] for row in run["genera"]] == [3, 13]
     assert set(run["genera"][0]["stages_s"]) == {
-        "import", "context", "adm", "iwahori_report", "hyperspecial_report",
-        "serialization", "classify_json"}
+        "import", "context", "adm", "newton", "iwahori_report",
+        "hyperspecial_report", "serialization", "classify_json"}
     assert run["genera"][1]["peak_rss_mb"] > 0
 
 
