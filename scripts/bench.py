@@ -8,7 +8,12 @@ new process runs, in order:
 * ``import``: importing the engine's command line module, which imports
   every engine module;
 * ``context``: ``siegel_context(g)``, the finite Weyl table and generators;
-* ``adm``: the admissible set;
+* ``adm``: the admissible set and its canonical order: ``admissible_set``
+  (the vertex rule) and then ``adm.elements`` (the reduced words and sort
+  of the whole set, which ``admissible_set`` leaves to the first level
+  that asks for them).  So the stage times the same work as the ``adm``
+  stage of BENCH_6.json to BENCH_13.json, and the words and sort do not
+  move into ``newton``;
 * ``newton``: ``newton_vector`` of every admissible element, from an empty
   Newton memo, which is emptied again afterwards so that the report below
   computes its Newton points as it did before this stage existed;
@@ -57,6 +62,7 @@ def measure(g: int) -> dict:
     ctx = siegel_context(g)
     t2 = clock()
     adm = ctx.adm()
+    adm.elements
     t3 = clock()
     group = ctx.group
     for x in adm.elements:

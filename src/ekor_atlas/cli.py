@@ -8,7 +8,8 @@ Subcommands:
   check      run the internal consistency suite for one genus
 
 Exit codes: 0 success, 1 internal mismatch, 2 bad configuration or an --out
-path that cannot be written.
+path that cannot be written, 141 (128 + SIGPIPE) the reader of the output
+closed it early, as ``atlas classify --g 4 | head -1`` does.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
@@ -393,7 +395,16 @@ def _write(args, out) -> int:
     except (GroupError, RootDatumError, CoxeterError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out.writelines(chunks)
+    try:
+        out.writelines(chunks)
+        out.flush()
+    except BrokenPipeError:
+        # what is still buffered goes to the null device, so the flush at
+        # close or at interpreter exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

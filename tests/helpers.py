@@ -144,6 +144,17 @@ def is_right_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     return not any(group.is_descent(xinv, i) for i in label)
 
 
+def kw_by_sorting_all(adm: AdmissibleSet,
+                      nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
+    """The left-minimal elements at a level as first defined: all of
+    Adm(mu) sorted by ``group.sort_key``, then filtered.  The reference
+    for ``kw_elements``, which sorts only the survivors."""
+    group = adm.group
+    label = parahoric_label(group, nodes)
+    return tuple(x for x in sorted(adm.found, key=group.sort_key)
+                 if is_left_minimal(group, x, label))
+
+
 def saturated_set(adm: AdmissibleSet,
                   nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
     """Closure of the admissible set under the level group on both sides."""

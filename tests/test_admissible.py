@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,9 @@ from helpers import (
     double_coset_minima,
     hasse_by_reduction,
     is_right_minimal,
+    kw_by_sorting_all,
     saturated_set,
+    siegel_levels,
 )
 
 SIZES = {1: 3, 2: 13, 3: 79, 4: 633, 5: 6331}
@@ -220,6 +223,47 @@ def test_kw_elements_are_minimal(ctx2, nodes):
         candidates = [group.mult(p, x)
                       for p in group.parabolic_subgroup_elements(nodes)]
         assert reps.intersection(candidates)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_kw_order_matches_sorting_all_siegel(g):
+    """Filtering, then wording and sorting the survivors, gives the filtered
+    canonical order of the whole set, element for element."""
+    adm = siegel_context(g).adm()
+    for nodes in siegel_levels(g):
+        assert kw_elements(adm, nodes) == kw_by_sorting_all(adm, nodes), sorted(nodes)
+
+
+def test_kw_order_matches_sorting_all_g4(ctx4):
+    adm = ctx4.adm()
+    for nodes in (ctx4.hyperspecial, frozenset({0})):
+        assert kw_elements(adm, nodes) == kw_by_sorting_all(adm, nodes)
+    assert adm.elements == kw_by_sorting_all(adm, ctx4.iwahori)
+
+
+def test_kw_order_matches_sorting_all_subword_fallback():
+    """The same on a datum outside the vertex rule, which the subword
+    closure enumerates."""
+    group = build_b2()
+    adm = admissible_set(group, (1, 1))
+    orbit = weyl_orbit(group, group.datum.to_lattice((1, 1)))
+    assert admissible._vertex_rule(group, orbit) is None
+    # every proper subset of the three affine nodes is a level
+    for nodes in itertools.chain.from_iterable(
+            itertools.combinations(range(3), r) for r in range(3)):
+        assert kw_elements(adm, nodes) == kw_by_sorting_all(adm, nodes), nodes
+
+
+def test_hyperspecial_words_only_its_strata(monkeypatch):
+    """The hyperspecial comparison at g=4 words its 16 strata and a few
+    more elements, not all 633 of Adm(mu): only the survivors of the level
+    filter are worded and sorted."""
+    from ekor_atlas import siegel
+    monkeypatch.setattr(siegel, "_CONTEXTS", {})
+    ctx = siegel.siegel_context(4)
+    ctx.compare("hoeve")
+    assert len(ctx.adm()) == 633
+    assert len(ctx.group._rd) < 633 // 10
 
 
 def test_kw_g3_levels(ctx3):

@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -247,6 +251,23 @@ def test_out_file_matches_stdout(tmp_path, capsys):
                              "--out", str(target))
     assert code2 == 0 and out2 == ""
     assert target.read_text(encoding="ascii") == out
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that stops after one line (``| head -1``) ends the command
+    with status 141 (128 + SIGPIPE) and nothing on stderr.  The JSON is
+    several times a pipe's buffer, so the writer must meet the closed end."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+            [sys.executable, "-m", "ekor_atlas", "classify", "--g", "4", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"[\n"
+    assert err == b"" and code == 141
 
 
 @pytest.mark.parametrize("target", ["missing/adm.json", "."])
