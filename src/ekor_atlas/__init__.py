@@ -37,7 +37,6 @@ from ekor_atlas.ekor import (
     stable_level_subset,
     stratum_report,
 )
-from ekor_atlas.lattice import AbelianQuotient, Pi1Class
 from ekor_atlas.rootdata import RootDatum, RootDatumError
 from ekor_atlas.siegel import (
     ComparisonReport,
@@ -50,7 +49,6 @@ from ekor_atlas.siegel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianQuotient",
     "AdmissibleSet",
     "ComparisonReport",
     "CoxeterError",
@@ -62,7 +60,6 @@ __all__ = [
     "GroupError",
     "INFINITE_BOND",
     "OmegaElement",
-    "Pi1Class",
     "ReducedDecomposition",
     "RootDatum",
     "RootDatumError",

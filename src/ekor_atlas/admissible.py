@@ -238,9 +238,8 @@ def straight_classes(adm: AdmissibleSet) -> tuple[StraightClass, ...]:
     """Classes of straight elements inside the set, grouped by Newton point.
 
     The class with dominance-least Newton point is flagged basic; the
-    grouping insists on a unique least point and a common image under the
-    connected-components map, and that every point is bounded by the
-    averaged cocharacter.
+    grouping insists on a unique least point, and that every point is
+    bounded by the averaged cocharacter.
     """
     group = adm.group
     buckets: dict[tuple[Fraction, ...], list[ExtAffineElement]] = {}
@@ -249,11 +248,6 @@ def straight_classes(adm: AdmissibleSet) -> tuple[StraightClass, ...]:
             buckets.setdefault(group.newton_vector(x), []).append(x)
     if not buckets:
         raise GroupError("admissible set contains no straight element")
-    kappa = group.kottwitz(adm.maxima[0])
-    for reps in buckets.values():
-        for x in reps:
-            if group.kottwitz(x) != kappa:
-                raise GroupError("straight element escapes the class of mu")
     bound = group.galois_average(adm.mu)
     points = sorted(buckets, key=lambda nu: (sum(nu), nu))
     least = [nu for nu in points

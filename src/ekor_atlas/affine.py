@@ -123,15 +123,15 @@ under P
     <m, a_j> = sum_(k<n) <l, root P^k(j)> = (n / |C_j|) sum_(i in C_j) <l, root i>,
 
 as |C_j| divides n.  The least n is lcm(f, |C_1|, ..., |C_r|), the order
-above.  The roots do not see the radical part of m.  Take the integer
-functionals phi that vanish on the coroots (the kernel of the coroots, from
-the Smith form).  As s_a v = v - <v, a> a^vee, phi o w = phi for w in W;
-and (w sigma)^k = w_k sigma^k with w_k in W, since sigma normalizes W.  So
-phi((w sigma)^k l) = phi(sigma^k l), which has period f, and
-phi(m) = (n / f) sum_(k<f) phi(sigma^k l), memoised per translation.  The
-simple roots and the phi are a basis of the rational dual of X: evaluating
-a relation sum c_j a_j + sum d phi = 0 on the coroots gives c = 0, as the
-Cartan matrix is invertible, and then d = 0.  So the key
+above.  The roots do not see the radical part of m.  Take integer
+functionals phi that vanish on the coroots, a basis of their rational
+kernel by one row reduction.  As s_a v = v - <v, a> a^vee, phi o w = phi
+for w in W; and (w sigma)^k = w_k sigma^k with w_k in W, since sigma
+normalizes W.  So phi((w sigma)^k l) = phi(sigma^k l), which has period f,
+and phi(m) = (n / f) sum_(k<f) phi(sigma^k l), memoised per translation.
+The simple roots and the phi are a basis of the rational dual of X:
+evaluating a relation sum c_j a_j + sum d phi = 0 on the coroots gives
+c = 0, as the Cartan matrix is invertible, and then d = 0.  So the key
 (n, <m, a_j>_j, phi(m)) names m.
 
 The Newton point is nu = m / n, and <m, a> and <nu, a> have the same sign
@@ -159,12 +159,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ekor_atlas.coxeter import BOND_OF_PRODUCT, CoxeterMatrix
 from ekor_atlas.lattice import (
-    AbelianQuotient,
-    Pi1Class,
     fraction_matrix_inverse,
+    integer_kernel,
     mat_vec,
     row_mat,
-    smith_normal_form,
     solve_linear,
     vec_add,
     vec_dot,
@@ -242,7 +240,6 @@ class ExtendedAffineWeylGroup:
         self._build_walls()
         self._build_affine_matrix()
         self._build_sigma()
-        self._build_pi1()
         self._pairs: dict = {}
         self._length: dict = {}
         self._rd: dict = {}
@@ -401,12 +398,6 @@ class ExtendedAffineWeylGroup:
         frob_perm = self._root_perm(frob)
         self._frob_table = _table(frob_perm)
         self._frob_inv = bytes(map(frob_perm.index, range(len(frob_perm))))
-
-    def _build_pi1(self):
-        sig = self.datum.frobenius_lattice
-        extra = [tuple(sig[i][j] - int(i == j) for i in range(self.rank))
-                 for j in range(self.rank)]
-        self.pi1_gamma = AbelianQuotient(self.rank, [*self.datum.coroots_lattice, *extra])
 
     # --------------------------------------------------------- group law
 
@@ -635,12 +626,7 @@ class ExtendedAffineWeylGroup:
             self._bruhat[key] = got
         return got
 
-    # --------------------------------------------- Kottwitz and Newton maps
-
-    def kottwitz(self, x: ExtAffineElement) -> Pi1Class:
-        """Class of the translation part in the Frobenius coinvariants."""
-        self._check(x)
-        return self.pi1_gamma.class_of(x.trans)
+    # -------------------------------------------------------- Newton map
 
     def _newton_key(self, x: ExtAffineElement) -> tuple:
         """(n, <m, a_j> over the simple roots, phi(m) over the radical
@@ -669,14 +655,11 @@ class ExtendedAffineWeylGroup:
 
     @cached_property
     def _newton_frame(self) -> "_NewtonFrame":
-        """Built on the first Newton call.  The radical functionals are the
-        integer kernel of the coroots, the last columns of the Smith
-        transform.  ``inverse`` is den times the inverse of the rows
-        [simple roots; radical functionals]."""
+        """Built on the first Newton call.  The radical functionals are an
+        integer basis of the kernel of the coroots.  ``inverse`` is den
+        times the inverse of the rows [simple roots; radical functionals]."""
         datum = self.datum
-        _, cols = smith_normal_form(datum.coroots_lattice, self.rank)
-        phis = tuple(tuple(row[k] for row in cols)
-                     for k in range(datum.nsimple, self.rank))
+        phis = integer_kernel(datum.coroots_lattice, self.rank)
         orbit_sums = []
         for phi in phis:
             acc = cur = phi

@@ -8,7 +8,6 @@ import hashlib
 import io
 import time
 from contextlib import redirect_stdout
-from fractions import Fraction
 
 from ekor_atlas.admissible import kw_elements, straight_classes
 from ekor_atlas.affine import element_label
@@ -220,13 +219,13 @@ def test_c6_straight_class_structure(criterion):
         ok &= len(classes) == count
         points = [c.newton for c in classes]
         ok &= len(set(points)) == len(points)
-        kappa_mu = group.kottwitz(group.translation(ctx.mu))
+        omega_mu = group.reduced_word(group.translation(ctx.mu)).omega.element
         mu_bar = group.galois_average(ctx.mu)
         basics = [c for c in classes if c.is_basic]
         ok &= len(basics) == 1
         ok &= any(ctx.tau.element in c.representatives for c in basics)
         for c in classes:
-            ok &= all(group.kottwitz(x) == kappa_mu
+            ok &= all(group.reduced_word(x).omega.element == omega_mu
                       for x in c.representatives)
             ok &= group.newton_leq(c.newton, mu_bar)
             if not c.is_basic:

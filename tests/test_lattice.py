@@ -1,22 +1,18 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from ekor_atlas.lattice import (
-    AbelianQuotient,
+    _row_reduce,
     fraction_matrix_inverse,
     identity_matrix,
+    integer_kernel,
     mat_mul,
     mat_vec,
-    smith_normal_form,
     solve_linear,
     vec_add,
+    vec_dot,
 )
-from helpers import determinant, invariant_factors_by_minors
-
-small_vec = st.tuples(*([st.integers(min_value=-9, max_value=9)] * 3))
+from ekor_atlas.siegel import siegel_datum
 
 
 def test_solve_linear_unique():
@@ -58,60 +54,37 @@ def random_relations(rng):
     return rows, rank
 
 
-def test_smith_diagonal_divides():
-    """The invariant factors against determinantal divisors; V is
-    unimodular and every relation has class zero in the quotient."""
+def _row_rank(rows, ncols):
+    return len(_row_reduce([[Fraction(c) for c in r] for r in rows], ncols))
+
+
+def test_integer_kernel_random():
+    """Each kernel vector is integral and killed by every row, and the
+    kernel vectors are rank - (row rank) independent vectors."""
     rng = random.Random(2718)
     for _ in range(400):
         rows, rank = random_relations(rng)
-        diag, v = smith_normal_form(rows, rank)
-        assert diag == invariant_factors_by_minors(rows, rank), rows
-        assert abs(determinant(v)) == 1
-        q = AbelianQuotient(rank, rows)
-        assert all(q.class_of(r).is_zero() for r in rows)
-    assert smith_normal_form([(2, 0, 0), (0, 6, 0)], 3)[0] == [2, 6]
-    assert smith_normal_form([(2, 0), (0, 3)], 2)[0] == [1, 6]
-    assert smith_normal_form([(0, 0)], 2)[0] == []
+        kernel = integer_kernel(rows, rank)
+        for v in kernel:
+            assert len(v) == rank and all(isinstance(c, int) for c in v), rows
+            assert all(vec_dot(row, v) == 0 for row in rows), rows
+        assert len(kernel) + _row_rank(rows, rank) == rank, rows
+        assert _row_rank(kernel, rank) == len(kernel), rows
+    assert integer_kernel([], 2) == ((1, 0), (0, 1))
+    assert integer_kernel([(2, 0), (0, 3)], 2) == ()
+    assert integer_kernel([(2, 3, 0)], 3) == ((-3, 2, 0), (0, 0, 1))
 
 
-def test_quotient_with_torsion():
-    # Z^2 / <(2, 0)> = Z/2 + Z
-    q = AbelianQuotient(2, [(2, 0)])
-    assert q.class_of((2, 0)).is_zero()
-    assert not q.class_of((1, 0)).is_zero()
-    assert q.class_of((1, 0)) + q.class_of((1, 0)) == q.zero
-    assert not q.class_of((0, 1)).is_zero()
-    # every class carries the torsion shape of the whole quotient
-    assert q.class_of((0, 1)).moduli == (2,)
-    assert q.class_of((0, 1)).torsion == (0,)
-
-
-def test_quotient_free_rank_one():
-    # Z^3 modulo the hexagonal root lattice is infinite cyclic
-    q = AbelianQuotient(3, [(1, -1, 0), (0, 1, -1)])
-    kappa = q.class_of((1, 0, 0))
-    assert kappa.moduli == ()
-    assert len(kappa.free) == 1 and abs(kappa.free[0]) == 1
-    assert q.class_of((1, 1, 1)) == kappa + kappa + kappa
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_vec, small_vec)
-def test_quotient_homomorphism(u, v):
-    q = AbelianQuotient(3, [(1, -1, 0), (2, 0, 4)])
-    assert q.class_of(vec_add(u, v)) == q.class_of(u) + q.class_of(v)
-    assert (q.class_of(u) + (-q.class_of(u))).is_zero()
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_vec)
-def test_quotient_kills_exactly_the_relations(coeffs):
-    rel = [(1, -1, 0), (0, 1, -1)]
-    q = AbelianQuotient(3, rel)
-    combo = (0, 0, 0)
-    for c, r in zip(coeffs[:2], rel):
-        combo = vec_add(combo, tuple(c * t for t in r))
-    assert q.class_of(combo).is_zero()
+def test_integer_kernel_siegel_coroots():
+    """The Siegel g=2 coroots, in lattice coordinates, have a
+    one-dimensional kernel, the similitude factor up to sign."""
+    datum = siegel_datum(2)
+    kernel = integer_kernel(datum.coroots_lattice, datum.rank)
+    assert len(kernel) == 1
+    (phi,) = kernel
+    assert all(vec_dot(c, phi) == 0 for c in datum.coroots_lattice)
+    mu = datum.to_lattice((1, 1, 0, 0))
+    assert abs(vec_dot(mu, phi)) == 1
 
 
 def test_mat_vec_identity():

@@ -49,11 +49,14 @@ def _exported_names(tree):
 
 
 def test_no_unused_imports():
+    """In src/, tests/ and scripts/."""
     unused = []
-    for path in sorted((ROOT / "src" / "ekor_atlas").glob("*.py")):
+    paths = [*(ROOT / "src" / "ekor_atlas").glob("*.py"),
+             *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    for path in sorted(paths):
         tree = ast.parse(path.read_text())
         spare = set(_imported_names(tree)) - _used_names(tree) - _exported_names(tree)
-        unused += [f"{path.name}: {name}" for name in sorted(spare)]
+        unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(spare)]
     assert not unused
 
 
@@ -159,9 +162,19 @@ def test_elements_of_two_groups_on_one_datum():
 
 def test_test_only_code_is_out_of_src():
     """The saturation, double coset minima and the ambient dominantize are
-    test helpers now (tests/helpers.py)."""
-    from ekor_atlas import admissible, affine
+    test helpers now (tests/helpers.py).  The Kottwitz map and the Smith
+    form are gone: kappa is constant on Adm(mu), which lies in one W_a
+    coset, and the Newton frame reads the coroot kernel by row reduction."""
+    from ekor_atlas import admissible, affine, lattice
+    from ekor_atlas.siegel import siegel_context
     for name in ("saturated_set", "double_coset_minima", "is_right_minimal"):
         assert not hasattr(admissible, name)
         assert name not in ekor_atlas.__all__
     assert not hasattr(affine.ExtendedAffineWeylGroup, "dominantize")
+    group = siegel_context(1).group
+    for name in ("kottwitz", "pi1_gamma"):
+        assert not hasattr(affine.ExtendedAffineWeylGroup, name)
+        assert not hasattr(group, name)
+    for name in ("smith_normal_form", "AbelianQuotient", "Pi1Class"):
+        assert not hasattr(lattice, name)
+        assert name not in ekor_atlas.__all__

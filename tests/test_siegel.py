@@ -1,7 +1,7 @@
 import pytest
 
 from ekor_atlas.admissible import kw_elements
-from ekor_atlas.affine import GroupError, element_label
+from ekor_atlas.affine import GroupError
 from ekor_atlas.coxeter import INFINITE_BOND, format_finite_type
 from ekor_atlas.ekor import is_basic, sigma_support, stable_level_subset
 from ekor_atlas.oracles import brute_stable_subset, coxeter_group_size
@@ -24,7 +24,7 @@ def test_context_facts(g):
     path 4, 3, ..., 3, 4 of affine C_g on the nodes 0..g, or the infinite
     bond of affine A_1), the one-line form and translation of each of the
     g+1 reflections, tau's translation, finite part and node map i -> g-i,
-    and kappa(mu) = kappa(tau) generating a free quotient of rank one."""
+    and tau as the length-zero part of the translation by mu."""
     ctx = siegel_context(g)
     group, d = ctx.group, 2 * g
     assert format_finite_type(ctx.datum.finite_coxeter.finite_type(range(g))) == \
@@ -48,9 +48,7 @@ def test_context_facts(g):
         "t": [0] * g + [1] * g, "w": [(j + g) % d for j in range(d)]}
     assert ctx.tau.node_images == tuple(g - i for i in range(g + 1))
 
-    kappa = group.kottwitz(group.translation(ctx.mu))
-    assert kappa.moduli == () and len(kappa.free) == 1 and abs(kappa.free[0]) == 1
-    assert kappa == group.kottwitz(ctx.tau.element)
+    assert group.reduced_word(group.translation(ctx.mu)).omega.element == ctx.tau.element
 
 
 def test_context_is_cached():
