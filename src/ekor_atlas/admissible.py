@@ -166,10 +166,9 @@ def _vertex_rule(group: ExtendedAffineWeylGroup,
         points.append((sum(1 << r for r, c in enumerate(amb) if c), lam))
     by_moved: dict[int, dict[int, list]] = {}
     out = []
-    for widx, rows in enumerate(group._wambient):
+    for widx in range(group.finite_order):
         moved = ones = 0
-        for r, row in enumerate(rows):
-            c = row[0][0]  # w(c) = r
+        for r, c in enumerate(group.ambient_part(widx)):  # w(c) = r
             if c != r:
                 moved |= 1 << r
                 if c < r:

@@ -5,36 +5,34 @@ Elements are pairs (translation, finite part) with the product rule
 enumerated once and interned, so the finite part of an element is just an
 index into that table; translations are kept in lattice coordinates.
 
-The table stores each w as a permutation of the root set.  Roots are
-numbered 0..2N-1: the N positive roots in the datum's order (by height, so
-the simple roots come first), then their negatives in the same order.  The
-permutation of w sends k to the number of (root k) o w = w^-1 (root k),
-stored as ``bytes``; a datum with more than 256 roots is refused, as its
-Weyl group has more than 10^10 elements.  The action is faithful: w is
-trivial on the radical (the common kernel of the roots), and on the span
-of the coroots it is fixed by what it does to the roots, whose
-restrictions span the dual space because the Cartan matrix is invertible.
-For the same reason the images of the simple roots alone fix w; these
-first nsimple entries are the key of the index.  Hence
+The table stores each w as one permutation of numbered functionals.
+Roots are numbered 0..2N-1: the N positive roots in the datum's order (by
+height, so the simple roots come first), then their negatives in the same
+order.  The W-orbit of the ambient coordinate functionals follows, with
+e_c* numbered 2N + c.  The permutation of w sends k to the number of
+(functional k) o w, stored as ``bytes``.  A datum with more than 256 roots
+is refused, as its Weyl group has more than 10^10 elements, and so is one
+with more than 256 functionals in all.  The action on the roots is
+faithful: w is trivial on the radical (the common kernel of the roots),
+and on the span of the coroots it is fixed by what it does to the roots,
+whose restrictions span the dual space because the Cartan matrix is
+invertible.  For the same reason the images of the simple roots alone fix
+w; these first nsimple entries are the key of the index.  Hence
 
 * w1 w2 sends k to perm(w2)[perm(w1)[k]], so its key takes one lookup in
-  perm(w2) per simple root;
+  perm(w2) per simple root, and the table is built breadth-first from the
+  identity by one ``bytes.translate`` per element and simple reflection,
+  in the search order of the dense-matrix oracle ``oracles.DenseWeylTable``;
 * the key of w^-1 lists the positions of the simple roots in perm(w);
-* w^-1 a is positive for the positive root number k iff perm(w)[k] < N.
+* w^-1 a is positive for the positive root number k iff perm(w)[k] < N;
+* row r of the ambient matrix of w is the functional numbered
+  perm(w)[2N + r], the coordinate functional e_c* iff that number is
+  2N + c < 2N + d.
 
-The table is built breadth-first from the identity, multiplying on the
-right by the simple reflections in order.  A new element's lattice and
-ambient matrices are kept as sparse rows, its parent's rows times the
-reflection, so no dense matrix is stored per element.  Each reflection has
-two lookup tables, for lattice and for ambient rows: a dict from a row to
-its product that computes and interns the product on a miss, so a child's
-rows are its parent's rows mapped through the table, with no Python call
-on a hit.  The dense-matrix table is kept as
-``oracles.DenseWeylTable``; its search finds the elements in the same
-order, so indices agree.  A matrix lookup cannot stop at the permutation:
--1 on the Siegel lattice permutes the roots like w0 but negates the
-radical.  ``weyl_index`` therefore compares the matrix with the element's
-own.
+``act`` reads w v through the Newton frame below, and a lattice matrix is
+w iff it permutes the roots like w and fixes every radical functional phi
+of that frame: -1 on the Siegel lattice permutes them like w0 but negates
+the radical.
 
 The order of w sigma on X comes from the same table: it is the lcm of the
 cycle lengths of w sigma on the roots and of the order f of sigma on X.
@@ -132,7 +130,8 @@ and phi(m) = (n / f) sum_(k<f) phi(sigma^k l), memoised per translation.
 The simple roots and the phi are a basis of the rational dual of X:
 evaluating a relation sum c_j a_j + sum d phi = 0 on the coroots gives
 c = 0, as the Cartan matrix is invertible, and then d = 0.  So the key
-(n, <m, a_j>_j, phi(m)) names m.
+(n, <m, a_j>_j, phi(m)) names m.  The same basis gives ``act``:
+<w v, a_j> = <v, root perm(w)[a_j]> and phi(w v) = phi(v).
 
 The Newton point is nu = m / n, and <m, a> and <nu, a> have the same sign
 for n > 0, so dominantizing m picks the same reflections as dominantizing
@@ -154,12 +153,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ekor_atlas.coxeter import BOND_OF_PRODUCT, CoxeterMatrix
 from ekor_atlas.lattice import (
     fraction_matrix_inverse,
+    identity_matrix,
     integer_kernel,
     mat_vec,
     row_mat,
@@ -217,7 +217,8 @@ class OmegaElement(NamedTuple):
 class _NewtonFrame(NamedTuple):
     """Fixed data of the Newton map (``_newton_frame``)."""
 
-    orbit_sums: tuple   # per radical functional phi, sum_(k<f) phi o sigma^k
+    phis: tuple         # the radical functionals
+    orbit_sums: tuple   # per phi, sum_(k<f) phi o sigma^k
     inverse: tuple      # den [simple roots; phi]^-1, in integers
     den: int
 
@@ -257,9 +258,8 @@ class ExtendedAffineWeylGroup:
     # ------------------------------------------------------- finite table
 
     def _enumerate_finite(self):
-        """Breadth-first search of the finite Weyl group over root
-        permutations (module docstring), with sparse lattice and ambient
-        rows for each element."""
+        """Breadth-first search of the finite Weyl group over permutations
+        of the numbered functionals (module docstring)."""
         datum = self.datum
         self._npos = len(datum.positive_roots)
         self._roots = datum.positive_roots + tuple(vec_neg(v) for v in datum.positive_roots)
@@ -270,36 +270,40 @@ class ExtendedAffineWeylGroup:
         if len(self._roots) > 256:
             raise GroupError(f"{len(self._roots)} roots: the finite Weyl group has "
                              "more than 10^10 elements")
-        interned: dict = {}
-        # per reflection: its translate table and the lookups of row products
-        steps = [(_table(self._root_perm(lat)), _RowProducts(lat, interned).__getitem__,
-                  _RowProducts(amb, interned).__getitem__)
-                 for lat, amb in zip(datum.reflections_lattice, datum.reflections_ambient)]
+        # the W-orbit of the e_c*, breadth-first as the list grows; the
+        # search stops past 1024 members, as an ambient action of infinite
+        # order would never end it
+        amb = self._ambient = list(identity_matrix(datum.dim))
+        amb_index = {f: c for c, f in enumerate(amb)}
+        for f in amb:
+            if len(amb) > 1024:
+                break
+            for m in datum.reflections_ambient:
+                image = row_mat(f, m)
+                if image not in amb_index:
+                    amb_index[image] = len(amb)
+                    amb.append(image)
+        e0 = self._e0 = len(self._roots)
+        if e0 + len(amb) > 256:
+            count = e0 + len(amb) if len(amb) <= 1024 else f"more than {e0 + 1024}"
+            raise GroupError(f"{count} roots and ambient functionals: "
+                             "bytes number at most 256")
+        self._permutations = len(amb) == datum.dim
+        self._shift = bytes(e0) + bytes(range(256 - e0))  # translate: k -> k - e0
+        gens = [_table(self._root_perm(lat) + bytes(e0 + amb_index[row_mat(f, m)] for f in amb))
+                for lat, m in zip(datum.reflections_lattice, datum.reflections_ambient)]
         base = self._base = datum.nsimple
-        ident = bytes(range(len(self._roots)))
+        ident = bytes(range(e0 + len(amb)))
         wperm = self._wperm = [ident]
-        wrows = self._wrows = [tuple(((i, 1),) for i in range(self.rank))]
-        wambient = self._wambient = [tuple(((i, 1),) for i in range(datum.dim))]
         windex = self._windex = {ident[:base]: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for idx in frontier:
-                perm = wperm[idx]
-                head = perm[:base]
-                rows, amb_rows = wrows[idx], wambient[idx]
-                for gen, lat, amb in steps:
-                    key = head.translate(gen)
-                    if key not in windex:
-                        windex[key] = len(wperm)
-                        nxt.append(len(wperm))
-                        wperm.append(perm.translate(gen))
-                        wrows.append(tuple(map(lat, rows)))
-                        wambient.append(tuple(map(amb, amb_rows)))
-            frontier = nxt
+        for perm in wperm:  # breadth-first, as the list grows
+            for gen in gens:
+                child = perm.translate(gen)
+                key = child[:base]
+                if key not in windex:
+                    windex[key] = len(wperm)
+                    wperm.append(child)
         self.finite_order = len(wperm)
-        # products of permutation matrices are permutations
-        self._permutations = all(map(_is_permutation, datum.reflections_ambient))
 
     def _root_perm(self, matrix):
         """Permutation k -> index of (root k) o matrix, or None when some
@@ -315,25 +319,38 @@ class ExtendedAffineWeylGroup:
         return self._windex[bytes(map(self._wperm[i].index, range(self._base)))]
 
     def weyl_index(self, matrix) -> int:
-        """Index of a lattice matrix in the finite table; validates membership."""
+        """Index of a lattice matrix in the finite table; validates membership:
+        the matrix is w when it permutes the roots like w and fixes the
+        radical functionals (module docstring)."""
         mat = tuple(tuple(int(v) for v in row) for row in matrix)
         perm = self._root_perm(mat)
         idx = None if perm is None else self._windex.get(perm[:self._base])
-        # the roots do not see the radical: -1 on the Siegel lattice
-        # permutes them like w0 but is not in the group
-        if idx is None or _dense(self._wrows[idx], self.rank) != mat:
+        if idx is None or any(row_mat(phi, mat) != phi for phi in self._newton_frame.phis):
             raise GroupError("matrix is not an element of the finite Weyl group")
         return idx
 
-    def act(self, widx: int, v: Sequence) -> tuple:
-        return _apply(self._wrows[widx], v)
+    def act(self, widx: int, v: Sequence[int]) -> tuple:
+        """w v for an integer vector v, from its pairings with the simple
+        roots and its radical values (module docstring)."""
+        frame = self._newton_frame
+        perm, roots, den = self._wperm[widx], self._roots, frame.den
+        values = [sum(map(mul, v, roots[perm[k]])) for k in self._simple]
+        values += [sum(map(mul, v, phi)) for phi in frame.phis]
+        return tuple([sum(map(mul, row, values)) // den for row in frame.inverse])
 
     def reflection_node(self, x: "ExtAffineElement") -> Optional[int]:
         """Node index if x is one of the simple reflections, else None."""
         return self._node_of_reflection.get(x)
 
+    def ambient_part(self, widx: int) -> bytes:
+        """Row r of the ambient matrix of w is e_r* o w, the functional
+        numbered 2N + ambient_part(w)[r]: the coordinate functional e_c*
+        iff that entry is c < d."""
+        e0 = self._e0
+        return self._wperm[widx][e0:e0 + self.datum.dim].translate(self._shift)
+
     def ambient_matrix(self, widx: int):
-        return _dense(self._wambient[widx], self.datum.dim)
+        return tuple(map(self._ambient.__getitem__, self.ambient_part(widx)))
 
     # -------------------------------------------------------- generators
 
@@ -347,19 +364,17 @@ class ExtendedAffineWeylGroup:
         # component j for j >= 1
         self.affine_node_of_component = tuple(
             0 if j == 0 else r + j for j in range(ncomp))
-        gens: dict[int, ExtAffineElement] = {}
-        for i in range(r):
-            widx = self.weyl_index(datum.reflections_lattice[i])
-            gens[i + 1] = ExtAffineElement((0,) * self.rank, widx, self)
-        for j, comp in enumerate(datum.components):
-            theta_vals = datum.theta[j]
-            theta_cov = datum.theta_coroot[j]
-            mat = datum._reflection_lattice(theta_vals, theta_cov)
-            widx = self.weyl_index(mat)
-            node = self.affine_node_of_component[j]
-            gens[node] = ExtAffineElement(vec_neg(theta_cov), widx, self)
-        self.simple_reflections = tuple(gens[i] for i in range(self.num_nodes))
-        self._node_of_reflection = {gens[i]: i for i in range(self.num_nodes)}
+        # (translation, lattice reflection) per node; the reflections are
+        # in W, so their root keys name them
+        parts = {i + 1: ((0,) * self.rank, mat)
+                 for i, mat in enumerate(datum.reflections_lattice)}
+        for j, (theta, coroot) in enumerate(zip(datum.theta, datum.theta_coroot)):
+            parts[self.affine_node_of_component[j]] = (
+                vec_neg(coroot), datum._reflection_lattice(theta, coroot))
+        self.simple_reflections = tuple(
+            ExtAffineElement(trans, self._windex[self._root_perm(mat)[:self._base]], self)
+            for trans, mat in map(parts.__getitem__, range(self.num_nodes)))
+        self._node_of_reflection = {x: i for i, x in enumerate(self.simple_reflections)}
         self.finite_nodes = frozenset(range(1, r + 1))
 
     def _build_affine_matrix(self):
@@ -655,8 +670,8 @@ class ExtendedAffineWeylGroup:
 
     @cached_property
     def _newton_frame(self) -> "_NewtonFrame":
-        """Built on the first Newton call.  The radical functionals are an
-        integer basis of the kernel of the coroots.  ``inverse`` is den
+        """Built on first use.  The radical functionals are an integer
+        basis of the kernel of the coroots.  ``inverse`` is den
         times the inverse of the rows [simple roots; radical functionals]."""
         datum = self.datum
         phis = integer_kernel(datum.coroots_lattice, self.rank)
@@ -669,7 +684,7 @@ class ExtendedAffineWeylGroup:
             orbit_sums.append(acc)
         inv = fraction_matrix_inverse(datum.root_values + phis)
         den = lcm(*(c.denominator for row in inv for c in row))
-        return _NewtonFrame(tuple(orbit_sums),
+        return _NewtonFrame(phis, tuple(orbit_sums),
                             tuple(tuple(int(den * c) for c in row) for row in inv), den)
 
     def _newton_entry(self, x: ExtAffineElement):
@@ -823,15 +838,15 @@ class ExtendedAffineWeylGroup:
     def finite_to_json(self, w: int):
         """The finite part with table index w: a permutation as the list of
         images, any other matrix as ``{"rows": ...}`` in ambient coordinates.
-        When the simple reflections are permutations, so is every w."""
-        rows = self._wambient[w]
-        # an invertible matrix whose rows are single ones is a permutation
-        if self._permutations or all(len(row) == 1 and row[0][1] == 1 for row in rows):
+        An invertible matrix whose rows are coordinate functionals is a
+        permutation (``ambient_part``)."""
+        rows = self.ambient_part(w)
+        if max(rows) < len(rows):
             w_json = [0] * len(rows)
-            for r, ((c, _),) in enumerate(rows):
+            for r, c in enumerate(rows):
                 w_json[c] = r
             return w_json
-        return {"rows": [list(r) for r in _dense(rows, self.datum.dim)]}
+        return {"rows": [list(r) for r in self.ambient_matrix(w)]}
 
 
 def _descends(pairs: tuple, perm: bytes, npos: int, node: tuple) -> bool:
@@ -841,55 +856,10 @@ def _descends(pairs: tuple, perm: bytes, npos: int, node: tuple) -> bool:
     return sign * pairs[k] >= (hi if perm[k] < npos else lo)
 
 
-class _RowProducts(dict):
-    """Sparse rows times one matrix, memoised per row: a miss computes the
-    product, interns it in the shared dict and stores it, so a hit is a
-    plain dict lookup."""
-
-    def __init__(self, mat, interned: dict):
-        self.mat = mat
-        self.interned = interned
-
-    def __missing__(self, row):
-        dense = [0] * len(self.mat[0])
-        for j, c in row:
-            for l, a in enumerate(self.mat[j]):
-                dense[l] += c * a
-        new = _sparse(dense)
-        got = self[row] = self.interned.setdefault(new, new)
-        return got
-
-
 def _table(perm: bytes) -> bytes:
     """A permutation padded to the 256 bytes that ``bytes.translate`` takes:
     p.translate(_table(q)) sends k to q[p[k]]."""
     return perm.ljust(256, b"\0")
-
-
-def _is_permutation(mat) -> bool:
-    cols = [row.index(1) for row in mat if sorted(row) == [0] * (len(row) - 1) + [1]]
-    return sorted(cols) == list(range(len(mat)))
-
-
-def _sparse(dense: Sequence[int]) -> tuple:
-    """A matrix row as its nonzero (column, entry) pairs."""
-    return tuple((j, c) for j, c in enumerate(dense) if c)
-
-
-def _dense(rows, n: int) -> tuple:
-    out = []
-    for row in rows:
-        vals = [0] * n
-        for j, c in row:
-            vals[j] = c
-        out.append(tuple(vals))
-    return tuple(out)
-
-
-def _apply(rows, v: Sequence) -> tuple:
-    """Sparse matrix times vector; most rows have a single entry."""
-    return tuple([v[row[0][0]] * row[0][1] if len(row) == 1
-                  else sum([c * v[j] for j, c in row]) for row in rows])
 
 
 def element_label(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> str:

@@ -246,6 +246,18 @@ def build_from_cartan(cartan):
                                              simple_coroots=basis))
 
 
+def build_split_adjoint(cartan):
+    """Split datum on the coweight lattice: the simple roots are the
+    standard basis of Z^n and coroot i is Cartan row i, so again
+    <coroot i, root j> = cartan[i][j].  The ambient coordinate functionals
+    are the simple roots, whose W-orbit is the whole root system."""
+    n = len(cartan)
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return ExtendedAffineWeylGroup(RootDatum(dim=n, basis=basis,
+                                             simple_roots=basis,
+                                             simple_coroots=cartan))
+
+
 def build_b2():
     """Type B2 (root 0 long, root 1 short): one bond of order 4."""
     return build_from_cartan(((2, -1), (-2, 2)))

@@ -164,7 +164,9 @@ def test_test_only_code_is_out_of_src():
     """The saturation, double coset minima and the ambient dominantize are
     test helpers now (tests/helpers.py).  The Kottwitz map and the Smith
     form are gone: kappa is constant on Adm(mu), which lies in one W_a
-    coset, and the Newton frame reads the coroot kernel by row reduction."""
+    coset, and the Newton frame reads the coroot kernel by row reduction.
+    The finite table keeps one permutation per element: no sparse lattice
+    or ambient rows, and no helpers to build or apply them."""
     from ekor_atlas import admissible, affine, lattice
     from ekor_atlas.siegel import siegel_context
     for name in ("saturated_set", "double_coset_minima", "is_right_minimal"):
@@ -178,3 +180,8 @@ def test_test_only_code_is_out_of_src():
     for name in ("smith_normal_form", "AbelianQuotient", "Pi1Class"):
         assert not hasattr(lattice, name)
         assert name not in ekor_atlas.__all__
+    for name in ("_RowProducts", "_sparse", "_dense", "_apply", "_is_permutation"):
+        assert not hasattr(affine, name)
+    fresh = affine.ExtendedAffineWeylGroup(group.datum)
+    for name in ("_wrows", "_wambient"):
+        assert not hasattr(fresh, name)

@@ -1,5 +1,13 @@
-"""The root-permutation table of the finite Weyl group against its
-dense-matrix twin, element by element, on Siegel and non-Siegel data."""
+"""The permutation table of the finite Weyl group against its dense-matrix
+twin, element by element, on Siegel and non-Siegel data.
+
+Each element is one permutation of the roots and of the W-orbit of the
+ambient coordinate functionals.  The lattice action, the index of a
+lattice matrix and the ambient matrix are all read from it, so the twins
+include split adjoint C3 on the coweight lattice: its ambient rows are not
+coordinate functionals and its lattice is not the coroot lattice.  The
+refusal tests pin where a byte per functional stops: more than 256 roots,
+or more than 256 roots and ambient functionals together."""
 
 import itertools
 
@@ -9,6 +17,7 @@ from ekor_atlas import siegel
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.lattice import row_mat, vec_dot, vec_neg
 from ekor_atlas.oracles import DenseWeylTable, cayley_ball, twisted_power
+from ekor_atlas.rootdata import RootDatum
 from ekor_atlas.siegel import siegel_context, siegel_datum
 from helpers import (
     build_b2,
@@ -17,9 +26,19 @@ from helpers import (
     build_gl2_gl3,
     build_gl2_unitary,
     build_gl3_twisted,
+    build_split_adjoint,
     product_order,
     root_system_by_solving,
 )
+
+
+def _cartan_c(n):
+    """Cartan matrix of C_n, with the long simple root last."""
+    cartan = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)]
+              for i in range(n)]
+    cartan[n - 2][n - 1] = -2
+    return cartan
+
 
 DATA = {
     "siegel1": lambda: siegel_context(1).group,
@@ -30,9 +49,11 @@ DATA = {
     "gl2_unitary": build_gl2_unitary,
     "b2": build_b2,
     "g2": build_g2,
+    "c3_adjoint": lambda: build_split_adjoint(_cartan_c(3)),
 }
 ORDERS = {"siegel1": 2, "siegel2": 8, "siegel3": 48, "gl3_twisted": 6,
-          "gl2_gl3": 12, "gl2_unitary": 2, "b2": 8, "g2": 12}
+          "gl2_gl3": 12, "gl2_unitary": 2, "b2": 8, "g2": 12,
+          "c3_adjoint": 48}
 
 
 @pytest.fixture(scope="module", params=sorted(DATA))
@@ -241,9 +262,31 @@ def test_minus_identity_is_rejected(g):
 
 def test_more_than_256_roots_refused():
     """C12 has 288 roots and 2^12 12! elements: refused before the search."""
-    n = 12
-    cartan = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)]
-              for i in range(n)]
-    cartan[n - 2][n - 1] = -2
     with pytest.raises(GroupError, match="288 roots"):
-        build_from_cartan(cartan)
+        build_from_cartan(_cartan_c(12))
+
+
+def test_more_than_256_functionals_refused():
+    """Simply connected C5 has 50 roots, and the W-orbits of its ambient
+    coordinate functionals, the fundamental weights, have 10 + 40 + 80 +
+    80 + 32 members: 292 functionals do not fit in a byte."""
+    with pytest.raises(GroupError, match="292 roots and ambient functionals"):
+        build_from_cartan(_cartan_c(5))
+
+
+def test_split_adjoint_c5_builds():
+    """Adjoint C5 has the same 50 roots, but its ambient functionals are
+    the roots themselves: 100 functionals, and all 3,840 elements."""
+    group = build_split_adjoint(_cartan_c(5))
+    assert group.finite_order == 3840
+    assert len(group._wperm[0]) == 100
+
+
+def test_ambient_action_of_infinite_order_refused():
+    """An ambient matrix may restrict to the reflection on X and still have
+    infinite order off X: here e_1* o s = 2 e_1*, whose orbit never ends.
+    The orbit search stops and the datum is refused."""
+    datum = RootDatum(dim=2, basis=((1, 0),), simple_roots=((1, 0),),
+                      simple_coroots=((2, 0),), ambient_weyl=[((-1, 0), (0, 2))])
+    with pytest.raises(GroupError, match="more than 1026 roots and ambient"):
+        ExtendedAffineWeylGroup(datum)
