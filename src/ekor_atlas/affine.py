@@ -29,10 +29,11 @@ w; these first nsimple entries are the key of the index.  Hence
   perm(w)[2N + r], the coordinate functional e_c* iff that number is
   2N + c < 2N + d.
 
-``act`` reads w v through the Newton frame below, and a lattice matrix is
-w iff it permutes the roots like w and fixes every radical functional phi
-of that frame: -1 on the Siegel lattice permutes them like w0 but negates
-the radical.
+``act`` reads w v through the Newton frame below: from the pairings of
+w v with the simple roots, read off perm(w), and its values under the
+radical functionals phi of that frame, which w fixes.  So -1 on the
+Siegel lattice, which permutes the roots like w0 but negates the radical,
+is no element of W.
 
 The order of w sigma on X comes from the same table: it is the lcm of the
 cycle lengths of w sigma on the roots and of the order f of sigma on X.
@@ -318,17 +319,6 @@ class ExtendedAffineWeylGroup:
     def winv(self, i: int) -> int:
         return self._windex[bytes(map(self._wperm[i].index, range(self._base)))]
 
-    def weyl_index(self, matrix) -> int:
-        """Index of a lattice matrix in the finite table; validates membership:
-        the matrix is w when it permutes the roots like w and fixes the
-        radical functionals (module docstring)."""
-        mat = tuple(tuple(int(v) for v in row) for row in matrix)
-        perm = self._root_perm(mat)
-        idx = None if perm is None else self._windex.get(perm[:self._base])
-        if idx is None or any(row_mat(phi, mat) != phi for phi in self._newton_frame.phis):
-            raise GroupError("matrix is not an element of the finite Weyl group")
-        return idx
-
     def act(self, widx: int, v: Sequence[int]) -> tuple:
         """w v for an integer vector v, from its pairings with the simple
         roots and its radical values (module docstring)."""
@@ -337,10 +327,6 @@ class ExtendedAffineWeylGroup:
         values = [sum(map(mul, v, roots[perm[k]])) for k in self._simple]
         values += [sum(map(mul, v, phi)) for phi in frame.phis]
         return tuple([sum(map(mul, row, values)) // den for row in frame.inverse])
-
-    def reflection_node(self, x: "ExtAffineElement") -> Optional[int]:
-        """Node index if x is one of the simple reflections, else None."""
-        return self._node_of_reflection.get(x)
 
     def ambient_part(self, widx: int) -> bytes:
         """Row r of the ambient matrix of w is e_r* o w, the functional
@@ -374,7 +360,6 @@ class ExtendedAffineWeylGroup:
         self.simple_reflections = tuple(
             ExtAffineElement(trans, self._windex[self._root_perm(mat)[:self._base]], self)
             for trans, mat in map(parts.__getitem__, range(self.num_nodes)))
-        self._node_of_reflection = {x: i for i, x in enumerate(self.simple_reflections)}
         self.finite_nodes = frozenset(range(1, r + 1))
 
     def _build_affine_matrix(self):
@@ -598,17 +583,16 @@ class ExtendedAffineWeylGroup:
         return out
 
     def omega_of(self, x: ExtAffineElement) -> OmegaElement:
-        """Wrap a length-zero element with its node permutation."""
+        """Wrap a length-zero element with its node permutation: x maps the
+        base alcove to itself, so it conjugates each s_j to some s_i."""
         self._check(x)
         if self.length(x) != 0:
             raise GroupError("element has positive length")
         key = (x.trans, x.w)
         got = self._omega.get(key)
         if got is None:
-            images = tuple(self.conjugate_simple(x, i) for i in range(self.num_nodes))
-            if None in images:
-                raise GroupError("conjugation does not permute the simple reflections")
-            got = OmegaElement(x, images)
+            got = OmegaElement(x, tuple(self.conjugate_simple(x, i)
+                                        for i in range(self.num_nodes)))
             self._omega[key] = got
         return got
 
@@ -699,7 +683,7 @@ class ExtendedAffineWeylGroup:
         got = self._newton.get(key)
         if got is None:
             n, pairs, rad = key
-            dom = (n, tuple(self._dominant_pairings(list(pairs))[0]), rad)
+            dom = (n, tuple(self._dominant_pairings(list(pairs))), rad)
             got = self._newton.get(dom)
             if got is None:
                 frame = self._newton_frame
@@ -712,39 +696,20 @@ class ExtendedAffineWeylGroup:
             self._newton[key] = got
         return key[0], got
 
-    def _dominant_pairings(self, pair: list):
-        """The simple-root pairings of the dominant member of an orbit, and
-        the coroot coefficients that reach it, from the pairings of any
-        member: reflecting by s_i with p = <v, a_i> < 0 subtracts p a_i^vee
-        from v, so the pairing with a_j drops by p <a_i^vee, a_j>, the
-        Cartan entry cartan[i][j].  The result does not depend on which
-        negative pairing is reflected first: the orbit has one dominant
-        member, and the coroots are independent."""
-        coef = [0] * len(pair)
+    def _dominant_pairings(self, pair: list) -> list:
+        """The simple-root pairings of the dominant member of an orbit,
+        from the pairings of any member: reflecting by s_i with
+        p = <v, a_i> < 0 subtracts p a_i^vee from v, so the pairing with a_j
+        drops by p <a_i^vee, a_j>, the Cartan entry cartan[i][j].  The
+        result does not depend on which negative pairing is reflected
+        first, as the orbit has one dominant member.  The rescanning loop
+        on vectors is ``oracles.dominantize_by_rescan``."""
         while pair:
             p = min(pair)
             if p >= 0:
                 break
-            i = pair.index(p)
-            coef[i] -= p
-            pair = [q - p * c for q, c in zip(pair, self.datum.cartan[i])]
-        return pair, coef
-
-    def dominantize_lattice(self, v: Sequence) -> tuple:
-        """Dominant representative of a lattice vector, by the Cartan-row
-        loop of ``_dominant_pairings``; the coroot coefficients are summed
-        and the vector is built at the end.  The rescanning loop is kept
-        as ``oracles.dominantize_by_rescan``.  Exact in whatever numbers
-        it is given: integers stay integers.
-        """
-        datum = self.datum
-        _, coef = self._dominant_pairings([vec_dot(v, vals) for vals in datum.root_values])
-        out = list(v)
-        for c, coroot in zip(coef, datum.coroots_lattice):
-            if c:
-                for k, a in enumerate(coroot):
-                    out[k] += c * a
-        return tuple(out)
+            pair = [q - p * c for q, c in zip(pair, self.datum.cartan[pair.index(p)])]
+        return pair
 
     def newton_vector(self, x: ExtAffineElement) -> tuple[Fraction, ...]:
         """Dominant Newton point of the element, in ambient coordinates.
@@ -778,10 +743,7 @@ class ExtendedAffineWeylGroup:
         for _ in range(order - 1):
             cur = mat_vec(self.datum.frobenius_ambient, cur)
             acc = vec_add(acc, cur)
-        avg = tuple(Fraction(a, order) for a in acc)
-        if not self.is_dominant(avg):
-            raise GroupError("galois average of a dominant vector must stay dominant")
-        return avg
+        return tuple(Fraction(a, order) for a in acc)
 
     def length_zero_element(self, mu_ambient: Sequence[int]) -> OmegaElement:
         """The unique length-zero element in the coset attached to mu.

@@ -102,8 +102,8 @@ class DenseWeylTable:
 
     def signs(self, i: int) -> tuple[bool, ...]:
         """Per positive root a: whether w^-1 a is positive."""
-        return tuple(self.datum.root_sign(row_mat(vals, self.mats[i])) > 0
-                     for vals in self.datum.positive_roots)
+        positive = self.datum.positive_roots
+        return tuple(row_mat(vals, self.mats[i]) in positive for vals in positive)
 
     def sigma_conjugate(self, i: int) -> int:
         """Index of sigma w sigma^-1."""
@@ -138,15 +138,15 @@ def dominantize_by_rescan(group: ExtendedAffineWeylGroup, v: Sequence) -> tuple:
             return cur
 
 
-def coxeter_bfs_sizes(mat: CoxeterMatrix, nodes: Optional[Iterable[int]] = None,
-                      cap: int = DEFAULT_CAP) -> Optional[list[int]]:
-    """Element counts by length, or None once the cap is passed."""
+def coxeter_group_size(mat: CoxeterMatrix, nodes: Optional[Iterable[int]] = None,
+                       cap: int = DEFAULT_CAP) -> Optional[int]:
+    """Order of the parabolic subgroup on the nodes, by breadth-first search
+    in the reflection representation, or None once the cap is passed."""
     picked = sorted(mat.nodes() if nodes is None else nodes)
     gens = _reflection_generators(mat, picked)
     ident = identity_matrix(len(picked))
     seen = {ident}
     frontier = [ident]
-    sizes = [1]
     while frontier:
         nxt = []
         for m in frontier:
@@ -157,16 +157,8 @@ def coxeter_bfs_sizes(mat: CoxeterMatrix, nodes: Optional[Iterable[int]] = None,
                     nxt.append(p)
                     if len(seen) > cap:
                         return None
-        if nxt:
-            sizes.append(len(nxt))
         frontier = nxt
-    return sizes
-
-
-def coxeter_group_size(mat: CoxeterMatrix, nodes: Optional[Iterable[int]] = None,
-                       cap: int = DEFAULT_CAP) -> Optional[int]:
-    sizes = coxeter_bfs_sizes(mat, nodes, cap)
-    return None if sizes is None else sum(sizes)
+    return len(seen)
 
 
 def cayley_ball(group: ExtendedAffineWeylGroup, radius: int,
@@ -273,8 +265,9 @@ def brute_stable_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
         ok = True
         for i in sub:
             s = group.simple_reflections[group.sigma_diagram[i]]
-            node = group.reflection_node(group.mult(group.mult(x, s), xinv))
-            if node is None or node not in sub:
+            y = group.mult(group.mult(x, s), xinv)
+            node = next((j for j in sub if group.simple_reflections[j] == y), None)
+            if node is None:
                 ok = False
                 break
             images.add(node)

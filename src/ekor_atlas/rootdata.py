@@ -191,7 +191,8 @@ class RootDatum:
         is of finite type, so it is invertible: the simple roots are
         independent on X, the coordinates name each root once, and the
         closure is finite unless some root has coordinates of both signs,
-        which is refused as soon as it appears."""
+        which is refused as soon as it appears.  With each root b it holds
+        -b, as b = w a_i gives -b = w s_i a_i."""
         n = self.nsimple
         coroots = {tuple(int(i == j) for j in range(n)): self.coroots_lattice[i]
                    for i in range(n)}
@@ -214,19 +215,17 @@ class RootDatum:
 
         positive = [(row_mat(coords, self.root_values), coroot, coords)
                     for coords, coroot in coroots.items() if min(coords) >= 0]
-        if 2 * len(positive) != len(coroots):
-            raise RootDatumError("root system is not symmetric under negation")
 
         # deterministic order: by height then by values
         positive.sort(key=lambda t: (sum(t[2]), t[0]))
         self.positive_roots = tuple(p[0] for p in positive)
         self.positive_coroots = tuple(p[1] for p in positive)
         self.positive_coords = tuple(p[2] for p in positive)
-        self._positive_index = {v: i for i, v in enumerate(self.positive_roots)}
         self.two_rho = tuple(sum(col) for col in zip(*self.positive_roots)) \
             if positive else (0,) * self.rank
 
-        # highest root per finite component, found by maximal height
+        # highest root per finite component, found by maximal height (the
+        # component's simple roots qualify, so one is found)
         self.components = self.finite_coxeter.connected_components()
         self.theta = []
         self.theta_coroot = []
@@ -237,19 +236,10 @@ class RootDatum:
                 if support <= comp:
                     if best is None or sum(coords) > sum(self.positive_coords[best]):
                         best = idx
-            assert best is not None
             self.theta.append(self.positive_roots[best])
             self.theta_coroot.append(self.positive_coroots[best])
         self.theta = tuple(self.theta)
         self.theta_coroot = tuple(self.theta_coroot)
-
-    def root_sign(self, values) -> int:
-        """+1 / -1 for a positive / negative root functional, in lattice values."""
-        if values in self._positive_index:
-            return 1
-        if tuple(-v for v in values) in self._positive_index:
-            return -1
-        raise RootDatumError(f"{values} is not a root")
 
     # ----------------------------------------------------------- frobenius
 

@@ -166,8 +166,11 @@ def test_test_only_code_is_out_of_src():
     form are gone: kappa is constant on Adm(mu), which lies in one W_a
     coset, and the Newton frame reads the coroot kernel by row reduction.
     The finite table keeps one permutation per element: no sparse lattice
-    or ambient rows, and no helpers to build or apply them."""
+    or ambient rows, and no helpers to build or apply them.  Lookups that
+    only tests and oracles called are gone: the index of a lattice matrix,
+    the node of a reflection, the lattice dominantize and the root sign."""
     from ekor_atlas import admissible, affine, lattice
+    from ekor_atlas.rootdata import RootDatum
     from ekor_atlas.siegel import siegel_context
     for name in ("saturated_set", "double_coset_minima", "is_right_minimal"):
         assert not hasattr(admissible, name)
@@ -182,6 +185,11 @@ def test_test_only_code_is_out_of_src():
         assert name not in ekor_atlas.__all__
     for name in ("_RowProducts", "_sparse", "_dense", "_apply", "_is_permutation"):
         assert not hasattr(affine, name)
+    for name in ("weyl_index", "reflection_node", "dominantize_lattice"):
+        assert not hasattr(affine.ExtendedAffineWeylGroup, name)
     fresh = affine.ExtendedAffineWeylGroup(group.datum)
-    for name in ("_wrows", "_wambient"):
+    for name in ("_wrows", "_wambient", "_node_of_reflection"):
         assert not hasattr(fresh, name)
+    for name in ("root_sign", "_positive_index"):
+        assert not hasattr(RootDatum, name)
+        assert not hasattr(group.datum, name)
