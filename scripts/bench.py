@@ -1,6 +1,6 @@
 """Per-stage times of the Siegel pipeline, one fresh process per genus.
 
-    python3 scripts/bench.py [--max-g 5] [--out BENCH_6.json] [--label change]
+    python3 scripts/bench.py --out BENCH_N.json [--max-g 5] [--label change]
 
 For each genus 1..max-g (6 takes about a minute more, 7 is not offered) a
 new process runs, in order:
@@ -34,7 +34,8 @@ workers get ``PYTHONPATH`` and a fixed ``PYTHONHASHSEED`` and no other
 not put compilation into the import stage.  The run is stored in the output
 file under ``--label`` with the machine, the Python version and a digest of
 the engine's source, next to the runs already there, so one file can hold a
-before/after pair.
+before/after pair.  ``--out`` has no default, so no run lands by accident in
+a stage file that holds another's figures.
 """
 
 import argparse
@@ -108,13 +109,15 @@ def source_digest() -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-g", type=int, default=5, choices=range(1, 7))
-    parser.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
+    parser.add_argument("--out", help="stage file to add the run to (required)")
     parser.add_argument("--label", default="change")
     parser.add_argument("--worker", type=int, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker is not None:
         json.dump(measure(args.worker), sys.stdout)
         return 0
+    if args.out is None:
+        parser.error("the following arguments are required: --out")
 
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(SRC), PYTHONHASHSEED="0")

@@ -416,9 +416,6 @@ class ExtendedAffineWeylGroup:
         wi = self.winv(x.w)
         return ExtAffineElement(vec_neg(self.act(wi, x.trans)), wi, self)
 
-    def translation(self, mu_ambient: Sequence[int]) -> ExtAffineElement:
-        return ExtAffineElement(self.datum.to_lattice(mu_ambient), 0, self)
-
     def from_parts(self, trans_lattice: Sequence[int], widx: int) -> ExtAffineElement:
         return ExtAffineElement(tuple(trans_lattice), widx, self)
 
@@ -499,9 +496,6 @@ class ExtendedAffineWeylGroup:
         npos = self._npos
         return (i for i, node in enumerate(self._nodes)
                 if _descends(pairs, perm, npos, node))
-
-    def descents(self, x: ExtAffineElement) -> list[int]:
-        return list(self._descent_nodes(x))
 
     def first_descent(self, x: ExtAffineElement) -> Optional[int]:
         return next(self._descent_nodes(x), None)

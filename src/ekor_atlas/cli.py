@@ -295,8 +295,7 @@ def _cmd_check(ctx) -> Iterable[str]:
     group = ctx.group
     lines = []
 
-    fin = coxeter_group_size(group.affine_coxeter,
-                             frozenset(range(1, ctx.g + 1)), cap=10000)
+    fin = coxeter_group_size(group.affine_coxeter, ctx.hyperspecial, cap=10000)
     want = (2 ** ctx.g) * math.factorial(ctx.g)
     if fin != want:
         raise GroupError(f"finite group size {fin}, expected {want}")

@@ -62,10 +62,6 @@ def is_basic(group: ExtendedAffineWeylGroup, supp: SigmaSupport) -> bool:
     return group.affine_coxeter.is_finite_parabolic(supp.closure)
 
 
-def is_basic_element(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> bool:
-    return is_basic(group, sigma_support(group, x))
-
-
 def stable_level_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
                         label: frozenset[int]) -> frozenset[int]:
     """Largest subset I of the level with x sigma(I) x^-1 = I.

@@ -329,7 +329,7 @@ def siegel_context(g: int) -> SiegelContext:
         mu=mu,
         tau=tau,
         iwahori=frozenset(),
-        hyperspecial=frozenset(range(1, g + 1)),
+        hyperspecial=group.finite_nodes,
     )
     _CONTEXTS[g] = ctx
     return ctx

@@ -64,7 +64,7 @@ def random_descent_word(rng: random.Random, group: ExtendedAffineWeylGroup,
     word = []
     y = x
     while True:
-        choices = group.descents(y)
+        choices = list(group._descent_nodes(y))
         if not choices:
             break
         i = rng.choice(choices)

@@ -13,7 +13,7 @@ from ekor_atlas.admissible import kw_elements, straight_classes
 from ekor_atlas.affine import element_label
 from ekor_atlas.cli import main
 from ekor_atlas.ekor import (
-    is_basic_element,
+    is_basic,
     sigma_support,
     stable_level_subset,
     stratum_report,
@@ -90,7 +90,7 @@ def test_c2_basic_classification_agreement(criterion):
             levels += 1
             for x in kw_elements(adm, nodes):
                 strata += 1
-                if is_basic_element(group, x) != closed_form_basic(ctx, x):
+                if is_basic(group, sigma_support(group, x)) != closed_form_basic(ctx, x):
                     mismatches.append((g, tuple(sorted(nodes)),
                                        element_label(group, x)))
     criterion("C2 basic classification agreement", not mismatches,
@@ -219,7 +219,8 @@ def test_c6_straight_class_structure(criterion):
         ok &= len(classes) == count
         points = [c.newton for c in classes]
         ok &= len(set(points)) == len(points)
-        omega_mu = group.reduced_word(group.translation(ctx.mu)).omega.element
+        t_mu = group.from_parts(group.datum.to_lattice(ctx.mu), 0)
+        omega_mu = group.reduced_word(t_mu).omega.element
         mu_bar = group.galois_average(ctx.mu)
         basics = [c for c in classes if c.is_basic]
         ok &= len(basics) == 1

@@ -177,8 +177,8 @@ def test_membership(ctx2):
     adm = ctx2.adm()
     assert all(x in adm for x in adm.elements)
     # wrong Kottwitz class, and right class but too long
-    assert group.translation((2, 2, 0, 0)) not in adm
-    assert group.translation((2, 1, 0, -1)) not in adm
+    assert group.from_parts(group.datum.to_lattice((2, 2, 0, 0)), 0) not in adm
+    assert group.from_parts(group.datum.to_lattice((2, 1, 0, -1)), 0) not in adm
 
 
 # ------------------------------------------------------------ parahorics

@@ -14,7 +14,6 @@ from ekor_atlas.ekor import (
     _orbit_closure,
     dl_datum,
     is_basic,
-    is_basic_element,
     is_sigma_coxeter,
     sigma_support,
     stable_level_subset,
@@ -36,7 +35,7 @@ G2_CLOSURES = {
 
 def _basic_iwahori(ctx):
     return [x for x in ctx.adm().elements
-            if is_basic_element(ctx.group, x)]
+            if is_basic(ctx.group, sigma_support(ctx.group, x))]
 
 
 # ------------------------------------------------------------ sigma support
@@ -161,7 +160,8 @@ def test_basic_locus_is_closed_iwahori(g):
     ctx = siegel_context(g)
     group = ctx.group
     basic = _basic_iwahori(ctx)
-    others = [x for x in ctx.adm().elements if not is_basic_element(group, x)]
+    others = [x for x in ctx.adm().elements
+              if not is_basic(group, sigma_support(group, x))]
     assert len(basic) + len(others) == len(ctx.adm())
     below = [(x, b) for b in basic for x in others
              if group.length(x) < group.length(b) and group.bruhat_leq(x, b)]
@@ -172,7 +172,6 @@ def test_basicness_via_closure(ctx2):
     group = ctx2.group
     for x in ctx2.adm().elements:
         supp = sigma_support(group, x)
-        assert is_basic(group, supp) == is_basic_element(group, x)
         assert is_basic(group, supp) == \
             group.affine_coxeter.is_finite_parabolic(supp.closure)
 

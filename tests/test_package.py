@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -13,10 +14,14 @@ import ekor_atlas
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_public_names_resolve():
-    missing = [name for name in ekor_atlas.__all__
-               if not hasattr(ekor_atlas, name)]
-    assert not missing
+def test_package_root_defines_no_engine_name():
+    """Callers import each name from its submodule, so the package root
+    holds its docstring and nothing else; pyproject.toml has the version."""
+    stray = [name for name, value in vars(ekor_atlas).items()
+             if not name.startswith("__") and not isinstance(value, types.ModuleType)]
+    assert not stray
+    assert not hasattr(ekor_atlas, "__all__")
+    assert not hasattr(ekor_atlas, "__version__")
 
 
 def _imported_names(tree):
@@ -40,14 +45,6 @@ def _used_names(tree):
     return used
 
 
-def _exported_names(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def test_no_unused_imports():
     """In src/, tests/ and scripts/."""
     unused = []
@@ -55,7 +52,7 @@ def test_no_unused_imports():
              *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     for path in sorted(paths):
         tree = ast.parse(path.read_text())
-        spare = set(_imported_names(tree)) - _used_names(tree) - _exported_names(tree)
+        spare = set(_imported_names(tree)) - _used_names(tree)
         unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(spare)]
     assert not unused
 
@@ -127,6 +124,18 @@ def test_bench_runs(tmp_path):
     assert run["genera"][1]["peak_rss_mb"] > 0
 
 
+def test_bench_needs_out(tmp_path):
+    """With no --out, a copy of the script in an empty tree exits 2 and
+    writes no stage file there."""
+    script = tmp_path / "scripts" / "bench.py"
+    script.parent.mkdir()
+    script.write_bytes((ROOT / "scripts" / "bench.py").read_bytes())
+    done = run_script(str(script), "--max-g", "1")
+    assert done.returncode == 2
+    assert "--out" in done.stderr
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bench.py", "scripts"]
+
+
 def test_cli_import_loads_no_dataclasses():
     """Importing the engine stays cheap: no module imports ``dataclasses``
     (with ``inspect``, ``ast`` and ``dis`` behind it)."""
@@ -168,13 +177,14 @@ def test_test_only_code_is_out_of_src():
     The finite table keeps one permutation per element: no sparse lattice
     or ambient rows, and no helpers to build or apply them.  Lookups that
     only tests and oracles called are gone: the index of a lattice matrix,
-    the node of a reflection, the lattice dominantize and the root sign."""
-    from ekor_atlas import admissible, affine, lattice
+    the node of a reflection, the lattice dominantize, the root sign, the
+    translation by an ambient weight, the list of descents and the basic
+    test of an element."""
+    from ekor_atlas import admissible, affine, ekor, lattice
     from ekor_atlas.rootdata import RootDatum
     from ekor_atlas.siegel import siegel_context
     for name in ("saturated_set", "double_coset_minima", "is_right_minimal"):
         assert not hasattr(admissible, name)
-        assert name not in ekor_atlas.__all__
     assert not hasattr(affine.ExtendedAffineWeylGroup, "dominantize")
     group = siegel_context(1).group
     for name in ("kottwitz", "pi1_gamma"):
@@ -182,11 +192,12 @@ def test_test_only_code_is_out_of_src():
         assert not hasattr(group, name)
     for name in ("smith_normal_form", "AbelianQuotient", "Pi1Class"):
         assert not hasattr(lattice, name)
-        assert name not in ekor_atlas.__all__
     for name in ("_RowProducts", "_sparse", "_dense", "_apply", "_is_permutation"):
         assert not hasattr(affine, name)
-    for name in ("weyl_index", "reflection_node", "dominantize_lattice"):
+    for name in ("weyl_index", "reflection_node", "dominantize_lattice",
+                 "translation", "descents"):
         assert not hasattr(affine.ExtendedAffineWeylGroup, name)
+    assert not hasattr(ekor, "is_basic_element")
     fresh = affine.ExtendedAffineWeylGroup(group.datum)
     for name in ("_wrows", "_wambient", "_node_of_reflection"):
         assert not hasattr(fresh, name)

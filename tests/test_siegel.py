@@ -48,7 +48,8 @@ def test_context_facts(g):
         "t": [0] * g + [1] * g, "w": [(j + g) % d for j in range(d)]}
     assert ctx.tau.node_images == tuple(g - i for i in range(g + 1))
 
-    assert group.reduced_word(group.translation(ctx.mu)).omega.element == ctx.tau.element
+    t_mu = group.from_parts(group.datum.to_lattice(ctx.mu), 0)
+    assert group.reduced_word(t_mu).omega.element == ctx.tau.element
 
 
 def test_context_is_cached():
