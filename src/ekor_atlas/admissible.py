@@ -55,6 +55,7 @@ from ekor_atlas.affine import (
     GroupError,
 )
 from ekor_atlas.lattice import mat_vec
+from ekor_atlas.oracles import admissible_by_subwords
 
 
 def parahoric_label(group: ExtendedAffineWeylGroup,
@@ -127,24 +128,15 @@ def admissible_set(group: ExtendedAffineWeylGroup,
     """All elements below some translation point of the orbit of mu, by the
     vertex rule (module docstring), or by subword closure for a datum
     outside it, kept in the order found."""
-    mu_lat = group.datum.to_lattice(mu_ambient)
-    cached = group._adm_cache.get(mu_lat)
-    if cached is not None:
-        return cached
     if not group.is_dominant(mu_ambient):
         raise GroupError(f"{tuple(mu_ambient)} is not dominant")
-    orbit = weyl_orbit(group, mu_lat)
+    orbit = weyl_orbit(group, group.datum.to_lattice(mu_ambient))
     maxima = [group.from_parts(lam, 0) for lam in orbit]
     found = _vertex_rule(group, orbit)
     if found is None:
-        # imported here: only data outside the theorem need the oracles,
-        # and importing them costs every process a few milliseconds
-        from ekor_atlas.oracles import admissible_by_subwords
         found = admissible_by_subwords(group, maxima)
-    out = AdmissibleSet(group, tuple(int(c) for c in mu_ambient), tuple(found),
-                        tuple(sorted(maxima, key=group.sort_key)))
-    group._adm_cache[mu_lat] = out
-    return out
+    return AdmissibleSet(group, tuple(int(c) for c in mu_ambient), tuple(found),
+                         tuple(sorted(maxima, key=group.sort_key)))
 
 
 def _vertex_rule(group: ExtendedAffineWeylGroup,

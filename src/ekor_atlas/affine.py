@@ -253,7 +253,6 @@ class ExtendedAffineWeylGroup:
         self._json_texts: dict = {}
         self._bruhat: dict = {}
         self._parabolic: dict = {}
-        self._adm_cache: dict = {}
         self.identity = ExtAffineElement((0,) * self.rank, 0, self)
 
     # ------------------------------------------------------- finite table

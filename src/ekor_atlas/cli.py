@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ekor_atlas.admissible import bruhat_hasse_edges, straight_classes
 from ekor_atlas.affine import GroupError, element_label
 from ekor_atlas.coxeter import CoxeterError
-from ekor_atlas.ekor import StratumRecord, stratum_report
+from ekor_atlas.ekor import StratumRecord
 from ekor_atlas.oracles import (
     OracleError,
     bruhat_leq_subword,
@@ -236,7 +236,7 @@ def _cmd_adm(ctx, fmt: str) -> Iterable[str]:
 
 
 def _cmd_classify(ctx, level, fmt: str) -> Iterable[str]:
-    report = stratum_report(ctx.adm(), level)
+    report = ctx.report(level)
     group = ctx.group
     if fmt == "json":
         return _json_list(record_to_json(group, rec) for rec in report)
@@ -258,7 +258,7 @@ def _cmd_classify(ctx, level, fmt: str) -> Iterable[str]:
 
 
 def _cmd_dl_data(ctx, level, fmt: str) -> Iterable[str]:
-    report = [rec for rec in stratum_report(ctx.adm(), level) if rec.basic]
+    report = [rec for rec in ctx.report(level) if rec.basic]
     group = ctx.group
     if fmt == "json":
         return _json_list(record_to_json(group, rec) for rec in report)
@@ -275,13 +275,9 @@ def _cmd_dl_data(ctx, level, fmt: str) -> Iterable[str]:
 
 
 def _cmd_compare(ctx, level, fmt: str) -> Iterable[str]:
-    if level == ctx.iwahori:
-        mode = "gortz-yu"
-    elif level == ctx.hyperspecial:
-        mode = "hoeve"
-    else:
+    if level not in (ctx.iwahori, ctx.hyperspecial):
         raise UsageError("compare needs an iwahori or hyperspecial level")
-    rep = ctx.compare(mode)
+    rep = ctx.compare(level)
     if fmt == "json":
         return _lines([json.dumps(rep.to_json(), indent=2, sort_keys=True)])
     lines = [f"mode={rep.mode} g={rep.g} strata={rep.strata} "
@@ -321,8 +317,8 @@ def _cmd_check(ctx) -> Iterable[str]:
             raise GroupError("admissible element fails the order test")
     lines.append(f"ok: {len(adm)} admissible elements sit below a translation point")
 
-    for mode in ("gortz-yu", "hoeve"):
-        rep = ctx.compare(mode)
+    for level in (ctx.iwahori, ctx.hyperspecial):
+        rep = ctx.compare(level)
         lines.append(f"ok: {rep.mode} comparison, {rep.basic} basic strata")
 
     classes = straight_classes(adm)

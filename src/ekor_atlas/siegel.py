@@ -5,10 +5,11 @@ x_i + x_(2g+1-i); simple roots are x_i - x_(i+1) and the extra affine
 reflection is the swap of the outer pair shifted by the highest coroot.  The
 minuscule cocharacter is (1,...,1,0,...,0).
 
-This module also carries the closed-form side of the two comparison modes:
-closed supports and canonical stable subsets indexed by a defect c, and the
-parameterization of basic strata at maximal level by minimal coset
-representatives of small hyperoctahedral groups.
+This module also carries the closed-form side of the two comparisons, which
+the context picks from the level (Goertz-Yu at Iwahori level, Hoeve at
+hyperspecial level): closed supports and canonical stable subsets indexed by
+a defect c, and the parameterization of basic strata at maximal level by
+minimal coset representatives of small hyperoctahedral groups.
 
 At hyperspecial level the longest basic strata have length 0, 1, 1, 3 for
 g = 1..4, below Li-Oort's dimension floor(g^2/4) = 0, 1, 2, 4 of the
@@ -25,6 +26,7 @@ is fixed by the datum and asserted for g = 1..5 in the tests, not on build.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Optional
 
 from ekor_atlas.admissible import (
@@ -37,7 +39,6 @@ from ekor_atlas.affine import (
     ExtAffineElement,
     ExtendedAffineWeylGroup,
     GroupError,
-    OmegaElement,
 )
 from ekor_atlas.ekor import StratumRecord, stratum_report
 from ekor_atlas.rootdata import RootDatum
@@ -88,21 +89,22 @@ def siegel_datum(g: int) -> RootDatum:
 
 
 class SiegelContext:
-    """A genus together with its group, cocharacter and named levels."""
+    """A genus together with its group, cocharacter, named levels and
+    admissible set; ``siegel_context`` keeps one per genus."""
 
-    def __init__(self, g: int, datum: RootDatum, group: ExtendedAffineWeylGroup,
-                 mu: tuple[int, ...], tau: OmegaElement, iwahori: frozenset[int],
-                 hyperspecial: frozenset[int]):
+    def __init__(self, g: int):
         self.g = g
-        self.datum = datum
-        self.group = group
-        self.mu = mu
-        self.tau = tau
-        self.iwahori = iwahori
-        self.hyperspecial = hyperspecial
+        self.group = group = ExtendedAffineWeylGroup(siegel_datum(g))
+        self.mu = (1,) * g + (0,) * g
+        self.tau = group.length_zero_element(self.mu)
+        self.iwahori: frozenset[int] = frozenset()
+        self.hyperspecial = group.finite_nodes
+        self._adm: Optional[AdmissibleSet] = None
 
     def adm(self) -> AdmissibleSet:
-        return admissible_set(self.group, self.mu)
+        if self._adm is None:
+            self._adm = admissible_set(self.group, self.mu)
+        return self._adm
 
     def report(self, nodes: Iterable[int]) -> tuple[StratumRecord, ...]:
         return stratum_report(self.adm(), nodes)
@@ -201,18 +203,18 @@ class SiegelContext:
                 out.append(EOStratum(
                     label=label,
                     defect=c,
-                    weyl_word=word,
                     element=group.mult(self.tau.element, w),
                     dimension=group.length(w),
                 ))
         return tuple(sorted(out, key=lambda s: (s.dimension, s.label)))
 
-    def compare(self, mode: str) -> "ComparisonReport":
-        if mode == "gortz-yu":
+    def compare(self, level: frozenset[int]) -> "ComparisonReport":
+        """Goertz-Yu at Iwahori level, Hoeve at hyperspecial level."""
+        if level == self.iwahori:
             return self._compare_iwahori()
-        if mode == "hoeve":
+        if level == self.hyperspecial:
             return self._compare_hyperspecial()
-        raise GroupError(f"unknown comparison mode {mode!r}")
+        raise GroupError(f"no comparison at level {sorted(level)}")
 
     def _compare_iwahori(self) -> "ComparisonReport":
         """Engine basicness against the omitted-mirror-pair criterion, and
@@ -282,7 +284,6 @@ class EOStratum(NamedTuple):
 
     label: str
     defect: int
-    weyl_word: tuple[int, ...]
     element: ExtAffineElement
     dimension: int
 
@@ -311,26 +312,6 @@ class ComparisonReport(NamedTuple):
         }
 
 
-_CONTEXTS: dict[int, SiegelContext] = {}
-
-
+@functools.cache
 def siegel_context(g: int) -> SiegelContext:
-    got = _CONTEXTS.get(g)
-    if got is not None:
-        return got
-    datum = siegel_datum(g)
-    group = ExtendedAffineWeylGroup(datum)
-    mu = (1,) * g + (0,) * g
-    tau = group.length_zero_element(mu)
-    ctx = SiegelContext(
-        g=g,
-        datum=datum,
-        group=group,
-        mu=mu,
-        tau=tau,
-        iwahori=frozenset(),
-        hyperspecial=group.finite_nodes,
-    )
-    _CONTEXTS[g] = ctx
-    return ctx
-
+    return SiegelContext(g)

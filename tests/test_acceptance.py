@@ -60,7 +60,7 @@ def test_c1_structural_counts(criterion):
         for k in range(2, g + 1):
             order *= k
         ok &= ctx.group.finite_order == order
-        ok &= coxeter_group_size(ctx.datum.finite_coxeter) == order
+        ok &= coxeter_group_size(ctx.group.datum.finite_coxeter) == order
         ok &= len(ctx.embedded_min_reps(ctx.g)) == 2 ** g
     for g, size in ADM_SIZES.items():
         ctx = siegel_context(g)

@@ -51,12 +51,11 @@ def test_sizes_and_length_profile(g):
 
 
 @pytest.mark.parametrize("g", [4, 5])
-def test_pairing_table_holds_the_orbit_of_mu(g, monkeypatch):
+def test_pairing_table_holds_the_orbit_of_mu(g):
     """Building Adm(mu) in a fresh context pairs only the 2^g translations
     of the Weyl orbit of mu with the roots."""
     from ekor_atlas import siegel
-    monkeypatch.setattr(siegel, "_CONTEXTS", {})
-    ctx = siegel.siegel_context(g)
+    ctx = siegel.SiegelContext(g)
     ctx.adm()
     group = ctx.group
     orbit = weyl_orbit(group, group.datum.to_lattice(ctx.mu))
@@ -254,14 +253,13 @@ def test_kw_order_matches_sorting_all_subword_fallback():
         assert kw_elements(adm, nodes) == kw_by_sorting_all(adm, nodes), nodes
 
 
-def test_hyperspecial_words_only_its_strata(monkeypatch):
+def test_hyperspecial_words_only_its_strata():
     """The hyperspecial comparison at g=4 words its 16 strata and a few
     more elements, not all 633 of Adm(mu): only the survivors of the level
     filter are worded and sorted."""
     from ekor_atlas import siegel
-    monkeypatch.setattr(siegel, "_CONTEXTS", {})
-    ctx = siegel.siegel_context(4)
-    ctx.compare("hoeve")
+    ctx = siegel.SiegelContext(4)
+    ctx.compare(ctx.hyperspecial)
     assert len(ctx.adm()) == 633
     assert len(ctx.group._rd) < 633 // 10
 

@@ -76,7 +76,7 @@ def test_length_word_distance_g3(ctx3):
 
 def test_translation_length_is_pairing(ctx2):
     group = ctx2.group
-    datum = ctx2.datum
+    datum = ctx2.group.datum
     rng = random.Random(7)
     for _ in range(40):
         lam = tuple(rng.randrange(0, 4) for _ in range(datum.rank))

@@ -372,15 +372,15 @@ def test_record_writer_rows_form_and_null_dl():
 
 
 def test_record_writer_empty_report(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "stratum_report", lambda adm, level: ())
+    monkeypatch.setattr(SiegelContext, "report", lambda self, level: ())
     for command in ("classify", "dl-data"):
         code, out, _ = run_cli(capsys, command, "--g", "2", "--format", "json")
         assert code == 0 and out == "[]\n" == json.dumps([], indent=2) + "\n"
 
 
 def test_failure_leaves_stdout_empty(capsys, monkeypatch):
-    def broken(adm, level):
+    def broken(self, level):
         raise GroupError("broken report")
-    monkeypatch.setattr(cli, "stratum_report", broken)
+    monkeypatch.setattr(SiegelContext, "report", broken)
     code, out, err = run_cli(capsys, "classify", "--g", "2", "--format", "json")
     assert code == 1 and out == "" and "broken report" in err

@@ -6,7 +6,7 @@ from ekor_atlas.coxeter import INFINITE_BOND, format_finite_type
 from ekor_atlas.ekor import is_basic, sigma_support, stable_level_subset
 from ekor_atlas.oracles import brute_stable_subset, coxeter_group_size
 from ekor_atlas.rootdata import RootDatumError
-from ekor_atlas.siegel import siegel_context, siegel_datum
+from ekor_atlas.siegel import SiegelContext, siegel_context, siegel_datum
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -27,7 +27,7 @@ def test_context_facts(g):
     and tau as the length-zero part of the translation by mu."""
     ctx = siegel_context(g)
     group, d = ctx.group, 2 * g
-    assert format_finite_type(ctx.datum.finite_coxeter.finite_type(range(g))) == \
+    assert format_finite_type(group.datum.finite_coxeter.finite_type(range(g))) == \
         ("A1" if g == 1 else f"C{g}")
     bonds = [INFINITE_BOND] if g == 1 else [4] + [3] * (g - 2) + [4]
     assert group.affine_coxeter.edges() == [(i, i + 1, m) for i, m in enumerate(bonds)]
@@ -56,6 +56,23 @@ def test_context_is_cached():
     assert siegel_context(2) is siegel_context(2)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_context_builds_itself_from_g(g):
+    """A context is built from the genus alone and agrees with the kept
+    one.  It keeps its own Adm(mu); the group keeps no admissible cache,
+    and the datum is read from the group."""
+    fresh, ctx = SiegelContext(g), siegel_context(g)
+    assert fresh is not ctx and siegel_context(g) is ctx
+    assert fresh.tau.element == ctx.tau.element
+    assert (fresh.iwahori, fresh.hyperspecial) == (ctx.iwahori, ctx.hyperspecial)
+    assert fresh.group.finite_order == ctx.group.finite_order
+    assert len(fresh.adm()) == len(ctx.adm())
+    for c in (fresh, ctx):
+        assert c.adm() is c.adm()
+        assert not hasattr(c.group, "_adm_cache")
+        assert not hasattr(c, "datum")
+
+
 def test_rejects_nonpositive_genus():
     with pytest.raises((GroupError, RootDatumError, ValueError)):
         siegel_context(0)
@@ -73,7 +90,7 @@ def test_datum_shape(g):
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_finite_order_matches_coxeter_catalogue(g):
     ctx = siegel_context(g)
-    assert ctx.group.finite_order == coxeter_group_size(ctx.datum.finite_coxeter)
+    assert ctx.group.finite_order == coxeter_group_size(ctx.group.datum.finite_coxeter)
     assert ctx.group.finite_order == 2 ** g * _factorial(g)
 
 
@@ -86,7 +103,7 @@ def _factorial(n):
 
 def test_diagram_types(ctx1, ctx3):
     assert format_finite_type(
-        ctx3.datum.finite_coxeter.finite_type(range(3))) == "C3"
+        ctx3.group.datum.finite_coxeter.finite_type(range(3))) == "C3"
     # rank one: single finite node, infinite bond in the affine diagram
     assert ctx1.group.affine_coxeter.bond(0, 1) == 0
 
@@ -186,10 +203,19 @@ def test_eo_defect_distribution_g4(ctx4):
 
 
 def test_eo_dimensions_are_lengths(ctx3):
+    """The label c<defect>:s<i>-s<j>-... (c<defect>:e for the empty word)
+    carries a word of the stratum after tau, and the dimension is its
+    length and the length of the element."""
     group = ctx3.group
     for s in ctx3.eo_strata():
-        assert s.dimension == group.length(s.element)
-        assert group.length(s.element) == len(s.weyl_word)
+        prefix, word = s.label.split(":")
+        assert prefix == f"c{s.defect}"
+        letters = [] if word == "e" else [int(t[1:]) for t in word.split("-")]
+        x = ctx3.tau.element
+        for i in letters:
+            x = group.times_simple(x, i)
+        assert x == s.element
+        assert s.dimension == group.length(s.element) == len(letters)
 
 
 def test_eo_elements_are_kw(ctx2):
@@ -203,11 +229,12 @@ def test_eo_elements_are_kw(ctx2):
 
 @pytest.mark.parametrize("g,basic", [(1, 1), (2, 5), (3, 9)])
 def test_compare_iwahori(g, basic):
-    report = siegel_context(g).compare("gortz-yu")
+    ctx = siegel_context(g)
+    report = ctx.compare(ctx.iwahori)
     assert report.mode == "gortz-yu"
     assert report.basic == basic
     assert report.expected == basic
-    assert report.strata == len(siegel_context(g).adm())
+    assert report.strata == len(ctx.adm())
 
 
 @pytest.mark.parametrize("g,dim", [(1, 0), (2, 2), (3, 3), (4, 8), (5, 10)])
@@ -225,20 +252,24 @@ def test_longest_basic_iwahori_stratum(g, dim):
 
 @pytest.mark.parametrize("g,basic", [(1, 1), (2, 2), (3, 2), (4, 4)])
 def test_compare_hyperspecial(g, basic):
-    report = siegel_context(g).compare("hoeve")
+    ctx = siegel_context(g)
+    report = ctx.compare(ctx.hyperspecial)
     assert report.mode == "hoeve"
     assert report.basic == basic
     assert report.expected == 2 ** (g // 2)
     assert len(report.labels) == basic
 
 
-def test_compare_rejects_unknown_mode(ctx2):
-    with pytest.raises(GroupError):
-        ctx2.compare("other")
+def test_compare_rejects_other_levels(ctx2):
+    """Only the Iwahori and the hyperspecial level have a comparison; a
+    mode name is not a level."""
+    for level in (frozenset({0}), frozenset({0, 1, 2}), "hoeve"):
+        with pytest.raises(GroupError):
+            ctx2.compare(level)
 
 
 def test_report_json(ctx2):
-    data = ctx2.compare("hoeve").to_json()
+    data = ctx2.compare(ctx2.hyperspecial).to_json()
     assert data["mode"] == "hoeve"
     assert data["g"] == 2
     assert data["basic"] == data["expected"] == 2

@@ -40,10 +40,12 @@ def _cartan_c(n):
     return cartan
 
 
+# the name is looked up on the module at call time, so a test can swap
+# in the uncached constructor
 DATA = {
-    "siegel1": lambda: siegel_context(1).group,
-    "siegel2": lambda: siegel_context(2).group,
-    "siegel3": lambda: siegel_context(3).group,
+    "siegel1": lambda: siegel.siegel_context(1).group,
+    "siegel2": lambda: siegel.siegel_context(2).group,
+    "siegel3": lambda: siegel.siegel_context(3).group,
     "gl3_twisted": build_gl3_twisted,
     "gl2_gl3": build_gl2_gl3,
     "gl2_unitary": build_gl2_unitary,
@@ -90,7 +92,7 @@ def test_build_forms_no_group_products(name, monkeypatch):
     def refuse(*args):
         raise AssertionError("the group law was called")
 
-    monkeypatch.setattr(siegel, "_CONTEXTS", {})
+    monkeypatch.setattr(siegel, "siegel_context", siegel.SiegelContext)
     monkeypatch.setattr(ExtendedAffineWeylGroup, "mult", refuse)
     monkeypatch.setattr(ExtendedAffineWeylGroup, "inv", refuse)
     DATA[name]()
