@@ -25,17 +25,22 @@ new process runs, in order:
 * ``classify_json``: ``atlas classify --g g --level iwahori --format json``
   through the command line entry, written to ``os.devnull``.  The context
   and the admissible set are cached by then, so this is the Iwahori report
-  again plus its serialization.
+  again plus its serialization;
+* ``bruhat``: every admissible element compared with ``adm.maxima`` in
+  turn until the first one above it, as ``atlas check`` does, from an
+  empty Bruhat memo.
 
 Times are wall-clock seconds (``time.perf_counter``) on whatever machine
-runs the script; ``peak_rss_mb`` is the process's ``ru_maxrss``.  The
-workers get ``PYTHONPATH`` and a fixed ``PYTHONHASHSEED`` and no other
-``PYTHON*`` variable of the caller, so a ``PYTHONDONTWRITEBYTECODE`` does
-not put compilation into the import stage.  The run is stored in the output
-file under ``--label`` with the machine, the Python version and a digest of
-the engine's source, next to the runs already there, so one file can hold a
-before/after pair.  ``--out`` has no default, so no run lands by accident in
-a stage file that holds another's figures.
+runs the script; ``peak_rss_mb`` is the process's ``ru_maxrss``, which
+now includes the ``bruhat`` stage (BENCH_20.json and earlier files have no
+such stage).  The workers get ``PYTHONPATH`` and a fixed
+``PYTHONHASHSEED`` and no other ``PYTHON*`` variable of the caller, so a
+``PYTHONDONTWRITEBYTECODE`` does not put compilation into the import
+stage.  The run is stored in the output file under ``--label`` with the
+machine, the Python version and a digest of the engine's source, next to
+the runs already there, so one file can hold a before/after pair.
+``--out`` has no default, so no run lands by accident in a stage file that
+holds another's figures.
 """
 
 import argparse
@@ -85,10 +90,14 @@ def measure(g: int) -> dict:
     t9 = clock()
     if code != 0:
         raise SystemExit(f"classify --g {g} exited {code}")
+    for x in adm.elements:
+        if not any(group.bruhat_leq(x, top) for top in adm.maxima):
+            raise SystemExit(f"an admissible element of genus {g} is below no maximum")
+    t10 = clock()
     stages = {"import": t1 - t0, "context": t2 - t1, "adm": t3 - t2,
               "newton": t4 - t3, "iwahori_report": t6 - t5,
               "hyperspecial_report": t7 - t6, "serialization": t8 - t7,
-              "classify_json": t9 - t8}
+              "classify_json": t9 - t8, "bruhat": t10 - t9}
     return {
         "g": g,
         "adm": len(adm),

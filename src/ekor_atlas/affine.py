@@ -144,9 +144,9 @@ that step, and sigma-straightness, <nu, 2 rho> = l(x), is tested as
 <n nu, 2 rho> = n l(x) without one.
 
 Group objects memoise root pairings per translation, lengths, reduced
-words, Newton points and Bruhat comparisons.  The caches are only ever extended with
-values that any thread would recompute identically, so concurrent readers
-are safe.
+words, Newton points and the Bruhat comparisons asked (not the pairs that
+their walk passes).  The caches are only ever extended with values that
+any thread would recompute identically, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -393,10 +393,7 @@ class ExtendedAffineWeylGroup:
             images[self.affine_node_of_component[j]] = \
                 self.affine_node_of_component[comp_image[j]]
         self.sigma_diagram = self.affine_coxeter.check_automorphism(images)
-        frob = datum.frobenius_lattice
-        frob_perm = self._root_perm(frob)
-        self._frob_table = _table(frob_perm)
-        self._frob_inv = bytes(map(frob_perm.index, range(len(frob_perm))))
+        self._frob_table = _table(self._root_perm(datum.frobenius_lattice))
 
     # --------------------------------------------------------- group law
 
@@ -417,16 +414,6 @@ class ExtendedAffineWeylGroup:
 
     def from_parts(self, trans_lattice: Sequence[int], widx: int) -> ExtAffineElement:
         return ExtAffineElement(tuple(trans_lattice), widx, self)
-
-    def sigma(self, x: ExtAffineElement) -> ExtAffineElement:
-        """Apply the Frobenius automorphism to a group element."""
-        self._check(x)
-        datum = self.datum
-        trans = mat_vec(datum.frobenius_lattice, x.trans)
-        # root k o sigma w sigma^-1 = root (finv o perm o f)(k)
-        perm = self._wperm[x.w]
-        conj = bytes(self._frob_inv[perm[k]] for k in self._frob_table[:self._base])
-        return ExtAffineElement(trans, self._windex[conj], self)
 
     # ------------------------------------------------------------ length
 
@@ -592,30 +579,32 @@ class ExtendedAffineWeylGroup:
     # ------------------------------------------------------- Bruhat order
 
     def bruhat_leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        """x <= y by the lifting property, stripping a left descent of y.
-        Two W_a-cosets need no test: s_i x and s_i y stay in the cosets of x
-        and y, so the recursion ends at x = y only within one coset."""
+        """x <= y by the lifting property (Bjorner-Brenti, Prop. 2.2.7): if
+        s_i y < y, then x <= y iff s_i x <= s_i y when i is a descent of x,
+        and iff x <= s_i y otherwise.  So x walks along the memoised reduced
+        word of y, stepping down at each letter that is one of its descents,
+        and at the end x <= y iff x is the length-zero part of y.  A letter
+        that is no descent drops the gap l(rest of y) - l(x) by one, and a
+        negative gap answers False.  The steps keep the W_a-coset of x, so
+        two cosets need no test.  Only the pair asked is memoised."""
         self._check(x)
         self._check(y)
-        return self._bruhat_rec(x, y)
-
-    def _bruhat_rec(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        if x == y:
-            return True
-        lx = self.length(x)
-        ly = self.length(y)
-        if lx >= ly:
-            return False
         key = (x.trans, x.w, y.trans, y.w)
         got = self._bruhat.get(key)
         if got is None:
-            i = self.first_descent(y)
-            sy = self.simple_times(i, y)
-            if self.is_descent(x, i):
-                got = self._bruhat_rec(self.simple_times(i, x), sy)
-            else:
-                got = self._bruhat_rec(x, sy)
-            self._bruhat[key] = got
+            rd = self.reduced_word(y)
+            gap = len(rd.word) - self.length(x)
+            nodes, npos = self._nodes, self._npos
+            pairs, perm = self._pairings(x.trans), self._wperm[x.w]
+            for i in rd.word:
+                if gap < 0:
+                    break
+                if _descends(pairs, perm, npos, nodes[i]):
+                    x = self.simple_times(i, x)
+                    pairs, perm = self._pairings(x.trans), self._wperm[x.w]
+                else:
+                    gap -= 1
+            got = self._bruhat[key] = gap >= 0 and x == rd.omega.element
         return got
 
     # -------------------------------------------------------- Newton map

@@ -276,6 +276,16 @@ def brute_stable_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     return frozenset(best)
 
 
+def sigma(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> ExtAffineElement:
+    """The Frobenius image t^(sigma l) sigma w sigma^-1 of x = t^l w.  The
+    conjugate of s_i is the reflection in the coroot sigma(a_i^vee), the
+    simple reflection ``sigma_diagram[i]``, so sigma w sigma^-1 is a reduced
+    word of w (finite nodes only) with its letters moved by the diagram."""
+    finite = group.reduced_word(group.from_parts((0,) * group.rank, x.w))
+    w = group.evaluate_word(group.sigma_diagram[i] for i in finite.word)
+    return group.from_parts(mat_vec(group.datum.frobenius_lattice, x.trans), w.w)
+
+
 def twisted_power(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
                   m: int) -> ExtAffineElement:
     """x sigma(x) sigma^2(x) ... sigma^(m-1)(x)."""
@@ -283,5 +293,5 @@ def twisted_power(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     cur = x
     for _ in range(m):
         out = group.mult(out, cur)
-        cur = group.sigma(cur)
+        cur = sigma(group, cur)
     return out

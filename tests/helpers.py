@@ -13,7 +13,7 @@ from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
 from ekor_atlas.coxeter import INFINITE_BOND
 from ekor_atlas.ekor import StratumRecord
 from ekor_atlas.lattice import mat_vec, row_mat, solve_linear
-from ekor_atlas.oracles import cayley_ball, twisted_power
+from ekor_atlas.oracles import cayley_ball, sigma, twisted_power
 from ekor_atlas.rootdata import RootDatum
 
 
@@ -87,7 +87,7 @@ def twisted_conjugates(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     out = set()
     for gelt in ball:
         out.add(group.mult(group.mult(gelt, x),
-                           group.inv(group.sigma(gelt))))
+                           group.inv(sigma(group, gelt))))
     return frozenset(out)
 
 

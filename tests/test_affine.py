@@ -13,6 +13,7 @@ from ekor_atlas.oracles import (
     cayley_ball,
     descents_by_length,
     dominantize_by_rescan,
+    sigma,
     twisted_power,
 )
 from ekor_atlas.siegel import siegel_context
@@ -92,7 +93,7 @@ def test_length_invariances(ctx2, gl3_twisted):
         for _ in range(30):
             x = random_element(rng, group, 6, omegas)
             assert group.length(group.inv(x)) == group.length(x)
-            assert group.length(group.sigma(x)) == group.length(x)
+            assert group.length(sigma(group, x)) == group.length(x)
 
 
 @settings(max_examples=50, deadline=None)
@@ -310,9 +311,9 @@ def test_sigma_is_automorphism(gl3_twisted):
     for _ in range(25):
         x = random_element(rng, group, 5, [group.identity])
         y = random_element(rng, group, 5, [group.identity])
-        assert group.sigma(group.mult(x, y)) == \
-            group.mult(group.sigma(x), group.sigma(y))
-        assert group.sigma(group.sigma(x)) == x
+        assert sigma(group, group.mult(x, y)) == \
+            group.mult(sigma(group, x), sigma(group, y))
+        assert sigma(group, sigma(group, x)) == x
 
 
 # ----------------------------------------------------------- Bruhat order
@@ -321,7 +322,8 @@ def test_sigma_is_automorphism(gl3_twisted):
 def test_bruhat_matches_subword_oracle(ctx2):
     """On Adm(mu), and on the radius-3 Cayley ball around e, tau, tau^-1
     and tau^2, where most pairs lie in different cosets of the affine Weyl
-    group and the recursion alone has to answer False."""
+    group and the walk alone has to answer False: it keeps the coset of x,
+    so it never ends at the length-zero part of y."""
     group = ctx2.group
     tau = ctx2.tau.element
     seeds = [group.identity, tau, group.inv(tau), group.mult(tau, tau)]
@@ -357,6 +359,64 @@ def test_bruhat_rejects_other_cosets(ctx2):
                                 group.simple_reflections[0])
 
 
+def test_bruhat_matches_subword_oracle_on_random_pairs(ctx3):
+    """Random pairs from the radius-4 Cayley ball around e, tau and tau^-1
+    at genus 3, with x longer than y, x == y and two cosets among them."""
+    group = ctx3.group
+    tau = ctx3.tau.element
+    ball = list(cayley_ball(group, 4, [group.identity, tau, group.inv(tau)]))
+    rng = random.Random(29)
+    pairs = [(rng.choice(ball), rng.choice(ball)) for _ in range(600)]
+    pairs += [(x, x) for x in rng.sample(ball, 30)]
+    cache = {}
+    for x, y in pairs:
+        assert group.bruhat_leq(x, y) == bruhat_leq_subword(group, x, y, cache)
+
+    def coset(z):
+        return group.reduced_word(z).omega.element
+    assert any(group.length(x) > group.length(y) for x, y in pairs)
+    assert any(coset(x) != coset(y) for x, y in pairs)
+    assert any(x != y and group.bruhat_leq(x, y) for x, y in pairs)
+
+
+def test_bruhat_walks_the_word_of_the_upper_element(ctx3, monkeypatch):
+    """On a cold group whose maxima are worded already, comparing Adm(mu)
+    with its maxima searches no descent: it walks the memoised words and
+    answers as the subword oracle does."""
+    warm = ctx3.group
+    adm = ctx3.adm()
+    cache = {}
+    want = [[bruhat_leq_subword(warm, x, top, cache) for top in adm.maxima]
+            for x in adm.elements]
+    assert all(map(any, want))
+    group = ExtendedAffineWeylGroup(warm.datum)
+    tops = [group.from_parts(top.trans, top.w) for top in adm.maxima]
+    for top in tops:
+        group.reduced_word(top)
+
+    def refuse(*args):
+        raise AssertionError("a descent was searched")
+
+    monkeypatch.setattr(group, "first_descent", refuse)
+    got = [[group.bruhat_leq(group.from_parts(x.trans, x.w), top) for top in tops]
+           for x in adm.elements]
+    assert got == want
+
+
+def test_bruhat_memo_holds_the_pairs_asked(ctx2):
+    """Only the pairs asked are memoised, not the pairs the walk passes."""
+    group = ExtendedAffineWeylGroup(ctx2.group.datum)
+    adm = ctx2.adm()
+    elements = [group.from_parts(x.trans, x.w) for x in adm.elements]
+    tops = [group.from_parts(top.trans, top.w) for top in adm.maxima]
+    rng = random.Random(31)
+    pairs = [(rng.choice(elements), rng.choice(tops)) for _ in range(60)]
+    pairs += [(top, x) for top in tops for x in elements[:3]] + pairs[:10]
+    for x, y in pairs:
+        group.bruhat_leq(x, y)
+    assert len(group._bruhat) == len(set(pairs))
+
+
 # ---------------------------------------------- Omega part and Newton
 
 
@@ -377,7 +437,7 @@ def test_kottwitz_homomorphism(ctx2, gl3_twisted):
             y = random_element(rng, group, 5, omegas)
             assert part(group, group.mult(x, y)) == \
                 group.mult(part(group, x), part(group, y))
-            assert part(group, group.sigma(x)) == group.sigma(part(group, x))
+            assert part(group, sigma(group, x)) == sigma(group, part(group, x))
 
 
 def test_newton_of_translations(ctx2):

@@ -120,7 +120,7 @@ def test_bench_runs(tmp_path):
     assert [row["adm"] for row in run["genera"]] == [3, 13]
     assert set(run["genera"][0]["stages_s"]) == {
         "import", "context", "adm", "newton", "iwahori_report",
-        "hyperspecial_report", "serialization", "classify_json"}
+        "hyperspecial_report", "serialization", "classify_json", "bruhat"}
     assert run["genera"][1]["peak_rss_mb"] > 0
 
 
@@ -178,8 +178,9 @@ def test_test_only_code_is_out_of_src():
     or ambient rows, and no helpers to build or apply them.  Lookups that
     only tests and oracles called are gone: the index of a lattice matrix,
     the node of a reflection, the lattice dominantize, the root sign, the
-    translation by an ambient weight, the list of descents and the basic
-    test of an element."""
+    translation by an ambient weight, the list of descents, the basic
+    test of an element and the Frobenius image of an element
+    (``oracles.sigma``)."""
     from ekor_atlas import admissible, affine, ekor, lattice
     from ekor_atlas.rootdata import RootDatum
     from ekor_atlas.siegel import siegel_context
@@ -195,11 +196,11 @@ def test_test_only_code_is_out_of_src():
     for name in ("_RowProducts", "_sparse", "_dense", "_apply", "_is_permutation"):
         assert not hasattr(affine, name)
     for name in ("weyl_index", "reflection_node", "dominantize_lattice",
-                 "translation", "descents"):
+                 "translation", "descents", "sigma"):
         assert not hasattr(affine.ExtendedAffineWeylGroup, name)
     assert not hasattr(ekor, "is_basic_element")
     fresh = affine.ExtendedAffineWeylGroup(group.datum)
-    for name in ("_wrows", "_wambient", "_node_of_reflection"):
+    for name in ("_wrows", "_wambient", "_node_of_reflection", "_frob_inv"):
         assert not hasattr(fresh, name)
     for name in ("root_sign", "_positive_index"):
         assert not hasattr(RootDatum, name)

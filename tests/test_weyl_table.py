@@ -16,7 +16,7 @@ import pytest
 from ekor_atlas import siegel
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.lattice import identity_matrix, row_mat, vec_dot, vec_neg
-from ekor_atlas.oracles import DenseWeylTable, cayley_ball, twisted_power
+from ekor_atlas.oracles import DenseWeylTable, cayley_ball, sigma, twisted_power
 from ekor_atlas.rootdata import RootDatum
 from ekor_atlas.siegel import siegel_context, siegel_datum
 from helpers import (
@@ -228,7 +228,7 @@ def test_sigma_and_newton_order(pair):
     f = group.datum.frobenius_order
     for w in range(group.finite_order):
         x = group.from_parts((0,) * group.rank, w)
-        assert group.sigma(x).w == dense.sigma_conjugate(w)
+        assert sigma(group, x).w == dense.sigma_conjugate(w)
         n = group._newton_key(x)[0]
         assert n == dense.twisted_order(w)
         least = next(m for m in range(1, 10 * n + 1)
