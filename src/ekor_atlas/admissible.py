@@ -170,7 +170,7 @@ def _vertex_rule(group: ExtendedAffineWeylGroup,
             table = by_moved[moved] = {}
             for mask, lam in points:
                 table.setdefault(mask & moved, []).append(lam)
-        out += [ExtAffineElement(lam, widx, group) for lam in table.get(ones, ())]
+        out += [ExtAffineElement(lam, widx) for lam in table.get(ones, ())]
     return out
 
 

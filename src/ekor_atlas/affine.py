@@ -145,8 +145,10 @@ that step, and sigma-straightness, <nu, 2 rho> = l(x), is tested as
 
 Group objects memoise root pairings per translation, lengths, reduced
 words, Newton points and the Bruhat comparisons asked (not the pairs that
-their walk passes).  The caches are only ever extended with values that
-any thread would recompute identically, so concurrent readers are safe.
+their walk passes).  An element is the pair (translation, finite index)
+and is its own memo key; a comparison is keyed by its pair of elements.
+The caches are only ever extended with values that any thread would
+recompute identically, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -173,39 +175,17 @@ from ekor_atlas.rootdata import RootDatum
 
 
 class GroupError(ValueError):
-    """Invalid element construction or cross-context operation."""
+    """Refused root datum, element, node set or level."""
 
 
-class ExtAffineElement:
-    """Element of an extended affine Weyl group.
+class ExtAffineElement(NamedTuple):
+    """Element of an extended affine Weyl group: ``trans`` is the
+    translation in lattice coordinates, ``w`` the index of the finite part
+    in the group's interned Weyl table.  The pair is the element, so groups
+    built on one datum share their elements, and it is the memo key."""
 
-    ``trans`` is the translation in lattice coordinates, ``w`` the index of
-    the finite part in the group's interned Weyl table.  Equality and the
-    hash (computed once) see only these two, so elements of two groups
-    built from one datum compare equal; ``group`` is the owning group.
-    """
-
-    __slots__ = ("trans", "w", "group", "_hash")
-
-    def __init__(self, trans: tuple[int, ...], w: int, group: "ExtendedAffineWeylGroup"):
-        self.trans = trans
-        self.w = w
-        self.group = group
-        self._hash = hash((trans, w))
-
-    def __eq__(self, other):
-        if other.__class__ is not ExtAffineElement:
-            return NotImplemented
-        return self.w == other.w and self.trans == other.trans
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"ExtAffineElement(trans={self.trans!r}, w={self.w!r})"
-
-    def is_identity(self) -> bool:
-        return self.w == 0 and not any(self.trans)
+    trans: tuple[int, ...]
+    w: int
 
 
 class OmegaElement(NamedTuple):
@@ -253,7 +233,7 @@ class ExtendedAffineWeylGroup:
         self._json_texts: dict = {}
         self._bruhat: dict = {}
         self._parabolic: dict = {}
-        self.identity = ExtAffineElement((0,) * self.rank, 0, self)
+        self.identity = ExtAffineElement((0,) * self.rank, 0)
 
     # ------------------------------------------------------- finite table
 
@@ -357,7 +337,7 @@ class ExtendedAffineWeylGroup:
             parts[self.affine_node_of_component[j]] = (
                 vec_neg(coroot), datum._reflection_lattice(theta, coroot))
         self.simple_reflections = tuple(
-            ExtAffineElement(trans, self._windex[self._root_perm(mat)[:self._base]], self)
+            ExtAffineElement(trans, self._windex[self._root_perm(mat)[:self._base]])
             for trans, mat in map(parts.__getitem__, range(self.num_nodes)))
         self.finite_nodes = frozenset(range(1, r + 1))
 
@@ -397,23 +377,16 @@ class ExtendedAffineWeylGroup:
 
     # --------------------------------------------------------- group law
 
-    def _check(self, x: ExtAffineElement):
-        if x.group is not self:
-            raise GroupError("element belongs to a different group context")
-
     def mult(self, x: ExtAffineElement, y: ExtAffineElement) -> ExtAffineElement:
-        self._check(x)
-        self._check(y)
         trans = vec_add(x.trans, self.act(x.w, y.trans)) if any(y.trans) else x.trans
-        return ExtAffineElement(trans, self.wmul(x.w, y.w), self)
+        return ExtAffineElement(trans, self.wmul(x.w, y.w))
 
     def inv(self, x: ExtAffineElement) -> ExtAffineElement:
-        self._check(x)
         wi = self.winv(x.w)
-        return ExtAffineElement(vec_neg(self.act(wi, x.trans)), wi, self)
+        return ExtAffineElement(vec_neg(self.act(wi, x.trans)), wi)
 
     def from_parts(self, trans_lattice: Sequence[int], widx: int) -> ExtAffineElement:
-        return ExtAffineElement(tuple(trans_lattice), widx, self)
+        return ExtAffineElement(tuple(trans_lattice), widx)
 
     # ------------------------------------------------------------ length
 
@@ -427,14 +400,12 @@ class ExtendedAffineWeylGroup:
         return got
 
     def length(self, x: ExtAffineElement) -> int:
-        self._check(x)
-        key = (x.trans, x.w)
-        got = self._length.get(key)
+        got = self._length.get(x)
         if got is None:
             # 1 exactly where w^-1 a < 0, the terms |<l, a> + 1|; map
             # stops with neg, at the last positive root
             neg = self._wperm[x.w][:self._npos].translate(self._negative)
-            got = self._length[key] = sum(
+            got = self._length[x] = sum(
                 map(abs, map(add, self._pairings(x.trans), neg)))
         return got
 
@@ -469,52 +440,44 @@ class ExtendedAffineWeylGroup:
 
     def is_descent(self, x: ExtAffineElement, i: int) -> bool:
         """Whether s_i x is shorter than x, from one looked-up pairing."""
-        self._check(x)
         return _descends(self._pairings(x.trans), self._wperm[x.w], self._npos,
                          self._nodes[i])
 
-    def _descent_nodes(self, x: ExtAffineElement):
-        """The left descents of x in node order, lazily, from one read of
-        its pairing row and root permutation."""
-        self._check(x)
+    def first_descent(self, x: ExtAffineElement) -> Optional[int]:
+        """The least left descent of x, from one read of its pairing row
+        and root permutation."""
         pairs = self._pairings(x.trans)
         perm = self._wperm[x.w]
         npos = self._npos
-        return (i for i, node in enumerate(self._nodes)
-                if _descends(pairs, perm, npos, node))
-
-    def first_descent(self, x: ExtAffineElement) -> Optional[int]:
-        return next(self._descent_nodes(x), None)
+        return next((i for i, node in enumerate(self._nodes)
+                     if _descends(pairs, perm, npos, node)), None)
 
     # ------------------------------------------ products with one node
 
     def simple_times(self, i: int, x: ExtAffineElement) -> ExtAffineElement:
         """s_i x, from one looked-up pairing (module docstring)."""
-        self._check(x)
         k, sign, _, _, key, _ = self._nodes[i]
         c = self._pairings(x.trans)[k] + (sign < 0)
         trans = x.trans
         if c:
             trans = tuple([a - c * b for a, b in zip(trans, self._coroots[k])])
         w = self._windex[bytes(map(self._wperm[x.w].__getitem__, key))]
-        return ExtAffineElement(trans, w, self)
+        return ExtAffineElement(trans, w)
 
     def times_simple(self, x: ExtAffineElement, i: int) -> ExtAffineElement:
         """x s_i: one translate for the finite part, and at an affine node
         one looked-up coroot for the translation (module docstring)."""
-        self._check(x)
         k, sign, _, _, _, table = self._nodes[i]
         perm = self._wperm[x.w]
         trans = x.trans
         if sign < 0:
             trans = vec_add(trans, self._coroots[perm.index(k + self._npos)])
-        return ExtAffineElement(trans, self._windex[perm[:self._base].translate(table)], self)
+        return ExtAffineElement(trans, self._windex[perm[:self._base].translate(table)])
 
     def conjugate_simple(self, x: ExtAffineElement, j: int) -> Optional[int]:
         """The node i with x s_j x^-1 = s_i, or None when that conjugate is
         not a simple reflection: x(b + e) must be +-(the root of i)
         (module docstring)."""
-        self._check(x)
         k, sign, _, _, _, _ = self._nodes[j]
         e = int(sign < 0)
         q = self._wperm[x.w].index(k + e * self._npos)  # the number of w b
@@ -525,9 +488,7 @@ class ExtendedAffineWeylGroup:
         is a memoised word or has length zero.  The greedy word of s_i x is
         the tail of that of x, so a memoised tail is the one the stripping
         would find; only x is stored."""
-        self._check(x)
-        key = (x.trans, x.w)
-        got = self._rd.get(key)
+        got = self._rd.get(x)
         if got is None:
             word = []
             y = x
@@ -536,14 +497,14 @@ class ExtendedAffineWeylGroup:
                 i = self.first_descent(y)
                 word.append(i)
                 y = self.simple_times(i, y)
-                tail = self._rd.get((y.trans, y.w))
+                tail = self._rd.get(y)
                 if tail is not None:
                     break
             if tail is None:
                 got = ReducedDecomposition(tuple(word), self.omega_of(y))
             else:
                 got = ReducedDecomposition(tuple(word) + tail.word, tail.omega)
-            self._rd[key] = got
+            self._rd[x] = got
         return got
 
     def evaluate_word(self, word: Iterable[int],
@@ -565,15 +526,13 @@ class ExtendedAffineWeylGroup:
     def omega_of(self, x: ExtAffineElement) -> OmegaElement:
         """Wrap a length-zero element with its node permutation: x maps the
         base alcove to itself, so it conjugates each s_j to some s_i."""
-        self._check(x)
         if self.length(x) != 0:
             raise GroupError("element has positive length")
-        key = (x.trans, x.w)
-        got = self._omega.get(key)
+        got = self._omega.get(x)
         if got is None:
             got = OmegaElement(x, tuple(self.conjugate_simple(x, i)
                                         for i in range(self.num_nodes)))
-            self._omega[key] = got
+            self._omega[x] = got
         return got
 
     # ------------------------------------------------------- Bruhat order
@@ -587,9 +546,7 @@ class ExtendedAffineWeylGroup:
         that is no descent drops the gap l(rest of y) - l(x) by one, and a
         negative gap answers False.  The steps keep the W_a-coset of x, so
         two cosets need no test.  Only the pair asked is memoised."""
-        self._check(x)
-        self._check(y)
-        key = (x.trans, x.w, y.trans, y.w)
+        key = (x, y)
         got = self._bruhat.get(key)
         if got is None:
             rd = self.reduced_word(y)
@@ -660,7 +617,6 @@ class ExtendedAffineWeylGroup:
         dominant in pairing coordinates, which gives the key of n nu; only
         a new dominant key rebuilds n nu, with the fixed inverse of the
         frame, so every key that shares a point shares its tuple."""
-        self._check(x)
         key = self._newton_key(x)
         got = self._newton.get(key)
         if got is None:
@@ -737,7 +693,7 @@ class ExtendedAffineWeylGroup:
         mu = self.datum.to_lattice(mu_ambient)
         if not self.is_dominant(mu_ambient):
             raise GroupError(f"{tuple(mu_ambient)} is not dominant")
-        return self.reduced_word(ExtAffineElement(mu, 0, self)).omega
+        return self.reduced_word(ExtAffineElement(mu, 0)).omega
 
     # ------------------------------------------------- parabolic subgroups
 
@@ -776,7 +732,6 @@ class ExtendedAffineWeylGroup:
     # ------------------------------------------------------- serialization
 
     def element_to_json(self, x: ExtAffineElement) -> dict:
-        self._check(x)
         return {"t": list(self.datum.from_lattice(x.trans)), "w": self.finite_to_json(x.w)}
 
     def finite_to_json(self, w: int):
@@ -811,6 +766,6 @@ def element_label(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> str:
     length-zero factor."""
     rd = group.reduced_word(x)
     parts = [f"s{i}" for i in rd.word]
-    if not rd.omega.element.is_identity():
+    if rd.omega.element != group.identity:
         parts.append("tau")
     return ".".join(parts) if parts else "e"

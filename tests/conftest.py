@@ -25,6 +25,17 @@ def criterion():
     return record
 
 
+def pytest_collection_modifyitems(config, items):
+    """A warning raised in a test under tests/ fails it.  This is a mark,
+    not a filterwarnings entry in pyproject.toml, because that entry would
+    also turn the ResourceWarning that perfbench/run.py leaves into
+    failures of perfbench/tests."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
+
+
 def pytest_sessionfinish(session, exitstatus):
     """When all nine criteria ran (and no -k narrowed the run), their lines,
     with C1's timing masked, must equal the ledger acceptance_lines.txt."""

@@ -34,7 +34,7 @@ def product_order(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
     p = group.mult(x, y)
     acc = p
     for m in range(1, cap + 1):
-        if acc.is_identity():
+        if acc == group.identity:
             return m
         acc = group.mult(acc, p)
     return INFINITE_BOND
@@ -58,13 +58,18 @@ def hasse_by_reduction(group: ExtendedAffineWeylGroup,
                  if leq[a][b] and not any(leq[a][k] and leq[k][b] for k in range(n)))
 
 
+def left_descents(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> list[int]:
+    """The left descents of x in node order."""
+    return [i for i in range(group.num_nodes) if group.is_descent(x, i)]
+
+
 def random_descent_word(rng: random.Random, group: ExtendedAffineWeylGroup,
                         x: ExtAffineElement):
     """Reduced word by stripping a random left descent each step."""
     word = []
     y = x
     while True:
-        choices = list(group._descent_nodes(y))
+        choices = left_descents(group, y)
         if not choices:
             break
         i = rng.choice(choices)
