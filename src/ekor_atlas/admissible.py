@@ -25,15 +25,40 @@ fixes r.  ``admissible_set`` groups the orbit W mu by its entries on the
 moved coordinates and emits, for each w, the orbit points with the forced
 entries: each admissible element once.
 
+The masks take no loop over the coordinates.  Read the one-line form as an
+integer x with byte lane r holding c = w^-1(r), and the identity as id
+with lane r holding r.  While every entry is below 128 the lanes cannot
+carry: lane r of t = x ^ id is below 128 and is 0 iff w fixes r, and
+adding 0x7f sets its bit 7 iff it is not 0, so bit 7 of
+moved = ((t + 0x7f..) | t) & 0x80.. marks the moved coordinates; lane r
+of (id | 0x80..) - x is 128 + r - c, in 1..255, with bit 7 set iff c <= r,
+so ones = ((id | 0x80..) - x) & moved marks those with w^-1(r) < r.  The
+orbit points carry their 1 entries at the same bit 7, so a point fits w
+iff it agrees with ones on moved.  A datum of dimension above 127 falls
+back to the subword closure.
+
 The one exception.  A datum outside the theorem (B2 or G2 from a Cartan
 matrix, whose reflections are not permutations, a mu that is not 0/1, or
 simple roots e_(j+1) - e_j ordered against the coordinates) falls back to
 the subword closure ``oracles.admissible_by_subwords``.
 
+The level filter.  ``left_minimal`` keeps the elements with no left
+descent at a node of the level, deciding each node once per translation.
+By the descent rule (``affine`` module docstring) the node with wall
+(k, sign, hi, lo) is a descent of t^l w iff v = sign <l, root k> is at
+least hi when w^-1 (root k) > 0 and at least lo when it is < 0.  v depends
+on l alone, so: if v >= max(hi, lo), every t^l w has the descent and the
+translation is dropped; if v < min(hi, lo), none has it and no test runs;
+otherwise exactly one of the two thresholds is met, and the byte
+perm(w)[k] < N, the sign of w^-1 (root k), decides.  The Siegel Adm(mu)
+has 2^g translations, so at g = 5 the 6,331 elements need 32 verdicts; at
+hyperspecial level 31 of them drop the translation outright.
+
 The canonical order.  ``admissible_set`` keeps the elements unsorted, as
 found, with no length, reduced word or sort key.  ``kw_elements`` filters
-them by left descents, words the survivors shortest first, sorts them by
-``group.sort_key`` and memoises the result per level on the set;
+them by ``left_minimal`` (not at Iwahori level, which keeps all), words the
+survivors shortest first, sorts them by ``group.sort_key`` and memoises
+the result per level on the set;
 ``AdmissibleSet.elements`` is its Iwahori level, where all survive.  The key
 (length, reduced word, translation of the length-zero part) is a total
 order on distinct elements, since the word and the length-zero part
@@ -142,9 +167,10 @@ def admissible_set(group: ExtendedAffineWeylGroup,
 def _vertex_rule(group: ExtendedAffineWeylGroup,
                  orbit: Sequence[tuple[int, ...]]) -> Optional[list[ExtAffineElement]]:
     """Perm(mu) from the one-line forms of the finite table, or None when the
-    datum is outside the theorem."""
+    datum is outside the theorem or has dimension above 127, where the byte
+    lanes of ``_vertex_masks`` would carry."""
     datum = group.datum
-    if not group._permutations:
+    if not group._permutations or datum.dim > 127:
         return None
     # a nonnegative sum of the e_j - e_(j+1): partial sums >= 0, total 0
     for root in datum.simple_roots:
@@ -155,16 +181,10 @@ def _vertex_rule(group: ExtendedAffineWeylGroup,
         amb = datum.from_lattice(lam)
         if any(c not in (0, 1) for c in amb):
             return None
-        points.append((sum(1 << r for r, c in enumerate(amb) if c), lam))
+        points.append((int.from_bytes(bytes(0x80 * c for c in amb), "little"), lam))
     by_moved: dict[int, dict[int, list]] = {}
     out = []
-    for widx in range(group.finite_order):
-        moved = ones = 0
-        for r, c in enumerate(group.ambient_part(widx)):  # w(c) = r
-            if c != r:
-                moved |= 1 << r
-                if c < r:
-                    ones |= 1 << r
+    for widx, (moved, ones) in enumerate(_vertex_masks(group)):
         table = by_moved.get(moved)
         if table is None:
             table = by_moved[moved] = {}
@@ -174,23 +194,71 @@ def _vertex_rule(group: ExtendedAffineWeylGroup,
     return out
 
 
-def is_left_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
-                    label: frozenset[int]) -> bool:
-    return not any(group.is_descent(x, i) for i in label)
+def _vertex_masks(group: ExtendedAffineWeylGroup) -> Iterator[tuple[int, int]]:
+    """Per finite index w, the masks of the coordinates r with w^-1(r) != r
+    and with w^-1(r) < r, as bit 7 of byte lane r, from a few integer
+    operations on the one-line form (module docstring).  Every entry must
+    be below 128."""
+    d = group.datum.dim
+    high = int.from_bytes(b"\x80" * d, "little")
+    low = int.from_bytes(b"\x7f" * d, "little")
+    ident = int.from_bytes(bytes(range(d)), "little")
+    for widx in range(group.finite_order):
+        x = int.from_bytes(group.ambient_part(widx), "little")  # lane r: c, w(c) = r
+        t = x ^ ident
+        moved = ((t + low) | t) & high
+        yield moved, ((ident | high) - x) & moved
+
+
+def left_minimal(group: ExtendedAffineWeylGroup, elements: Iterable[ExtAffineElement],
+                 label: frozenset[int]) -> list[ExtAffineElement]:
+    """The elements with no left descent in the label, in the given order.
+    Each node is decided once per translation (module docstring), and only
+    an undecided node reads a byte of the root permutation of w.
+    ``oracles.is_left_minimal`` is the per-element twin."""
+    nodes = [group._nodes[i][:4] for i in sorted(label)]
+    npos, wperm = group._npos, group._wperm
+    verdicts: dict = {}
+    out = []
+    for x in elements:
+        if x.trans not in verdicts:
+            verdicts[x.trans] = _level_tests(group._pairings(x.trans), nodes)
+        tests = verdicts[x.trans]
+        if tests is not None:
+            perm = wperm[x.w]
+            if all((perm[k] < npos) != pos for k, pos in tests):
+                out.append(x)
+    return out
+
+
+def _level_tests(pairs: tuple, nodes: list) -> Optional[tuple[tuple[int, bool], ...]]:
+    """The verdict of a level on the translation with this pairing row:
+    None when some node is a descent of every t^l w, else the pairs
+    (k, pos) of the undecided nodes, each a descent exactly of the w with
+    (w^-1 (root k) > 0) == pos."""
+    tests = []
+    for k, sign, hi, lo in nodes:
+        v = sign * pairs[k]
+        if v >= max(hi, lo):
+            return None
+        if v >= min(hi, lo):
+            tests.append((k, v >= hi))
+    return tuple(tests)
 
 
 def kw_elements(adm: AdmissibleSet,
                 nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
     """Left-minimal admissible elements at the given level, in canonical
-    order: the unsorted set filtered by left descents, then the survivors
-    worded shortest first and sorted by ``group.sort_key``, memoised per
-    level on the set.  The key is a total order on distinct elements, so
-    this is the filtered ``adm.elements`` without wording the rest."""
+    order: the unsorted set filtered by ``left_minimal`` (all of it at
+    Iwahori level), then the survivors worded shortest first and sorted by
+    ``group.sort_key``, memoised per level on the set.  The key is a total
+    order on distinct elements, so this is the filtered ``adm.elements``
+    without wording the rest."""
     group = adm.group
     label = parahoric_label(group, nodes)
     got = adm._levels.get(label)
     if got is None:
-        kept = [x for x in adm.found if is_left_minimal(group, x, label)]
+        kept = left_minimal(group, adm.found, label) if label else list(adm.found)
         # shortest first, so a word whose greedy tail was worded already
         # stops there and reuses it
         kept.sort(key=group.length)

@@ -62,7 +62,10 @@ Adm(mu)), so they are a table memoised per translation, the N positive
 roots first and then their negatives.  The sign of
 w^-1 a is read off perm(w): translating its first N bytes by a table that
 sends k to 1 if k >= N and to 0 otherwise gives 1 exactly where the term
-is |<l, a> + 1|, so the length is the sum of |pairing + byte|.
+is |<l, a> + 1|.  As |p + 1| - |p| is 1 for p >= 0 and -1 for p < 0, the
+length is sum |<l, a>| + 2 |Inv & P| - |Inv|, with Inv the roots of those
+bytes and P the roots with <l, a> >= 0: two popcounts per element, with
+the sum and P memoised per translation.
 
 Left descents come from one looked-up pairing each.  Let x = t^l w.
 
@@ -156,7 +159,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ekor_atlas.coxeter import BOND_OF_PRODUCT, CoxeterMatrix
@@ -223,6 +226,7 @@ class ExtendedAffineWeylGroup:
         self._build_affine_matrix()
         self._build_sigma()
         self._pairs: dict = {}
+        self._length_rows: dict = {}
         self._length: dict = {}
         self._rd: dict = {}
         self._omega: dict = {}
@@ -400,13 +404,22 @@ class ExtendedAffineWeylGroup:
         return got
 
     def length(self, x: ExtAffineElement) -> int:
+        """The closed-form length from two popcounts (module docstring):
+        sum |<l, a>| and the mask P of the a > 0 with <l, a> >= 0 are
+        memoised per translation, and Inv, the a > 0 with w^-1 a < 0, is
+        read off perm(w); the masks have one byte lane per positive root."""
         got = self._length.get(x)
         if got is None:
-            # 1 exactly where w^-1 a < 0, the terms |<l, a> + 1|; map
-            # stops with neg, at the last positive root
-            neg = self._wperm[x.w][:self._npos].translate(self._negative)
-            got = self._length[x] = sum(
-                map(abs, map(add, self._pairings(x.trans), neg)))
+            row = self._length_rows.get(x.trans)
+            if row is None:
+                pos = self._pairings(x.trans)[:self._npos]
+                row = self._length_rows[x.trans] = (
+                    sum(map(abs, pos)),
+                    int.from_bytes(bytes(p >= 0 for p in pos), "little"))
+            total, nonneg = row
+            inv = int.from_bytes(
+                self._wperm[x.w][:self._npos].translate(self._negative), "little")
+            got = self._length[x] = total + 2 * (inv & nonneg).bit_count() - inv.bit_count()
         return got
 
     def _build_walls(self):

@@ -40,6 +40,9 @@ FiniteTypeLabel = tuple[tuple[str, int], ...]
 #: the (1, 1, k) of D_n.
 _E_ARMS = {(1, 2, 2): ("E", 6), (1, 2, 3): ("E", 7), (1, 2, 4): ("E", 8)}
 
+#: The types of a valid node (``CoxeterMatrix._check_subset``).
+_INT_TYPES = frozenset({int, bool})
+
 
 class CoxeterError(ValueError):
     """Malformed diagram, or a type query outside the finite catalogue."""
@@ -67,6 +70,7 @@ class CoxeterMatrix:
                     raise CoxeterError(f"unsupported bond order {mat[i][j]!r}")
         self.rows = mat
         self.n = n
+        self._nodes = frozenset(range(n))
         self._components: Optional[tuple[frozenset[int], ...]] = None
         self._finite: dict[frozenset[int], Optional[FiniteTypeLabel]] = {}
 
@@ -74,7 +78,7 @@ class CoxeterMatrix:
         return self.rows[i][j]
 
     def nodes(self) -> frozenset[int]:
-        return frozenset(range(self.n))
+        return self._nodes
 
     def __repr__(self):
         return f"CoxeterMatrix({list(map(list, self.rows))})"
@@ -92,8 +96,10 @@ class CoxeterMatrix:
         return images
 
     def _check_subset(self, J: Iterable[int]) -> frozenset[int]:
+        """J as a set of ints in 0..n-1.  The subset test alone would let
+        0.0 or Fraction(1) through, which hash and compare like the ints."""
         J = frozenset(J)
-        if not all(isinstance(i, int) and 0 <= i < self.n for i in J):
+        if not (J <= self._nodes and set(map(type, J)) <= _INT_TYPES):
             raise CoxeterError(f"node subset {sorted(J)} out of range 0..{self.n - 1}")
         return J
 

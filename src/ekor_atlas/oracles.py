@@ -210,6 +210,13 @@ def descents_by_length(group: ExtendedAffineWeylGroup,
             if group.length(group.mult(group.simple_reflections[i], x)) < lx]
 
 
+def is_left_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
+                    label: Iterable[int]) -> bool:
+    """No node of the label is a left descent of x, one descent test per
+    node: the twin of ``admissible.left_minimal``."""
+    return not any(group.is_descent(x, i) for i in label)
+
+
 def right_greedy_word(group: ExtendedAffineWeylGroup, x: ExtAffineElement):
     """Reduced word built by stripping right descents, plus the leftover
     length-zero factor on the left: x = omega * word."""

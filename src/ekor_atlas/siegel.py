@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Optional
 from ekor_atlas.admissible import (
     AdmissibleSet,
     admissible_set,
-    is_left_minimal,
+    left_minimal,
     parahoric_label,
 )
 from ekor_atlas.affine import (
@@ -136,8 +136,7 @@ class SiegelContext:
         group = self.group
         window = frozenset(range(g - c + 1, g + 1))
         left = frozenset(range(g - c + 1, g))
-        return tuple(w for w in group.parabolic_subgroup_elements(window)
-                     if is_left_minimal(group, w, left))
+        return tuple(left_minimal(group, group.parabolic_subgroup_elements(window), left))
 
     # ---------------------------------------------------- closed forms
 

@@ -8,12 +8,12 @@ import random
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ekor_atlas.admissible import AdmissibleSet, is_left_minimal, parahoric_label
+from ekor_atlas.admissible import AdmissibleSet, parahoric_label
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
 from ekor_atlas.coxeter import INFINITE_BOND
 from ekor_atlas.ekor import StratumRecord
 from ekor_atlas.lattice import mat_vec, row_mat, solve_linear
-from ekor_atlas.oracles import cayley_ball, sigma, twisted_power
+from ekor_atlas.oracles import cayley_ball, is_left_minimal, sigma, twisted_power
 from ekor_atlas.rootdata import RootDatum
 
 

@@ -7,14 +7,19 @@ from ekor_atlas import admissible
 from ekor_atlas.admissible import (
     admissible_set,
     bruhat_hasse_edges,
-    is_left_minimal,
     kw_elements,
+    left_minimal,
     parahoric_label,
     straight_classes,
     weyl_orbit,
 )
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError, element_label
-from ekor_atlas.oracles import admissible_by_right_words, admissible_by_subwords
+from ekor_atlas.oracles import (
+    admissible_by_right_words,
+    admissible_by_subwords,
+    descents_by_length,
+    is_left_minimal,
+)
 from ekor_atlas.rootdata import RootDatum
 from ekor_atlas.siegel import siegel_context, siegel_datum
 from helpers import (
@@ -119,6 +124,20 @@ def test_vertex_rule_count_g6():
     mu = (1,) * 6 + (0,) * 6
     orbit = weyl_orbit(group, group.datum.to_lattice(mu))
     assert len(admissible._vertex_rule(group, orbit)) == 75_973
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_vertex_masks_match_coordinates(g):
+    """The byte-lane masks of every w against their definition, one
+    coordinate at a time: lane r is moved when w^-1(r) != r and forced to
+    1 when w^-1(r) < r (ambient_part(w)[r] = w^-1(r))."""
+    group = siegel_context(g).group
+    masks = list(admissible._vertex_masks(group))
+    assert len(masks) == group.finite_order
+    for widx, (moved, ones) in enumerate(masks):
+        line = group.ambient_part(widx)
+        assert moved == sum(0x80 << 8 * r for r, c in enumerate(line) if c != r)
+        assert ones == sum(0x80 << 8 * r for r, c in enumerate(line) if c < r)
 
 
 def _gl3_reversed():
@@ -251,6 +270,63 @@ def test_kw_order_matches_sorting_all_subword_fallback():
     for nodes in itertools.chain.from_iterable(
             itertools.combinations(range(3), r) for r in range(3)):
         assert kw_elements(adm, nodes) == kw_by_sorting_all(adm, nodes), nodes
+
+
+def _filter_agrees(adm, label):
+    """``left_minimal`` against the per-element oracle, order included, and
+    ``kw_elements`` against it as a set."""
+    group = adm.group
+    want = [x for x in adm.found if is_left_minimal(group, x, label)]
+    assert left_minimal(group, adm.found, label) == want, sorted(label)
+    assert set(kw_elements(adm, label)) == set(want), sorted(label)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_level_filter_matches_per_element_test_siegel(g):
+    """Every level of Siegel g <= 3 (all are Frobenius-stable), and {0} and
+    hyperspecial level at g = 4."""
+    ctx = siegel_context(g)
+    levels = siegel_levels(g) if g <= 3 else [frozenset({0}), ctx.hyperspecial]
+    for label in levels:
+        _filter_agrees(ctx.adm(), label)
+
+
+@pytest.mark.parametrize("build, mu", [(lambda: build_gl(4), (1, 1, 0, 0)),
+                                       (build_gl2_unitary, (1, 0))])
+def test_level_filter_matches_per_element_test_other_data(build, mu):
+    """A split and a unitary datum, at every level they have."""
+    group = build()
+    adm = admissible_set(group, mu)
+    for r in range(group.num_nodes):
+        for nodes in itertools.combinations(range(group.num_nodes), r):
+            try:
+                label = parahoric_label(group, nodes)
+            except GroupError:
+                continue
+            _filter_agrees(adm, label)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_level_verdicts_hold_for_every_w(g):
+    """Per translation of the orbit of mu and per node: a dropped
+    translation has that descent for every w, one with no test for no w,
+    and otherwise the named byte decides (length oracle)."""
+    group = siegel_context(g).group
+    npos = group._npos
+    orbit = weyl_orbit(group, group.datum.to_lattice((1,) * g + (0,) * g))
+    for lam in orbit:
+        pairs = group._pairings(lam)
+        for i in range(group.num_nodes):
+            tests = admissible._level_tests(pairs, [group._nodes[i][:4]])
+            for w in range(group.finite_order):
+                has = i in descents_by_length(group, group.from_parts(lam, w))
+                if tests is None:
+                    assert has, (lam, i, w)
+                elif not tests:
+                    assert not has, (lam, i, w)
+                else:
+                    (k, pos), = tests
+                    assert has == ((group._wperm[w][k] < npos) == pos), (lam, i, w)
 
 
 def test_hyperspecial_words_only_its_strata():

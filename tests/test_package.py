@@ -169,12 +169,14 @@ def test_test_only_code_is_out_of_src():
     only tests and oracles called are gone: the index of a lattice matrix,
     the node of a reflection, the lattice dominantize, the root sign, the
     translation by an ambient weight, the list of descents, the basic
-    test of an element and the Frobenius image of an element
-    (``oracles.sigma``)."""
+    test of an element, the Frobenius image of an element
+    (``oracles.sigma``) and the per-element left-minimality test
+    (``oracles.is_left_minimal``, twin of ``admissible.left_minimal``)."""
     from ekor_atlas import admissible, affine, ekor, lattice
     from ekor_atlas.rootdata import RootDatum
     from ekor_atlas.siegel import siegel_context
-    for name in ("saturated_set", "double_coset_minima", "is_right_minimal"):
+    for name in ("saturated_set", "double_coset_minima", "is_right_minimal",
+                 "is_left_minimal"):
         assert not hasattr(admissible, name)
     assert not hasattr(affine.ExtendedAffineWeylGroup, "dominantize")
     group = siegel_context(1).group
