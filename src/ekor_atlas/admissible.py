@@ -42,24 +42,15 @@ matrix, whose reflections are not permutations, a mu that is not 0/1, or
 simple roots e_(j+1) - e_j ordered against the coordinates) falls back to
 the subword closure ``oracles.admissible_by_subwords``.
 
-The level filter.  ``left_minimal`` keeps the elements with no left
-descent at a node of the level, deciding each node once per translation.
-By the descent rule (``affine`` module docstring) the node with wall
-(k, sign, hi, lo) is a descent of t^l w iff v = sign <l, root k> is at
-least hi when w^-1 (root k) > 0 and at least lo when it is < 0.  v depends
-on l alone, so: if v >= max(hi, lo), every t^l w has the descent and the
-translation is dropped; if v < min(hi, lo), none has it and no test runs;
-otherwise exactly one of the two thresholds is met, and the byte
-perm(w)[k] < N, the sign of w^-1 (root k), decides.  The Siegel Adm(mu)
-has 2^g translations, so at g = 5 the 6,331 elements need 32 verdicts; at
-hyperspecial level 31 of them drop the translation outright.
+The level filter is ``group.left_minimal``, which reads the descent
+verdicts of each translation's row (``affine`` module docstring).
 
 The canonical order.  ``admissible_set`` keeps the elements unsorted, as
 found, with no length, reduced word or sort key.  ``kw_elements`` filters
-them by ``left_minimal`` (not at Iwahori level, which keeps all), words the
-survivors shortest first, sorts them by ``group.sort_key`` and memoises
-the result per level on the set;
-``AdmissibleSet.elements`` is its Iwahori level, where all survive.  The key
+them by ``group.left_minimal`` (not at Iwahori level, which keeps all),
+words the survivors shortest first, sorts them by ``group.sort_key`` and
+memoises the result per level on the set; ``AdmissibleSet.elements`` is
+its Iwahori level, where all survive.  The key
 (length, reduced word, translation of the length-zero part) is a total
 order on distinct elements, since the word and the length-zero part
 determine x, so this is exactly the filtered sorted set.  At hyperspecial
@@ -210,46 +201,10 @@ def _vertex_masks(group: ExtendedAffineWeylGroup) -> Iterator[tuple[int, int]]:
         yield moved, ((ident | high) - x) & moved
 
 
-def left_minimal(group: ExtendedAffineWeylGroup, elements: Iterable[ExtAffineElement],
-                 label: frozenset[int]) -> list[ExtAffineElement]:
-    """The elements with no left descent in the label, in the given order.
-    Each node is decided once per translation (module docstring), and only
-    an undecided node reads a byte of the root permutation of w.
-    ``oracles.is_left_minimal`` is the per-element twin."""
-    nodes = [group._nodes[i][:4] for i in sorted(label)]
-    npos, wperm = group._npos, group._wperm
-    verdicts: dict = {}
-    out = []
-    for x in elements:
-        if x.trans not in verdicts:
-            verdicts[x.trans] = _level_tests(group._pairings(x.trans), nodes)
-        tests = verdicts[x.trans]
-        if tests is not None:
-            perm = wperm[x.w]
-            if all((perm[k] < npos) != pos for k, pos in tests):
-                out.append(x)
-    return out
-
-
-def _level_tests(pairs: tuple, nodes: list) -> Optional[tuple[tuple[int, bool], ...]]:
-    """The verdict of a level on the translation with this pairing row:
-    None when some node is a descent of every t^l w, else the pairs
-    (k, pos) of the undecided nodes, each a descent exactly of the w with
-    (w^-1 (root k) > 0) == pos."""
-    tests = []
-    for k, sign, hi, lo in nodes:
-        v = sign * pairs[k]
-        if v >= max(hi, lo):
-            return None
-        if v >= min(hi, lo):
-            tests.append((k, v >= hi))
-    return tuple(tests)
-
-
 def kw_elements(adm: AdmissibleSet,
                 nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
     """Left-minimal admissible elements at the given level, in canonical
-    order: the unsorted set filtered by ``left_minimal`` (all of it at
+    order: the unsorted set filtered by ``group.left_minimal`` (all of it at
     Iwahori level), then the survivors worded shortest first and sorted by
     ``group.sort_key``, memoised per level on the set.  The key is a total
     order on distinct elements, so this is the filtered ``adm.elements``
@@ -258,7 +213,7 @@ def kw_elements(adm: AdmissibleSet,
     label = parahoric_label(group, nodes)
     got = adm._levels.get(label)
     if got is None:
-        kept = left_minimal(group, adm.found, label) if label else list(adm.found)
+        kept = group.left_minimal(adm.found, label) if label else list(adm.found)
         # shortest first, so a word whose greedy tail was worded already
         # stops there and reuses it
         kept.sort(key=group.length)

@@ -24,7 +24,7 @@ w; these first nsimple entries are the key of the index.  Hence
   identity by one ``bytes.translate`` per element and simple reflection,
   in the search order of the dense-matrix oracle ``oracles.DenseWeylTable``;
 * the key of w^-1 lists the positions of the simple roots in perm(w);
-* w^-1 a is positive for the positive root number k iff perm(w)[k] < N;
+* w^-1 a is positive for the root number k iff perm(w)[k] < N;
 * row r of the ambient matrix of w is the functional numbered
   perm(w)[2N + r], the coordinate functional e_c* iff that number is
   2N + c < 2N + d.
@@ -58,14 +58,14 @@ length is
 which the test suite cross-checks against breadth-first word distance.
 The pairings <l, a> over the roots depend on l alone, and few
 translations occur (the 2^g of the Weyl orbit of mu for the whole Siegel
-Adm(mu)), so they are a table memoised per translation, the N positive
-roots first and then their negatives.  The sign of
+Adm(mu)), so they go into the row of the translation (below), the N
+positive roots first and then their negatives.  The sign of
 w^-1 a is read off perm(w): translating its first N bytes by a table that
 sends k to 1 if k >= N and to 0 otherwise gives 1 exactly where the term
 is |<l, a> + 1|.  As |p + 1| - |p| is 1 for p >= 0 and -1 for p < 0, the
 length is sum |<l, a>| + 2 |Inv & P| - |Inv|, with Inv the roots of those
 bytes and P the roots with <l, a> >= 0: two popcounts per element, with
-the sum and P memoised per translation.
+the sum and P on the row.
 
 Left descents come from one looked-up pairing each.  Let x = t^l w.
 
@@ -86,18 +86,33 @@ Left descents come from one looked-up pairing each.  Let x = t^l w.
   from |q + 1| to |q + 2| when w^-1 theta < 0.  So the node is a descent
   iff q <= (-1 if w^-1 theta > 0 else -2).
 
-Both cases read: the node with affine simple root b + k (b = a_i, k = 0, or
-b = -theta, k = 1) is a descent iff <l, b> >= k + (1 if w^-1 b > 0 else 0),
-where <l, b> is the table entry of a_i or minus that of theta.
-The length-difference test is kept as ``oracles.descents_by_length``.
+Both cases read: the node with affine simple root b + e (b = a_i, e = 0, or
+b = -theta, e = 1) is a descent iff <l, b> >= e + (1 if w^-1 b > 0 else 0)
+(at the affine node, w^-1 b > 0 iff w^-1 theta < 0).  So with v = <l, b>,
+the entry of the number kb of b in the pairing row, the verdict is
+three-way and read off l alone: every t^l w has the descent when v > e,
+none has it when v < e, and when v = e exactly those with w^-1 b < 0, that
+is perm(w)[kb] >= N.  The row stores per node kb and a threshold t, 0
+(ALWAYS), N or 256 (NEVER), and the node is a descent iff
+perm(w)[kb] >= t, one byte comparison; ``is_descent``, ``first_descent``
+and the walk of ``bruhat_leq`` read nothing else.  The length-difference
+test is kept as ``oracles.descents_by_length``.
+
+The level filter ``left_minimal`` keeps the elements with no left descent
+at a node of the level, deciding the level once per translation from
+these verdicts: a translation with an ALWAYS node is dropped, NEVER nodes
+need no test, and only the other nodes read a byte of perm(w).  The
+Siegel Adm(mu) has 2^g translations, so at g = 5 the 6,331 elements need
+32 verdicts; at hyperspecial level 31 of them drop the translation
+outright.
 
 Products with one generator, and conjugates of generators, are root
 lookups as well.  Let t^l w act on V = X (x) R by v -> w v - l, which
 respects the product rule (v -> -v turns it into v -> w v + l, and the
 alcove below into the antidominant one).  The generators are then the
 reflections in the walls a_i = 0 and theta = 1 of the alcove
-{a_i > 0, theta < 1}, whose affine simple roots b + k (the function
-v -> <v, b> + k) are a_i + 0 and -theta + 1: the b and k of the descent
+{a_i > 0, theta < 1}, whose affine simple roots b + e (the function
+v -> <v, b> + e) are a_i + 0 and -theta + 1: the b and e of the descent
 rule.  Write the generator of a node as s = t^(-e c^vee) s_c, with c = a_i,
 e = 0 or c = theta, e = 1.
 
@@ -116,7 +131,7 @@ e = 0 or c = theta, e = 1.
   pair (the root system is reduced), so x s_j x^-1 is the generator s_i
   iff x a_j = +-a_i.  A dict keyed by (root number, constant) names i.
 
-Newton points come from the pairing table too, with no matrix power.  Let
+Newton points come from the pairing row too, with no matrix power.  Let
 x = t^l w and let P be perm(w) translated by the table of sigma, so that
 <w sigma v, root k> = <v, root P(k)>.  If (x sigma)^n = t^m, then
 m = sum_(k<n) (w sigma)^k l, and for the simple root a_j with cycle C_j
@@ -130,7 +145,7 @@ functionals phi that vanish on the coroots, a basis of their rational
 kernel by one row reduction.  As s_a v = v - <v, a> a^vee, phi o w = phi
 for w in W; and (w sigma)^k = w_k sigma^k with w_k in W, since sigma
 normalizes W.  So phi((w sigma)^k l) = phi(sigma^k l), which has period f,
-and phi(m) = (n / f) sum_(k<f) phi(sigma^k l), memoised per translation.
+and phi(m) = (n / f) sum_(k<f) phi(sigma^k l), one dot product per phi.
 The simple roots and the phi are a basis of the rational dual of X:
 evaluating a relation sum c_j a_j + sum d phi = 0 on the coroots gives
 c = 0, as the Cartan matrix is invertible, and then d = 0.  So the key
@@ -146,10 +161,13 @@ rational inverse of the rows [simple roots; phi].  The only division is in
 that step, and sigma-straightness, <nu, 2 rho> = l(x), is tested as
 <n nu, 2 rho> = n l(x) without one.
 
-Group objects memoise root pairings per translation, lengths, reduced
+Group objects memoise one row per translation (the 2N pairings, the sum
+and P of the length, and the descent verdict of each node), reduced
 words, Newton points and the Bruhat comparisons asked (not the pairs that
-their walk passes).  An element is the pair (translation, finite index)
-and is its own memo key; a comparison is keyed by its pair of elements.
+their walk passes).  Lengths are not memoised: two popcounts on the row
+are about as cheap as a lookup.  An element is the pair (translation,
+finite index) and is its own memo key; a comparison is keyed by its pair
+of elements.
 The caches are only ever extended with values that any thread would
 recompute identically, so concurrent readers are safe.
 """
@@ -175,6 +193,10 @@ from ekor_atlas.lattice import (
     vec_neg,
 )
 from ekor_atlas.rootdata import RootDatum
+
+
+# descent thresholds on the byte perm(w)[kb] that no byte fails or passes
+ALWAYS, NEVER = 0, 256
 
 
 class GroupError(ValueError):
@@ -207,6 +229,15 @@ class _NewtonFrame(NamedTuple):
     den: int
 
 
+class _Row(NamedTuple):
+    """Per-translation data of the length and the descents (``_row``)."""
+
+    pairs: tuple      # <l, a> over all 2N roots in the root numbering
+    total: int        # sum |<l, a>| over the a > 0
+    nonneg: int       # the mask P of the a > 0 with <l, a> >= 0
+    verdicts: tuple   # per node, (kb, t): a descent iff perm(w)[kb] >= t
+
+
 class ReducedDecomposition(NamedTuple):
     """A reduced word in node letters and the residual length-zero factor."""
 
@@ -225,13 +256,10 @@ class ExtendedAffineWeylGroup:
         self._build_walls()
         self._build_affine_matrix()
         self._build_sigma()
-        self._pairs: dict = {}
-        self._length_rows: dict = {}
-        self._length: dict = {}
+        self._rows = _Memo(self._row)
         self._rd: dict = {}
         self._omega: dict = {}
         self._newton: dict = {}
-        self._radical: dict = {}
         # ekor.sigma_support by (omega, letters); the record writer's texts
         self._supports: dict = {}
         self._json_texts: dict = {}
@@ -392,43 +420,13 @@ class ExtendedAffineWeylGroup:
     def from_parts(self, trans_lattice: Sequence[int], widx: int) -> ExtAffineElement:
         return ExtAffineElement(tuple(trans_lattice), widx)
 
-    # ------------------------------------------------------------ length
-
-    def _pairings(self, trans: tuple) -> tuple:
-        """<l, a> over all 2N roots in the root numbering, positive roots
-        first, memoised per translation."""
-        got = self._pairs.get(trans)
-        if got is None:
-            pos = tuple(vec_dot(trans, vals) for vals in self.datum.positive_roots)
-            got = self._pairs[trans] = pos + tuple(-p for p in pos)
-        return got
-
-    def length(self, x: ExtAffineElement) -> int:
-        """The closed-form length from two popcounts (module docstring):
-        sum |<l, a>| and the mask P of the a > 0 with <l, a> >= 0 are
-        memoised per translation, and Inv, the a > 0 with w^-1 a < 0, is
-        read off perm(w); the masks have one byte lane per positive root."""
-        got = self._length.get(x)
-        if got is None:
-            row = self._length_rows.get(x.trans)
-            if row is None:
-                pos = self._pairings(x.trans)[:self._npos]
-                row = self._length_rows[x.trans] = (
-                    sum(map(abs, pos)),
-                    int.from_bytes(bytes(p >= 0 for p in pos), "little"))
-            total, nonneg = row
-            inv = int.from_bytes(
-                self._wperm[x.w][:self._npos].translate(self._negative), "little")
-            got = self._length[x] = total + 2 * (inv & nonneg).bit_count() - inv.bit_count()
-        return got
+    # ------------------------------------------------ rows and descents
 
     def _build_walls(self):
         """``_nodes``: per node, with affine simple root b + e (b = a_i,
         e = 0 at a finite node, b = -theta, e = 1 at an affine node; module
-        docstring), the index k of the positive root +-b, the sign with
-        <l, b> = sign <l, root k> (so e = 1 exactly when sign < 0), the
-        least descent pairing <l, b> when w^-1 (root k) > 0 and when it is
-        < 0, the key of perm(s_b) and its translate table.
+        docstring), the index k of the positive root +-b, e, the key of
+        perm(s_b) and its translate table.
 
         Also ``_coroots``, the coroot of every root in the root numbering,
         and ``_node_of_root``, the node of each affine root +-(b + e) keyed
@@ -437,40 +435,84 @@ class ExtendedAffineWeylGroup:
         npos = self._npos
         walls = [None] * self.num_nodes
         for i, k in enumerate(self._simple):
-            walls[i + 1] = (k, 1, 1, 0)
+            walls[i + 1] = (k, 0)
         for j, theta in enumerate(datum.theta):
-            walls[self.affine_node_of_component[j]] = (self._root_index[theta], -1, 1, 2)
+            walls[self.affine_node_of_component[j]] = (self._root_index[theta], 1)
         self._coroots = datum.positive_coroots + tuple(map(vec_neg, datum.positive_coroots))
         nodes = []
         self._node_of_root = {}
-        for i, wall in enumerate(walls):
-            k, e = wall[0], int(wall[1] < 0)
+        for i, (k, e) in enumerate(walls):
             perm = self._wperm[self.simple_reflections[i].w]
-            nodes.append(wall + (perm[:self._base], _table(perm)))
+            nodes.append((k, e, perm[:self._base], _table(perm)))
             self._node_of_root[k + e * npos, e] = i
             self._node_of_root[k + (1 - e) * npos, -e] = i
         self._nodes = tuple(nodes)
 
+    def _row(self, trans: tuple) -> _Row:
+        """The row of a translation (module docstring); a verdict holds
+        the number kb of the root b of the node and its threshold."""
+        npos = self._npos
+        pos = tuple(vec_dot(trans, vals) for vals in self.datum.positive_roots)
+        pairs = pos + tuple(-p for p in pos)
+        verdicts = []
+        for k, e, _, _ in self._nodes:
+            kb = k + e * npos
+            v = pairs[kb]
+            verdicts.append((kb, ALWAYS if v > e else npos if v == e else NEVER))
+        return _Row(pairs, sum(map(abs, pos)),
+                    int.from_bytes(bytes(p >= 0 for p in pos), "little"), tuple(verdicts))
+
+    def length(self, x: ExtAffineElement) -> int:
+        """The closed-form length from two popcounts on the row (module
+        docstring): Inv, the a > 0 with w^-1 a < 0, is read off perm(w);
+        the masks have one byte lane per positive root."""
+        _, total, nonneg, _ = self._rows[x.trans]
+        inv = int.from_bytes(self._wperm[x.w][:self._npos].translate(self._negative), "little")
+        return total + 2 * (inv & nonneg).bit_count() - inv.bit_count()
+
     def is_descent(self, x: ExtAffineElement, i: int) -> bool:
-        """Whether s_i x is shorter than x, from one looked-up pairing."""
-        return _descends(self._pairings(x.trans), self._wperm[x.w], self._npos,
-                         self._nodes[i])
+        """Whether s_i x is shorter than x, by the verdict of the row."""
+        kb, t = self._rows[x.trans].verdicts[i]
+        return self._wperm[x.w][kb] >= t
 
     def first_descent(self, x: ExtAffineElement) -> Optional[int]:
-        """The least left descent of x, from one read of its pairing row
-        and root permutation."""
-        pairs = self._pairings(x.trans)
+        """The least left descent of x, from the verdicts of its row and
+        its root permutation."""
         perm = self._wperm[x.w]
-        npos = self._npos
-        return next((i for i, node in enumerate(self._nodes)
-                     if _descends(pairs, perm, npos, node)), None)
+        for i, (kb, t) in enumerate(self._rows[x.trans].verdicts):
+            if perm[kb] >= t:
+                return i
+        return None
+
+    def left_minimal(self, elements: Iterable[ExtAffineElement],
+                     label: Iterable[int]) -> list[ExtAffineElement]:
+        """The elements with no left descent in the label, in the given
+        order.  The level is decided once per translation (module
+        docstring): only an undecided node reads a byte of perm(w).
+        ``oracles.is_left_minimal`` is the per-element twin."""
+        nodes = sorted(label)
+        npos, rows, wperm = self._npos, self._rows, self._wperm
+        tests_of: dict = {}
+        out = []
+        for x in elements:
+            if x.trans not in tests_of:
+                row = rows[x.trans].verdicts
+                verdicts = [row[i] for i in nodes]
+                tests_of[x.trans] = (None if any(t == ALWAYS for _, t in verdicts)
+                                     else [kb for kb, t in verdicts if t == npos])
+            tests = tests_of[x.trans]
+            if tests is not None:
+                perm = wperm[x.w]
+                if all(perm[kb] < npos for kb in tests):
+                    out.append(x)
+        return out
 
     # ------------------------------------------ products with one node
 
     def simple_times(self, i: int, x: ExtAffineElement) -> ExtAffineElement:
         """s_i x, from one looked-up pairing (module docstring)."""
-        k, sign, _, _, key, _ = self._nodes[i]
-        c = self._pairings(x.trans)[k] + (sign < 0)
+        k, e, key, _ = self._nodes[i]
+        c = self._rows[x.trans].pairs[k] + e
         trans = x.trans
         if c:
             trans = tuple([a - c * b for a, b in zip(trans, self._coroots[k])])
@@ -480,10 +522,10 @@ class ExtendedAffineWeylGroup:
     def times_simple(self, x: ExtAffineElement, i: int) -> ExtAffineElement:
         """x s_i: one translate for the finite part, and at an affine node
         one looked-up coroot for the translation (module docstring)."""
-        k, sign, _, _, _, table = self._nodes[i]
+        k, e, _, table = self._nodes[i]
         perm = self._wperm[x.w]
         trans = x.trans
-        if sign < 0:
+        if e:
             trans = vec_add(trans, self._coroots[perm.index(k + self._npos)])
         return ExtAffineElement(trans, self._windex[perm[:self._base].translate(table)])
 
@@ -491,10 +533,9 @@ class ExtendedAffineWeylGroup:
         """The node i with x s_j x^-1 = s_i, or None when that conjugate is
         not a simple reflection: x(b + e) must be +-(the root of i)
         (module docstring)."""
-        k, sign, _, _, _, _ = self._nodes[j]
-        e = int(sign < 0)
+        k, e, _, _ = self._nodes[j]
         q = self._wperm[x.w].index(k + e * self._npos)  # the number of w b
-        return self._node_of_root.get((q, e + self._pairings(x.trans)[q]))
+        return self._node_of_root.get((q, e + self._rows[x.trans].pairs[q]))
 
     def reduced_word(self, x: ExtAffineElement) -> ReducedDecomposition:
         """Greedy reduced word: strip the least left descent until the rest
@@ -564,14 +605,15 @@ class ExtendedAffineWeylGroup:
         if got is None:
             rd = self.reduced_word(y)
             gap = len(rd.word) - self.length(x)
-            nodes, npos = self._nodes, self._npos
-            pairs, perm = self._pairings(x.trans), self._wperm[x.w]
+            rows, wperm = self._rows, self._wperm
+            verdicts, perm = rows[x.trans].verdicts, wperm[x.w]
             for i in rd.word:
                 if gap < 0:
                     break
-                if _descends(pairs, perm, npos, nodes[i]):
+                kb, t = verdicts[i]
+                if perm[kb] >= t:
                     x = self.simple_times(i, x)
-                    pairs, perm = self._pairings(x.trans), self._wperm[x.w]
+                    verdicts, perm = rows[x.trans].verdicts, wperm[x.w]
                 else:
                     gap -= 1
             got = self._bruhat[key] = gap >= 0 and x == rd.omega.element
@@ -585,7 +627,7 @@ class ExtendedAffineWeylGroup:
         the cycle of each simple root through the pairing row of the
         translation (module docstring)."""
         perm = self._wperm[x.w].translate(self._frob_table)
-        ext = self._pairings(x.trans)
+        ext = self._rows[x.trans].pairs
         sums, sizes = [], []
         for j in self._simple:
             s, i, c = ext[j], perm[j], 1
@@ -597,12 +639,8 @@ class ExtendedAffineWeylGroup:
             sizes.append(c)
         f = self.datum.frobenius_order
         n = lcm(f, *sizes)
-        rad = self._radical.get(x.trans)
-        if rad is None:
-            rad = self._radical[x.trans] = tuple(
-                vec_dot(x.trans, psi) for psi in self._newton_frame.orbit_sums)
         return (n, tuple([n // c * s for s, c in zip(sums, sizes)]),
-                tuple([n // f * p for p in rad]))
+                tuple([n // f * vec_dot(x.trans, psi) for psi in self._newton_frame.orbit_sums]))
 
     @cached_property
     def _newton_frame(self) -> "_NewtonFrame":
@@ -740,7 +778,7 @@ class ExtendedAffineWeylGroup:
 
     def sort_key(self, x: ExtAffineElement):
         rd = self.reduced_word(x)
-        return (self.length(x), rd.word, rd.omega.element.trans)
+        return (len(rd.word), rd.word, rd.omega.element.trans)
 
     # ------------------------------------------------------- serialization
 
@@ -761,11 +799,17 @@ class ExtendedAffineWeylGroup:
         return {"rows": [list(r) for r in self.ambient_matrix(w)]}
 
 
-def _descends(pairs: tuple, perm: bytes, npos: int, node: tuple) -> bool:
-    """The descent rule at one node (``_build_walls``), given the pairing
-    row and root permutation of x: whether s_i x is shorter than x."""
-    k, sign, hi, lo, _, _ = node
-    return sign * pairs[k] >= (hi if perm[k] < npos else lo)
+class _Memo(dict):
+    """A dict that computes a missed key with ``build``, so a hit is one
+    lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        got = self[key] = self.build(key)
+        return got
 
 
 def _table(perm: bytes) -> bytes:

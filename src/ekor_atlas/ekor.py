@@ -161,7 +161,7 @@ def stratum_report(adm: AdmissibleSet,
         records.append(StratumRecord(
             element=x,
             word=word,
-            length=group.length(x),
+            length=len(word),
             level=level,
             basic=basic,
             support=supp,

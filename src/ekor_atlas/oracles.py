@@ -212,9 +212,9 @@ def descents_by_length(group: ExtendedAffineWeylGroup,
 
 def is_left_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
                     label: Iterable[int]) -> bool:
-    """No node of the label is a left descent of x, one descent test per
-    node: the twin of ``admissible.left_minimal``."""
-    return not any(group.is_descent(x, i) for i in label)
+    """No node of the label is a left descent of x by the length test
+    ``descents_by_length``: the twin of ``group.left_minimal``."""
+    return set(descents_by_length(group, x)).isdisjoint(label)
 
 
 def right_greedy_word(group: ExtendedAffineWeylGroup, x: ExtAffineElement):

@@ -32,7 +32,6 @@ from typing import Iterable, NamedTuple, Optional
 from ekor_atlas.admissible import (
     AdmissibleSet,
     admissible_set,
-    left_minimal,
     parahoric_label,
 )
 from ekor_atlas.affine import (
@@ -136,7 +135,7 @@ class SiegelContext:
         group = self.group
         window = frozenset(range(g - c + 1, g + 1))
         left = frozenset(range(g - c + 1, g))
-        return tuple(left_minimal(group, group.parabolic_subgroup_elements(window), left))
+        return tuple(group.left_minimal(group.parabolic_subgroup_elements(window), left))
 
     # ---------------------------------------------------- closed forms
 

@@ -8,12 +8,11 @@ from ekor_atlas.admissible import (
     admissible_set,
     bruhat_hasse_edges,
     kw_elements,
-    left_minimal,
     parahoric_label,
     straight_classes,
     weyl_orbit,
 )
-from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError, element_label
+from ekor_atlas.affine import ALWAYS, NEVER, ExtendedAffineWeylGroup, GroupError, element_label
 from ekor_atlas.oracles import (
     admissible_by_right_words,
     admissible_by_subwords,
@@ -57,15 +56,15 @@ def test_sizes_and_length_profile(g):
 
 @pytest.mark.parametrize("g", [4, 5])
 def test_pairing_table_holds_the_orbit_of_mu(g):
-    """Building Adm(mu) in a fresh context pairs only the 2^g translations
-    of the Weyl orbit of mu with the roots."""
+    """Building Adm(mu) in a fresh context makes rows only for the 2^g
+    translations of the Weyl orbit of mu."""
     from ekor_atlas import siegel
     ctx = siegel.SiegelContext(g)
     ctx.adm()
     group = ctx.group
     orbit = weyl_orbit(group, group.datum.to_lattice(ctx.mu))
-    assert len(group._pairs) == 2 ** g
-    assert set(group._pairs) == set(orbit)
+    assert len(group._rows) == 2 ** g
+    assert set(group._rows) == set(orbit)
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -273,11 +272,11 @@ def test_kw_order_matches_sorting_all_subword_fallback():
 
 
 def _filter_agrees(adm, label):
-    """``left_minimal`` against the per-element oracle, order included, and
+    """``group.left_minimal`` against the per-element oracle, order included, and
     ``kw_elements`` against it as a set."""
     group = adm.group
     want = [x for x in adm.found if is_left_minimal(group, x, label)]
-    assert left_minimal(group, adm.found, label) == want, sorted(label)
+    assert group.left_minimal(adm.found, label) == want, sorted(label)
     assert set(kw_elements(adm, label)) == set(want), sorted(label)
 
 
@@ -308,25 +307,22 @@ def test_level_filter_matches_per_element_test_other_data(build, mu):
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_level_verdicts_hold_for_every_w(g):
-    """Per translation of the orbit of mu and per node: a dropped
-    translation has that descent for every w, one with no test for no w,
-    and otherwise the named byte decides (length oracle)."""
+    """Per translation of the orbit of mu and per node, the verdict of
+    the row: t^l w has the descent iff perm(w)[kb] >= t (length oracle),
+    which holds for every w at ALWAYS, for none at NEVER (a byte is below
+    256), and at N exactly when w^-1 b < 0.  Each kind occurs."""
     group = siegel_context(g).group
     npos = group._npos
     orbit = weyl_orbit(group, group.datum.to_lattice((1,) * g + (0,) * g))
+    seen = set()
     for lam in orbit:
-        pairs = group._pairings(lam)
-        for i in range(group.num_nodes):
-            tests = admissible._level_tests(pairs, [group._nodes[i][:4]])
+        for i, (kb, t) in enumerate(group._rows[lam].verdicts):
+            assert t in (ALWAYS, npos, NEVER)
+            seen.add(t)
             for w in range(group.finite_order):
                 has = i in descents_by_length(group, group.from_parts(lam, w))
-                if tests is None:
-                    assert has, (lam, i, w)
-                elif not tests:
-                    assert not has, (lam, i, w)
-                else:
-                    (k, pos), = tests
-                    assert has == ((group._wperm[w][k] < npos) == pos), (lam, i, w)
+                assert has == (group._wperm[w][kb] >= t), (lam, i, w)
+    assert seen == {ALWAYS, npos, NEVER}
 
 
 def test_hyperspecial_words_only_its_strata():

@@ -584,6 +584,23 @@ def test_straightness_matches_definition_random_parts(name):
     assert seen == {False, True}
 
 
+@pytest.mark.parametrize("name", ["b2", "g2", "gl2_unitary"])
+def test_descent_verdicts_match_length_oracle_random_parts(name):
+    """``is_descent``, ``first_descent`` and ``left_minimal`` read the row
+    verdicts; ``descents_by_length`` compares lengths of products.  Short
+    roots, an asymmetric Cartan matrix and a nontrivial radical."""
+    group = TWIN_DATA[name]()
+    elements = _random_parts(group, 150, 71)
+    descents = [descents_by_length(group, x) for x in elements]
+    for x, want in zip(elements, descents):
+        assert left_descents(group, x) == want
+        assert group.first_descent(x) == (want[0] if want else None)
+    for mask in range(1 << group.num_nodes):
+        label = [i for i in range(group.num_nodes) if mask >> i & 1]
+        assert group.left_minimal(elements, label) == [
+            x for x, want in zip(elements, descents) if not set(want) & set(label)]
+
+
 def test_newton_leq_on_known_points(ctx2):
     group = ctx2.group
     basic = (Fraction(1, 2),) * 4

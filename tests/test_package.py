@@ -171,13 +171,17 @@ def test_test_only_code_is_out_of_src():
     translation by an ambient weight, the list of descents, the basic
     test of an element, the Frobenius image of an element
     (``oracles.sigma``) and the per-element left-minimality test
-    (``oracles.is_left_minimal``, twin of ``admissible.left_minimal``)."""
+    (``oracles.is_left_minimal``, twin of ``group.left_minimal``).  The
+    descent rule is derived once, on the group's one row memo keyed by
+    translation: no pairing, length-row, radical or per-element length
+    memo beside it, and no second derivation in ``admissible``."""
     from ekor_atlas import admissible, affine, ekor, lattice
     from ekor_atlas.rootdata import RootDatum
     from ekor_atlas.siegel import siegel_context
     for name in ("saturated_set", "double_coset_minima", "is_right_minimal",
-                 "is_left_minimal"):
+                 "is_left_minimal", "left_minimal", "_level_tests"):
         assert not hasattr(admissible, name)
+    assert not hasattr(affine, "_descends")
     assert not hasattr(affine.ExtendedAffineWeylGroup, "dominantize")
     group = siegel_context(1).group
     for name in ("kottwitz", "pi1_gamma"):
@@ -192,7 +196,8 @@ def test_test_only_code_is_out_of_src():
         assert not hasattr(affine.ExtendedAffineWeylGroup, name)
     assert not hasattr(ekor, "is_basic_element")
     fresh = affine.ExtendedAffineWeylGroup(group.datum)
-    for name in ("_wrows", "_wambient", "_node_of_reflection", "_frob_inv"):
+    for name in ("_wrows", "_wambient", "_node_of_reflection", "_frob_inv",
+                 "_pairs", "_length_rows", "_radical", "_length"):
         assert not hasattr(fresh, name)
     for name in ("root_sign", "_positive_index"):
         assert not hasattr(RootDatum, name)
