@@ -496,10 +496,10 @@ class ExtendedAffineWeylGroup:
         out = []
         for x in elements:
             if x.trans not in tests_of:
-                row = rows[x.trans].verdicts
-                verdicts = [row[i] for i in nodes]
-                tests_of[x.trans] = (None if any(t == ALWAYS for _, t in verdicts)
-                                     else [kb for kb, t in verdicts if t == npos])
+                verdicts = rows[x.trans].verdicts
+                level = [verdicts[i] for i in nodes]
+                tests_of[x.trans] = (None if any(t == ALWAYS for _, t in level)
+                                     else [kb for kb, t in level if t == npos])
             tests = tests_of[x.trans]
             if tests is not None:
                 perm = wperm[x.w]
