@@ -48,7 +48,7 @@ simple roots suffice: a power of w sigma that fixes the simple roots fixes
 their span, hence every root.
 
 The alcove convention follows the generators: the extra reflection of each
-affine component is ``t^(-theta_coroot) s_theta``, the reflection through the
+affine component is ``t^(-theta^vee) s_theta``, the reflection through the
 wall where the highest root takes the value -1.  The matching closed-form
 length is
 
@@ -76,9 +76,9 @@ Left descents come from one looked-up pairing each.  Let x = t^l w.
   |p - 1| when w^-1 a_i > 0 and from |p + 1| to |p| when w^-1 a_i < 0.  So
   i is a descent iff p >= (1 if w^-1 a_i > 0 else 0).
 * Affine node of a component with highest root theta.  s_0 x = t^l' s_theta w
-  with l' = s_theta l - theta_coroot.  For a > 0 put b = s_theta a; then
-  (s_theta w)^-1 a = w^-1 b and <l', a> = <l, b> + <theta_coroot, b>.  As
-  theta is long, <theta_coroot, a> is 0 or 1 for a > 0, a != theta.  If it
+  with l' = s_theta l - theta^vee.  For a > 0 put b = s_theta a; then
+  (s_theta w)^-1 a = w^-1 b and <l', a> = <l, b> + <theta^vee, b>.  As
+  theta is long, <theta^vee, a> is 0 or 1 for a > 0, a != theta.  If it
   is 0, b = a and the term is unchanged.  If it is 1, b = -(theta - a)
   and the term of a in l(s_0 x) equals the term of theta - a in l(x);
   a -> theta - a permutes these roots.  Only theta moves: with
@@ -130,6 +130,15 @@ e = 0 or c = theta, e = 1.
   hyperplane, and the affine roots vanishing on it are the two of one sign
   pair (the root system is reduced), so x s_j x^-1 is the generator s_i
   iff x a_j = +-a_i.  A dict keyed by (root number, constant) names i.
+
+The generators and sigma on the nodes are read off the same root table,
+with no matrix.  As s_c v = v - <v, c> c^vee, the reflection rule
+a o s_c = a - <a, c^vee> c gives the key of s_c by one root lookup per
+simple root, and the translation -e c^vee is the coroot of c, looked up.
+sigma permutes the simple roots, so it permutes the components and their
+highest roots, and it sends the affine root b + e to sigma(b) + e, with
+sigma(b) = b o F^-1 for F the Frobenius of X: sigma maps the wall of a
+node to the wall of its image, which the same dict names.
 
 Newton points come from the pairing row too, with no matrix power.  Let
 x = t^l w and let P be perm(w) translated by the table of sigma, so that
@@ -252,10 +261,9 @@ class ExtendedAffineWeylGroup:
         self.datum = datum
         self.rank = datum.rank
         self._enumerate_finite()
-        self._build_generators()
-        self._build_walls()
+        sigma = self._build_nodes()
         self._build_affine_matrix()
-        self._build_sigma()
+        self.sigma_diagram = self.affine_coxeter.check_automorphism(sigma)
         self._rows = _Memo(self._row)
         self._rd: dict = {}
         self._omega: dict = {}
@@ -264,7 +272,6 @@ class ExtendedAffineWeylGroup:
         self._supports: dict = {}
         self._json_texts: dict = {}
         self._bruhat: dict = {}
-        self._parabolic: dict = {}
         self.identity = ExtAffineElement((0,) * self.rank, 0)
 
     # ------------------------------------------------------- finite table
@@ -349,29 +356,54 @@ class ExtendedAffineWeylGroup:
     def ambient_matrix(self, widx: int):
         return tuple(map(self._ambient.__getitem__, self.ambient_part(widx)))
 
-    # -------------------------------------------------------- generators
+    # ------------------------------------------------------------- nodes
 
-    def _build_generators(self):
+    def _build_nodes(self) -> list[int]:
+        """One pass over the nodes builds their walls, generators and sigma
+        from the root table (module docstring).  Node 0 is the affine node
+        of the first component, 1..r the finite nodes in the order of the
+        simple roots, r + j the affine node of component j >= 1.  The affine
+        simple root of a node is b + e: a_i + 0 at a finite node, -theta + 1
+        at an affine node; c = +-b is the positive one, numbered k.  Sets
+        ``_nodes`` (per node k, e, the key of s_c and the translate table of
+        its permutation), ``simple_reflections`` (t^(-e c^vee) s_c, keyed by
+        the reflection rule), ``_coroots`` (the coroot of every root in the
+        root numbering) and ``_node_of_root`` (the node of each affine root
+        +-(b + e), keyed by the root's number and constant).  Returns sigma
+        on the nodes, for the caller to check: per node, the node whose wall
+        is sigma(b) + e."""
         datum = self.datum
-        ncomp = len(datum.components)
-        r = datum.nsimple
+        npos, roots, index = self._npos, self._roots, self._root_index
+        r, ncomp = datum.nsimple, len(datum.components)
         self.num_nodes = r + ncomp
-        # node layout: 0 = affine node of the first component, 1..r the
-        # finite nodes (shifted root indices), r+j the affine node of
-        # component j for j >= 1
-        self.affine_node_of_component = tuple(
-            0 if j == 0 else r + j for j in range(ncomp))
-        # (translation, lattice reflection) per node; the reflections are
-        # in W, so their root keys name them
-        parts = {i + 1: ((0,) * self.rank, mat)
-                 for i, mat in enumerate(datum.reflections_lattice)}
-        for j, (theta, coroot) in enumerate(zip(datum.theta, datum.theta_coroot)):
-            parts[self.affine_node_of_component[j]] = (
-                vec_neg(coroot), datum._reflection_lattice(theta, coroot))
-        self.simple_reflections = tuple(
-            ExtAffineElement(trans, self._windex[self._root_perm(mat)[:self._base]])
-            for trans, mat in map(parts.__getitem__, range(self.num_nodes)))
+        self.affine_node_of_component = tuple(r + j if j else 0 for j in range(ncomp))
         self.finite_nodes = frozenset(range(1, r + 1))
+        walls = [None] * self.num_nodes
+        for i, k in enumerate(self._simple):
+            walls[i + 1] = (k, 0)
+        for j, theta in zip(self.affine_node_of_component, datum.theta):
+            walls[j] = (index[theta], 1)
+        coroots = self._coroots = datum.positive_coroots + tuple(
+            map(vec_neg, datum.positive_coroots))
+        nodes, gens = [], []
+        self._node_of_root = {}
+        for i, (k, e) in enumerate(walls):
+            c, cv = roots[k], coroots[k]
+            images = []
+            for a in roots[:self._base]:
+                p = vec_dot(a, cv)
+                images.append(index[tuple([x - p * y for x, y in zip(a, c)])])
+            key = bytes(images)
+            w = self._windex[key]
+            nodes.append((k, e, key, _table(self._wperm[w])))
+            gens.append(ExtAffineElement(tuple([-e * y for y in cv]), w))
+            self._node_of_root[k + e * npos, e] = i
+            self._node_of_root[k + (1 - e) * npos, -e] = i
+        self._nodes = tuple(nodes)
+        self.simple_reflections = tuple(gens)
+        frob = self._root_perm(datum.frobenius_lattice)
+        self._frob_table = _table(frob)
+        return [self._node_of_root[frob.index(k + e * npos), e] for k, e, _, _ in nodes]
 
     def _build_affine_matrix(self):
         """Bonds from the wall roots of ``_nodes``, with no group product:
@@ -389,24 +421,6 @@ class ExtendedAffineWeylGroup:
                 rows[a][b] = rows[b][a] = BOND_OF_PRODUCT[n]
         self.affine_coxeter = CoxeterMatrix(rows)
 
-    def _build_sigma(self):
-        datum = self.datum
-        r = datum.nsimple
-        images = [0] * self.num_nodes
-        for i in range(r):
-            images[i + 1] = datum.frobenius_nodes[i] + 1
-        comp_image = []
-        for comp in datum.components:
-            probe = min(comp)
-            target = datum.frobenius_nodes[probe]
-            comp_image.append(next(j for j, c in enumerate(datum.components)
-                                   if target in c))
-        for j, comp in enumerate(datum.components):
-            images[self.affine_node_of_component[j]] = \
-                self.affine_node_of_component[comp_image[j]]
-        self.sigma_diagram = self.affine_coxeter.check_automorphism(images)
-        self._frob_table = _table(self._root_perm(datum.frobenius_lattice))
-
     # --------------------------------------------------------- group law
 
     def mult(self, x: ExtAffineElement, y: ExtAffineElement) -> ExtAffineElement:
@@ -421,32 +435,6 @@ class ExtendedAffineWeylGroup:
         return ExtAffineElement(tuple(trans_lattice), widx)
 
     # ------------------------------------------------ rows and descents
-
-    def _build_walls(self):
-        """``_nodes``: per node, with affine simple root b + e (b = a_i,
-        e = 0 at a finite node, b = -theta, e = 1 at an affine node; module
-        docstring), the index k of the positive root +-b, e, the key of
-        perm(s_b) and its translate table.
-
-        Also ``_coroots``, the coroot of every root in the root numbering,
-        and ``_node_of_root``, the node of each affine root +-(b + e) keyed
-        by (number of the root, constant)."""
-        datum = self.datum
-        npos = self._npos
-        walls = [None] * self.num_nodes
-        for i, k in enumerate(self._simple):
-            walls[i + 1] = (k, 0)
-        for j, theta in enumerate(datum.theta):
-            walls[self.affine_node_of_component[j]] = (self._root_index[theta], 1)
-        self._coroots = datum.positive_coroots + tuple(map(vec_neg, datum.positive_coroots))
-        nodes = []
-        self._node_of_root = {}
-        for i, (k, e) in enumerate(walls):
-            perm = self._wperm[self.simple_reflections[i].w]
-            nodes.append((k, e, perm[:self._base], _table(perm)))
-            self._node_of_root[k + e * npos, e] = i
-            self._node_of_root[k + (1 - e) * npos, -e] = i
-        self._nodes = tuple(nodes)
 
     def _row(self, trans: tuple) -> _Row:
         """The row of a translation (module docstring); a verdict holds
@@ -755,24 +743,20 @@ class ExtendedAffineWeylGroup:
         recogniser of the affine Coxeter matrix checks first.
         """
         key = frozenset(nodes)
-        got = self._parabolic.get(key)
-        if got is None:
-            if not self.affine_coxeter.is_finite_parabolic(key):
-                raise GroupError(f"parabolic on {sorted(key)} is infinite")
-            seen = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for i in sorted(key):
-                        y = self.times_simple(x, i)
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            got = tuple(sorted(seen, key=self.sort_key))
-            self._parabolic[key] = got
-        return got
+        if not self.affine_coxeter.is_finite_parabolic(key):
+            raise GroupError(f"parabolic on {sorted(key)} is infinite")
+        seen = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for i in sorted(key):
+                    y = self.times_simple(x, i)
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return tuple(sorted(seen, key=self.sort_key))
 
     # ----------------------------------------------------- canonical order
 

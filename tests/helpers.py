@@ -239,6 +239,18 @@ def build_gl2_unitary():
     return ExtendedAffineWeylGroup(datum)
 
 
+def build_gl2_restriction():
+    """GL2 x GL2 on Z^4 with the Frobenius that swaps (x1, x2) with
+    (x3, x4), as for a Weil restriction: sigma exchanges the two factors,
+    so it moves the affine nodes as well as the finite ones."""
+    basis = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    roots = ((1, -1, 0, 0), (0, 0, 1, -1))
+    swap = basis[2:] + basis[:2]
+    datum = RootDatum(dim=4, basis=basis, simple_roots=roots,
+                      simple_coroots=roots, frobenius=swap)
+    return ExtendedAffineWeylGroup(datum)
+
+
 def build_from_cartan(cartan):
     """Split datum on the coroot lattice: the simple coroots are the
     standard basis of Z^n and root j takes the values cartan[i][j] on them,

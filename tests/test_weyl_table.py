@@ -14,6 +14,7 @@ import itertools
 import pytest
 
 from ekor_atlas import siegel
+from ekor_atlas.admissible import admissible_set
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.lattice import identity_matrix, row_mat, vec_dot, vec_neg
 from ekor_atlas.oracles import DenseWeylTable, cayley_ball, sigma, twisted_power
@@ -24,6 +25,7 @@ from helpers import (
     build_from_cartan,
     build_g2,
     build_gl2_gl3,
+    build_gl2_restriction,
     build_gl2_unitary,
     build_gl3_twisted,
     build_split_adjoint,
@@ -49,13 +51,14 @@ DATA = {
     "gl3_twisted": build_gl3_twisted,
     "gl2_gl3": build_gl2_gl3,
     "gl2_unitary": build_gl2_unitary,
+    "gl2_restriction": build_gl2_restriction,
     "b2": build_b2,
     "g2": build_g2,
     "c3_adjoint": lambda: build_split_adjoint(_cartan_c(3)),
 }
 ORDERS = {"siegel1": 2, "siegel2": 8, "siegel3": 48, "gl3_twisted": 6,
-          "gl2_gl3": 12, "gl2_unitary": 2, "b2": 8, "g2": 12,
-          "c3_adjoint": 48}
+          "gl2_gl3": 12, "gl2_unitary": 2, "gl2_restriction": 4, "b2": 8,
+          "g2": 12, "c3_adjoint": 48}
 
 
 @pytest.fixture(scope="module", params=sorted(DATA))
@@ -179,6 +182,52 @@ def _ball(group):
     seeds = [group.from_parts(lam, 0)
              for lam in itertools.product((-1, 0, 1), repeat=group.rank)]
     return list(cayley_ball(group, 2, seeds))
+
+
+def test_generators_against_matrices(pair):
+    """Each generator t^(-e b^vee) s_b against the reflection v -> v -
+    <v, b> b^vee, from the datum's lattice reflections at the finite nodes
+    and from the highest root and its coroot at the affine ones (b = theta,
+    e = 1), on the basis vectors."""
+    _, group, dense = pair
+    datum = group.datum
+    basis = identity_matrix(group.rank)
+    refs = [(i + 1, vals, coroot, 0)
+            for i, (vals, coroot) in enumerate(zip(datum.root_values, datum.coroots_lattice))]
+    refs += [(group.affine_node_of_component[j], theta, coroot, 1)
+             for j, (theta, coroot) in enumerate(zip(datum.theta, datum.theta_coroot))]
+    assert sorted(node for node, *_ in refs) == list(range(group.num_nodes))
+    for node, b, coroot, e in refs:
+        s = group.simple_reflections[node]
+        assert s.trans == tuple(-e * c for c in coroot)
+        for v in basis:
+            assert dense.act(s.w, v) == tuple(x - vec_dot(v, b) * y for x, y in zip(v, coroot))
+        if not e:
+            assert dense.mats[s.w] == datum.reflections_lattice[node - 1]
+
+
+def test_sigma_permutes_components():
+    """The Frobenius of the restriction swaps the two GL2 factors: sigma
+    exchanges the finite nodes 1 and 2 and the affine nodes 0 and 3, and
+    conjugating a finite generator by the Frobenius matrix gives the
+    generator of the image node."""
+    group = build_gl2_restriction()
+    assert group.affine_node_of_component == (0, 3)
+    assert group.sigma_diagram == (3, 2, 1, 0)
+    dense = DenseWeylTable(group.datum)
+    for i in group.finite_nodes:
+        s = group.simple_reflections[i]
+        assert dense.sigma_conjugate(s.w) == group.simple_reflections[group.sigma_diagram[i]].w
+    assert len(admissible_set(group, (1, 0, 1, 0)).elements) == 9
+
+
+def test_torus_has_no_nodes():
+    """A datum with no roots has no components, so no affine node and no
+    generator; W is trivial."""
+    group = ExtendedAffineWeylGroup(RootDatum(dim=1, basis=((1,),), simple_roots=(),
+                                              simple_coroots=()))
+    assert group.num_nodes == 0 and group.finite_order == 1
+    assert group.affine_node_of_component == group.simple_reflections == group.sigma_diagram == ()
 
 
 def test_node_products_against_mult(pair):
