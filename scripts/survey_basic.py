@@ -7,8 +7,8 @@ hyperspecial count, and the number of straight classes.
 
 import argparse
 
-from ekor_atlas.admissible import straight_classes
 from ekor_atlas.ekor import stratum_report
+from ekor_atlas.oracles import straight_classes
 from ekor_atlas.siegel import siegel_context
 
 

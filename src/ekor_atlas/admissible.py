@@ -56,21 +56,19 @@ order on distinct elements, since the word and the length-zero part
 determine x, so this is exactly the filtered sorted set.  At hyperspecial
 level only 2^g elements get words: 32 of 6,331 at g=5.
 
-Parahoric variants (minimal coset representatives) and the straight classes
-inside the set are derived from the same data.
+Parahoric variants (minimal coset representatives) are derived from the
+same data.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ekor_atlas.affine import (
     ExtAffineElement,
     ExtendedAffineWeylGroup,
     GroupError,
 )
-from ekor_atlas.lattice import mat_vec
 from ekor_atlas.oracles import admissible_by_subwords
 
 
@@ -124,14 +122,16 @@ class AdmissibleSet:
 
 def weyl_orbit(group: ExtendedAffineWeylGroup,
                v_lattice: Sequence[int]) -> list[tuple[int, ...]]:
-    refl = group.datum.reflections_lattice
+    """The sorted W-orbit of v, by ``simple_times`` at the finite nodes
+    (s_i t^v = t^(s_i v) s_i): it fills the rows of Wv, which ``Adm`` reads."""
     seen = {tuple(v_lattice)}
-    frontier = [tuple(v_lattice)]
+    frontier = list(seen)
     while frontier:
         nxt = []
         for v in frontier:
-            for mat in refl:
-                u = mat_vec(mat, v)
+            x = ExtAffineElement(v, 0)
+            for i in group.finite_nodes:
+                u = group.simple_times(i, x).trans
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
@@ -238,39 +238,3 @@ def bruhat_hasse_edges(group: ExtendedAffineWeylGroup,
     return tuple((a, b) for a, x in enumerate(elements)
                  for b in by_length.get(group.length(x) + 1, ())
                  if group.bruhat_leq(x, elements[b]))
-
-
-class StraightClass(NamedTuple):
-    """A Frobenius-twisted conjugacy class met by the admissible set."""
-
-    newton: tuple[Fraction, ...]
-    representatives: tuple[ExtAffineElement, ...]
-    is_basic: bool
-
-
-def straight_classes(adm: AdmissibleSet) -> tuple[StraightClass, ...]:
-    """Classes of straight elements inside the set, grouped by Newton point.
-
-    The class with dominance-least Newton point is flagged basic; the
-    grouping insists on a unique least point, and that every point is
-    bounded by the averaged cocharacter.
-    """
-    group = adm.group
-    buckets: dict[tuple[Fraction, ...], list[ExtAffineElement]] = {}
-    for x in adm:
-        if group.is_sigma_straight(x):
-            buckets.setdefault(group.newton_vector(x), []).append(x)
-    if not buckets:
-        raise GroupError("admissible set contains no straight element")
-    bound = group.galois_average(adm.mu)
-    points = sorted(buckets, key=lambda nu: (sum(nu), nu))
-    least = [nu for nu in points
-             if all(group.newton_leq(nu, other) for other in points)]
-    if len(least) != 1:
-        raise GroupError("no unique basic Newton point")
-    for nu in points:
-        if not group.newton_leq(nu, bound):
-            raise GroupError("Newton point exceeds the averaged cocharacter")
-    return tuple(StraightClass(nu, tuple(sorted(buckets[nu], key=group.sort_key)),
-                               nu == least[0])
-                 for nu in points)

@@ -132,9 +132,10 @@ e = 0 or c = theta, e = 1.
   iff x a_j = +-a_i.  A dict keyed by (root number, constant) names i.
 
 The generators and sigma on the nodes are read off the same root table,
-with no matrix.  As s_c v = v - <v, c> c^vee, the reflection rule
-a o s_c = a - <a, c^vee> c gives the key of s_c by one root lookup per
-simple root, and the translation -e c^vee is the coroot of c, looked up.
+with no reflection matrix.  As s_c v = v - <v, c> c^vee, the reflection rule
+a o s_c = a - <a, c^vee> c gives perm(s_c) on the roots by root lookups:
+the finite generators at the simple roots, and the key of each node at
+its c.  The translation -e c^vee is the coroot of c, looked up.
 sigma permutes the simple roots, so it permutes the components and their
 highest roots, and it sends the affine root b + e to sigma(b) + e, with
 sigma(b) = b o F^-1 for F the Frobenius of X: sigma maps the wall of a
@@ -194,7 +195,6 @@ from ekor_atlas.lattice import (
     fraction_matrix_inverse,
     identity_matrix,
     integer_kernel,
-    mat_vec,
     row_mat,
     solve_linear,
     vec_add,
@@ -278,12 +278,14 @@ class ExtendedAffineWeylGroup:
 
     def _enumerate_finite(self):
         """Breadth-first search of the finite Weyl group over permutations
-        of the numbered functionals (module docstring)."""
+        of the numbered functionals (module docstring).  A generator's root
+        part is ``_reflection_perm``, which reads ``_coroots``, set first."""
         datum = self.datum
         self._npos = len(datum.positive_roots)
         self._roots = datum.positive_roots + tuple(vec_neg(v) for v in datum.positive_roots)
         self._root_index = {vals: k for k, vals in enumerate(self._roots)}
         self._simple = tuple(map(self._root_index.__getitem__, datum.root_values))
+        self._coroots = datum.positive_coroots + tuple(map(vec_neg, datum.positive_coroots))
         # translate table: a root number to 1 if the root is negative, else 0
         self._negative = bytes(int(k >= self._npos) for k in range(256))
         if len(self._roots) > 256:
@@ -309,8 +311,8 @@ class ExtendedAffineWeylGroup:
                              "bytes number at most 256")
         self._permutations = len(amb) == datum.dim
         self._shift = bytes(e0) + bytes(range(256 - e0))  # translate: k -> k - e0
-        gens = [_table(self._root_perm(lat) + bytes(e0 + amb_index[row_mat(f, m)] for f in amb))
-                for lat, m in zip(datum.reflections_lattice, datum.reflections_ambient)]
+        gens = [_table(self._reflection_perm(k, e0) + bytes(e0 + amb_index[row_mat(f, m)] for f in amb))
+                for k, m in zip(self._simple, datum.reflections_ambient)]
         base = self._base = datum.nsimple
         ident = bytes(range(e0 + len(amb)))
         wperm = self._wperm = [ident]
@@ -324,11 +326,14 @@ class ExtendedAffineWeylGroup:
                     wperm.append(child)
         self.finite_order = len(wperm)
 
-    def _root_perm(self, matrix):
-        """Permutation k -> index of (root k) o matrix, or None when some
-        image is not a root."""
-        out = [self._root_index.get(row_mat(vals, matrix)) for vals in self._roots]
-        return None if None in out else bytes(out)
+    def _reflection_perm(self, k: int, count: int) -> bytes:
+        """The first count bytes of the root part of perm(s_c), for the root
+        c numbered k, by the reflection rule a o s_c = a - <a, c^vee> c
+        (module docstring)."""
+        c, cv, roots = self._roots[k], self._coroots[k], self._roots[:count]
+        pairings = [sum(map(mul, a, cv)) for a in roots]
+        return bytes([self._root_index[tuple([x - p * y for x, y in zip(a, c)])]
+                      for a, p in zip(roots, pairings)])
 
     def wmul(self, i: int, j: int) -> int:
         return self._windex[bytes(
@@ -367,9 +372,8 @@ class ExtendedAffineWeylGroup:
         at an affine node; c = +-b is the positive one, numbered k.  Sets
         ``_nodes`` (per node k, e, the key of s_c and the translate table of
         its permutation), ``simple_reflections`` (t^(-e c^vee) s_c, keyed by
-        the reflection rule), ``_coroots`` (the coroot of every root in the
-        root numbering) and ``_node_of_root`` (the node of each affine root
-        +-(b + e), keyed by the root's number and constant).  Returns sigma
+        ``_reflection_perm``) and ``_node_of_root`` (the node of each affine
+        root +-(b + e), keyed by the root's number and constant).  Returns sigma
         on the nodes, for the caller to check: per node, the node whose wall
         is sigma(b) + e."""
         datum = self.datum
@@ -383,25 +387,19 @@ class ExtendedAffineWeylGroup:
             walls[i + 1] = (k, 0)
         for j, theta in zip(self.affine_node_of_component, datum.theta):
             walls[j] = (index[theta], 1)
-        coroots = self._coroots = datum.positive_coroots + tuple(
-            map(vec_neg, datum.positive_coroots))
         nodes, gens = [], []
         self._node_of_root = {}
         for i, (k, e) in enumerate(walls):
-            c, cv = roots[k], coroots[k]
-            images = []
-            for a in roots[:self._base]:
-                p = vec_dot(a, cv)
-                images.append(index[tuple([x - p * y for x, y in zip(a, c)])])
-            key = bytes(images)
+            key = self._reflection_perm(k, self._base)
             w = self._windex[key]
             nodes.append((k, e, key, _table(self._wperm[w])))
-            gens.append(ExtAffineElement(tuple([-e * y for y in cv]), w))
+            gens.append(ExtAffineElement(tuple([-e * y for y in self._coroots[k]]), w))
             self._node_of_root[k + e * npos, e] = i
             self._node_of_root[k + (1 - e) * npos, -e] = i
         self._nodes = tuple(nodes)
         self.simple_reflections = tuple(gens)
-        frob = self._root_perm(datum.frobenius_lattice)
+        # the datum checked that the Frobenius permutes the roots
+        frob = bytes([index[row_mat(a, datum.frobenius_lattice)] for a in roots])
         self._frob_table = _table(frob)
         return [self._node_of_root[frob.index(k + e * npos), e] for k, e, _, _ in nodes]
 
@@ -711,16 +709,6 @@ class ExtendedAffineWeylGroup:
 
     def is_dominant(self, ambient: Sequence) -> bool:
         return all(vec_dot(ambient, root) >= 0 for root in self.datum.simple_roots)
-
-    def galois_average(self, mu_ambient: Sequence) -> tuple[Fraction, ...]:
-        """Average of a dominant vector of X over its Frobenius orbit,
-        in ambient coordinates."""
-        order = self.datum.frobenius_order
-        acc = cur = tuple(mu_ambient)
-        for _ in range(order - 1):
-            cur = mat_vec(self.datum.frobenius_ambient, cur)
-            acc = vec_add(acc, cur)
-        return tuple(Fraction(a, order) for a in acc)
 
     def length_zero_element(self, mu_ambient: Sequence[int]) -> OmegaElement:
         """The unique length-zero element in the coset attached to mu.

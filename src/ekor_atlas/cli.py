@@ -22,7 +22,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ekor_atlas.admissible import bruhat_hasse_edges, straight_classes
+from ekor_atlas.admissible import bruhat_hasse_edges
 from ekor_atlas.affine import GroupError, element_label
 from ekor_atlas.coxeter import CoxeterError
 from ekor_atlas.ekor import StratumRecord
@@ -31,6 +31,7 @@ from ekor_atlas.oracles import (
     bruhat_leq_subword,
     cayley_ball,
     coxeter_group_size,
+    straight_classes,
 )
 from ekor_atlas.rootdata import RootDatumError
 from ekor_atlas.siegel import siegel_context

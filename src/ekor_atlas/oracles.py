@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive: breadth-first enumeration in a
 reflection representation, subword generation, exhaustive subset scans.
-The fast code must agree with these on small inputs.
+The fast code must agree with these on small inputs.  The straight-class
+survey of ``atlas check`` (C6) lives here too.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
-from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
+from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.coxeter import INFINITE_BOND, CoxeterMatrix
 from ekor_atlas.lattice import (
     fraction_matrix_inverse,
@@ -17,9 +19,13 @@ from ekor_atlas.lattice import (
     mat_mul,
     mat_vec,
     row_mat,
+    vec_add,
     vec_dot,
 )
 from ekor_atlas.rootdata import RootDatum
+
+if TYPE_CHECKING:  # admissible imports this module
+    from ekor_atlas.admissible import AdmissibleSet
 
 DEFAULT_CAP = 10 ** 6
 
@@ -61,6 +67,15 @@ def _reflection_generators(mat: CoxeterMatrix, nodes: Sequence[int]):
     return gens
 
 
+def reflection_matrices(datum: RootDatum) -> tuple:
+    """The simple reflections v -> v - <v, a_i> a_i^vee as matrices acting
+    on lattice coordinates."""
+    return tuple(
+        tuple(tuple(int(r == j) - coroot[r] * values[j] for j in range(datum.rank))
+              for r in range(datum.rank))
+        for values, coroot in zip(datum.root_values, datum.coroots_lattice))
+
+
 class DenseWeylTable:
     """The finite Weyl group of a root datum as dense lattice and ambient
     matrices, found by breadth-first search with right multiplication by
@@ -74,12 +89,13 @@ class DenseWeylTable:
         self.mats = [ident]
         self.ambient = [identity_matrix(datum.dim)]
         self.index = {ident: 0}
+        refl = reflection_matrices(datum)
         frontier = [0]
         while frontier:
             nxt = []
             for idx in frontier:
                 for i in range(datum.nsimple):
-                    m = mat_mul(self.mats[idx], datum.reflections_lattice[i])
+                    m = mat_mul(self.mats[idx], refl[i])
                     if m not in self.index:
                         self.index[m] = len(self.mats)
                         self.mats.append(m)
@@ -302,3 +318,50 @@ def twisted_power(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
         out = group.mult(out, cur)
         cur = sigma(group, cur)
     return out
+
+
+def galois_average(datum: RootDatum, mu_ambient: Sequence) -> tuple[Fraction, ...]:
+    """Average of a vector of X over its Frobenius orbit, in ambient
+    coordinates."""
+    order = datum.frobenius_order
+    acc = cur = datum.to_lattice(mu_ambient)
+    for _ in range(order - 1):
+        cur = mat_vec(datum.frobenius_lattice, cur)
+        acc = vec_add(acc, cur)
+    return tuple(Fraction(a, order) for a in datum.from_lattice(acc))
+
+
+class StraightClass(NamedTuple):
+    """A Frobenius-twisted conjugacy class met by the admissible set."""
+
+    newton: tuple[Fraction, ...]
+    representatives: tuple[ExtAffineElement, ...]
+    is_basic: bool
+
+
+def straight_classes(adm: AdmissibleSet) -> tuple[StraightClass, ...]:
+    """Classes of straight elements inside the set, grouped by Newton point.
+
+    The class with dominance-least Newton point is flagged basic; the
+    grouping insists on a unique least point, and that every point is
+    bounded by the averaged cocharacter.
+    """
+    group = adm.group
+    buckets: dict[tuple[Fraction, ...], list[ExtAffineElement]] = {}
+    for x in adm:
+        if group.is_sigma_straight(x):
+            buckets.setdefault(group.newton_vector(x), []).append(x)
+    if not buckets:
+        raise GroupError("admissible set contains no straight element")
+    bound = galois_average(group.datum, adm.mu)
+    points = sorted(buckets, key=lambda nu: (sum(nu), nu))
+    least = [nu for nu in points
+             if all(group.newton_leq(nu, other) for other in points)]
+    if len(least) != 1:
+        raise GroupError("no unique basic Newton point")
+    for nu in points:
+        if not group.newton_leq(nu, bound):
+            raise GroupError("Newton point exceeds the averaged cocharacter")
+    return tuple(StraightClass(nu, tuple(sorted(buckets[nu], key=group.sort_key)),
+                               nu == least[0])
+                 for nu in points)

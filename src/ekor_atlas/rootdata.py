@@ -8,8 +8,8 @@ automorphism playing the role of Frobenius (identity for split groups).
 Internally everything is converted once to lattice coordinates (the basis of
 X); the ambient picture only reappears at serialization boundaries.  The
 constructor derives the full root system, the positive system, 2*rho, the
-highest root and its coroot per irreducible component, and the finite Coxeter
-matrix, validating the crystallographic axioms along the way.
+highest root per irreducible component, and the finite Coxeter matrix,
+validating the crystallographic axioms along the way.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ class RootDatum:
         fixing how reflections act on all of Z^d.  A lattice automorphism
         of X has no preferred extension when X spans a proper subspace, so
         callers that want a specific shape (say, coordinate permutations)
-        must pass it.  Each matrix is checked to restrict to the reflection
-        on X.  Without this the reflection formula v - <v, a> a^vee is used.
+        must pass it.  Each matrix m is checked to restrict to the
+        reflection on X, on the basis: m b_j = b_j - <b_j, a_i> a_i^vee.
+        Without this the reflection formula v - <v, a> a^vee is used.
     """
 
     def __init__(self, dim: int, basis: Sequence[Sequence[int]],
@@ -120,10 +121,7 @@ class RootDatum:
         if not self.finite_coxeter.is_finite_parabolic(self.finite_coxeter.nodes()):
             raise RootDatumError("the Cartan matrix is not of finite type")
 
-        # simple reflections, in lattice and in ambient coordinates
-        self.reflections_lattice = tuple(
-            self._reflection_lattice(self.root_values[i], self.coroots_lattice[i])
-            for i in range(self.nsimple))
+        # simple reflections in ambient coordinates
         if ambient_weyl is None:
             self.reflections_ambient = tuple(
                 self._reflection_ambient(self.simple_roots[i], self.simple_coroots[i])
@@ -135,11 +133,9 @@ class RootDatum:
                     len(m) != self.dim or any(len(row) != self.dim for row in m)
                     for m in mats):
                 raise RootDatumError("need one d x d matrix per simple reflection")
-            for i, m in enumerate(mats):
-                for j in range(self.rank):
-                    image = mat_vec(self.reflections_lattice[i],
-                                    tuple(int(j == t) for t in range(self.rank)))
-                    if tuple(mat_vec(m, self.basis[j])) != self.from_lattice(image):
+            for i, (m, coroot) in enumerate(zip(mats, self.simple_coroots)):
+                for b, p in zip(self.basis, self.root_values[i]):
+                    if mat_vec(m, b) != tuple(x - p * y for x, y in zip(b, coroot)):
                         raise RootDatumError(
                             f"ambient matrix {i} does not restrict to reflection {i} on X")
             self.reflections_ambient = mats
@@ -166,15 +162,6 @@ class RootDatum:
     def from_lattice(self, coords: Sequence) -> tuple:
         """Ambient vector with the given lattice coordinates."""
         return tuple(sum(map(mul, coords, col)) for col in zip(*self.basis))
-
-    def _reflection_lattice(self, values, coroot):
-        cols = []
-        for j in range(self.rank):
-            col = [int(i == j) for i in range(self.rank)]
-            for i in range(self.rank):
-                col[i] -= values[j] * coroot[i]
-            cols.append(col)
-        return tuple(tuple(cols[j][i] for j in range(self.rank)) for i in range(self.rank))
 
     def _reflection_ambient(self, root, coroot):
         return tuple(tuple(int(i == j) - coroot[i] * root[j] for j in range(self.dim))
@@ -228,7 +215,6 @@ class RootDatum:
         # component's simple roots qualify, so one is found)
         self.components = self.finite_coxeter.connected_components()
         self.theta = []
-        self.theta_coroot = []
         for comp in self.components:
             best = None
             for idx, coords in enumerate(self.positive_coords):
@@ -237,23 +223,18 @@ class RootDatum:
                     if best is None or sum(coords) > sum(self.positive_coords[best]):
                         best = idx
             self.theta.append(self.positive_roots[best])
-            self.theta_coroot.append(self.positive_coroots[best])
         self.theta = tuple(self.theta)
-        self.theta_coroot = tuple(self.theta_coroot)
 
     # ----------------------------------------------------------- frobenius
 
     def _build_frobenius(self, frobenius):
         if frobenius is None:
-            self.frobenius_ambient = identity_matrix(self.dim)
             self.frobenius_lattice = identity_matrix(self.rank)
-            self.frobenius_nodes = tuple(range(self.nsimple))
             self.frobenius_order = 1
             return
         amb = tuple(tuple(int(v) for v in row) for row in frobenius)
         if len(amb) != self.dim or any(len(r) != self.dim for r in amb):
             raise RootDatumError("frobenius must be a d x d integer matrix")
-        self.frobenius_ambient = amb
         cols = []
         for j in range(self.rank):
             image = mat_vec(amb, self.basis[j])
@@ -278,7 +259,6 @@ class RootDatum:
             images.append(j)
         if sorted(images) != list(range(self.nsimple)):
             raise RootDatumError("frobenius does not permute the simple coroots")
-        self.frobenius_nodes = tuple(images)
         power = self.frobenius_lattice
         order = 1
         ident = identity_matrix(self.rank)

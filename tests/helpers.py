@@ -13,7 +13,13 @@ from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
 from ekor_atlas.coxeter import INFINITE_BOND
 from ekor_atlas.ekor import StratumRecord
 from ekor_atlas.lattice import mat_vec, row_mat, solve_linear
-from ekor_atlas.oracles import cayley_ball, is_left_minimal, sigma, twisted_power
+from ekor_atlas.oracles import (
+    cayley_ball,
+    is_left_minimal,
+    reflection_matrices,
+    sigma,
+    twisted_power,
+)
 from ekor_atlas.rootdata import RootDatum
 
 
@@ -172,7 +178,7 @@ def root_system_by_solving(datum: RootDatum) -> dict:
     while frontier:
         new = []
         for vals in frontier:
-            for s_lat in datum.reflections_lattice:
+            for s_lat in reflection_matrices(datum):
                 image = row_mat(vals, s_lat)
                 if image not in pairs:
                     pairs[image] = mat_vec(s_lat, pairs[vals])
@@ -196,7 +202,6 @@ def root_system_by_solving(datum: RootDatum) -> dict:
         "positive_coroots": tuple(p[1] for p in positive),
         "positive_coords": tuple(p[2] for p in positive),
         "theta": tuple(p[0] for p in highest),
-        "theta_coroot": tuple(p[1] for p in highest),
     }
 
 

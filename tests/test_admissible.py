@@ -9,7 +9,6 @@ from ekor_atlas.admissible import (
     bruhat_hasse_edges,
     kw_elements,
     parahoric_label,
-    straight_classes,
     weyl_orbit,
 )
 from ekor_atlas.affine import ALWAYS, NEVER, ExtendedAffineWeylGroup, GroupError, element_label
@@ -18,6 +17,7 @@ from ekor_atlas.oracles import (
     admissible_by_subwords,
     descents_by_length,
     is_left_minimal,
+    straight_classes,
 )
 from ekor_atlas.rootdata import RootDatum
 from ekor_atlas.siegel import siegel_context, siegel_datum

@@ -41,8 +41,9 @@ def test_theta_is_highest():
     datum = siegel_datum(2)
     assert datum.theta == ((2, 0, -1),)
     # highest coroot is short: e_1 - e_2g
-    assert datum.theta_coroot == ((1, 0, 0),)
-    assert datum.from_lattice(datum.theta_coroot[0]) == (1, 0, 0, -1)
+    coroot = datum.positive_coroots[datum.positive_roots.index(datum.theta[0])]
+    assert coroot == (1, 0, 0)
+    assert datum.from_lattice(coroot) == (1, 0, 0, -1)
 
 
 def test_two_rho_pairs_to_length():
@@ -151,6 +152,17 @@ def test_ambient_weyl_must_restrict():
                   simple_coroots=d.simple_coroots, ambient_weyl=wrong)
     RootDatum(dim=2, basis=d.basis, simple_roots=d.simple_roots,
               simple_coroots=d.simple_coroots, ambient_weyl=bad)
+    # genus 2: two reflections, and X of rank 3 below d = 4.  The short
+    # reflection must swap coordinates 0, 1 together with the mirror pair
+    # 2, 3; the swap of 0, 1 alone does not restrict to it on X.
+    d = siegel_datum(2)
+    swap01 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(RootDatumError):
+        RootDatum(dim=4, basis=d.basis, simple_roots=d.simple_roots,
+                  simple_coroots=d.simple_coroots,
+                  ambient_weyl=(swap01,) + d.reflections_ambient[1:])
+    RootDatum(dim=4, basis=d.basis, simple_roots=d.simple_roots,
+              simple_coroots=d.simple_coroots, ambient_weyl=d.reflections_ambient)
 
 
 def test_frobenius_must_permute_coroots():
@@ -165,5 +177,5 @@ def test_frobenius_must_permute_coroots():
 
 def test_frobenius_twist_accepted(gl3_twisted):
     datum = gl3_twisted.datum
-    assert datum.frobenius_nodes == (1, 0)
+    assert gl3_twisted.sigma_diagram == (0, 2, 1)
     assert datum.frobenius_order == 2

@@ -10,14 +10,21 @@ byte per functional stops: more than 256 roots, or more than 256 roots
 and ambient functionals together."""
 
 import itertools
+import random
 
 import pytest
 
 from ekor_atlas import siegel
-from ekor_atlas.admissible import admissible_set
+from ekor_atlas.admissible import admissible_set, weyl_orbit
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.lattice import identity_matrix, row_mat, vec_dot, vec_neg
-from ekor_atlas.oracles import DenseWeylTable, cayley_ball, sigma, twisted_power
+from ekor_atlas.oracles import (
+    DenseWeylTable,
+    cayley_ball,
+    reflection_matrices,
+    sigma,
+    twisted_power,
+)
 from ekor_atlas.rootdata import RootDatum
 from ekor_atlas.siegel import siegel_context, siegel_datum
 from helpers import (
@@ -99,6 +106,19 @@ def test_build_forms_no_group_products(name, monkeypatch):
     monkeypatch.setattr(ExtendedAffineWeylGroup, "mult", refuse)
     monkeypatch.setattr(ExtendedAffineWeylGroup, "inv", refuse)
     DATA[name]()
+
+
+@pytest.mark.parametrize("name", sorted(DATA) + ["siegel4"])
+def test_weyl_orbit_against_dense(name):
+    """weyl_orbit, a walk of simple_times at the finite nodes, against the
+    images of seeded vectors in {-2..2}^rank under every matrix of the
+    dense table."""
+    group = DATA[name]() if name in DATA else siegel_context(int(name[-1])).group
+    dense = DenseWeylTable(group.datum)
+    rng = random.Random(f"weyl-orbit/{name}")
+    for _ in range(10):
+        v = tuple(rng.randint(-2, 2) for _ in range(group.rank))
+        assert weyl_orbit(group, v) == sorted({dense.act(w, v) for w in range(len(dense.mats))})
 
 
 def test_same_elements_same_indices(pair):
@@ -194,8 +214,9 @@ def test_generators_against_matrices(pair):
     basis = identity_matrix(group.rank)
     refs = [(i + 1, vals, coroot, 0)
             for i, (vals, coroot) in enumerate(zip(datum.root_values, datum.coroots_lattice))]
-    refs += [(group.affine_node_of_component[j], theta, coroot, 1)
-             for j, (theta, coroot) in enumerate(zip(datum.theta, datum.theta_coroot))]
+    refs += [(group.affine_node_of_component[j], theta,
+              datum.positive_coroots[datum.positive_roots.index(theta)], 1)
+             for j, theta in enumerate(datum.theta)]
     assert sorted(node for node, *_ in refs) == list(range(group.num_nodes))
     for node, b, coroot, e in refs:
         s = group.simple_reflections[node]
@@ -203,7 +224,7 @@ def test_generators_against_matrices(pair):
         for v in basis:
             assert dense.act(s.w, v) == tuple(x - vec_dot(v, b) * y for x, y in zip(v, coroot))
         if not e:
-            assert dense.mats[s.w] == datum.reflections_lattice[node - 1]
+            assert dense.mats[s.w] == reflection_matrices(datum)[node - 1]
 
 
 def test_sigma_permutes_components():
