@@ -2,9 +2,11 @@
 
 For an element x = w tau with tau of length zero, the twisted support is the
 set of letters of a reduced word of w closed under the node map
-Ad(tau) . sigma.  A stratum is basic exactly when that closure generates a
-finite group.  Basic strata carry a finite flag datum: the closure together
-with the largest subset of the level that x sigma-conjugates into itself.
+Ad(tau) . sigma, which is the union of the cycles of that permutation
+through the letters (``twist_orbits``).  A stratum is basic exactly when
+that closure generates a finite group.  Basic strata carry a finite flag
+datum: the closure together with the largest subset of the level that x
+sigma-conjugates into itself.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from ekor_atlas.admissible import AdmissibleSet, kw_elements, parahoric_label
-from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup, GroupError
+from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
 from ekor_atlas.coxeter import format_finite_type
 
 
@@ -29,14 +31,22 @@ class SigmaSupport(NamedTuple):
     twist: tuple[int, ...]
 
 
-def _orbit_closure(twist: tuple[int, ...], nodes: frozenset[int]) -> frozenset[int]:
-    """Smallest superset of the nodes stable under the node map."""
-    out = set(nodes)
-    while True:
-        grown = out | {twist[i] for i in out}
-        if grown == out:
-            return frozenset(out)
-        out = grown
+def twist_orbits(twist: tuple[int, ...], nodes: frozenset[int]) -> list[frozenset[int]]:
+    """Cycles of the node map through the given nodes, ordered by least node.
+    The map is a permutation (a length-zero element's node images after
+    sigma's diagram), so every walk returns to its start."""
+    remaining = set(nodes)
+    orbits = []
+    while remaining:
+        start = min(remaining)
+        orbit = {start}
+        cur = twist[start]
+        while cur != start:
+            orbit.add(cur)
+            cur = twist[cur]
+        remaining -= orbit
+        orbits.append(frozenset(orbit))
+    return sorted(orbits, key=min)
 
 
 def sigma_support(group: ExtendedAffineWeylGroup,
@@ -53,7 +63,8 @@ def sigma_support(group: ExtendedAffineWeylGroup,
         # tau acts by conjugation, which keeps the order of every product, so
         # tau after sigma preserves the bonds because sigma_diagram does
         twist = tuple(rd.omega.node_images[s] for s in group.sigma_diagram)
-        got = group._supports[key] = SigmaSupport(raw, _orbit_closure(twist, raw), twist)
+        closure = frozenset().union(*twist_orbits(twist, raw))
+        got = group._supports[key] = SigmaSupport(raw, closure, twist)
     return got
 
 
@@ -79,24 +90,6 @@ def stable_level_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
         if nxt == cur:
             return cur
         cur = nxt
-
-
-def twist_orbits(twist: tuple[int, ...], nodes: frozenset[int]) -> list[frozenset[int]]:
-    """Orbits of the node map on a stable node set."""
-    remaining = set(nodes)
-    orbits = []
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        cur = twist[start]
-        while cur != start:
-            if cur not in remaining:
-                raise GroupError("node set is not stable under the twist")
-            orbit.add(cur)
-            cur = twist[cur]
-        remaining -= orbit
-        orbits.append(frozenset(orbit))
-    return sorted(orbits, key=min)
 
 
 def is_sigma_coxeter(word: tuple[int, ...], supp: SigmaSupport) -> bool:

@@ -91,6 +91,17 @@ def straight_by_definition(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
                for m in range(1, powers + 1))
 
 
+def orbit_closure(twist: Sequence[int], nodes: Iterable[int]) -> frozenset[int]:
+    """Smallest superset of the nodes stable under the node map, grown to a
+    fixed point: the reference for the cycle walk of ``ekor.twist_orbits``."""
+    out = set(nodes)
+    while True:
+        grown = out | {twist[i] for i in out}
+        if grown == out:
+            return frozenset(out)
+        out = grown
+
+
 def twisted_conjugates(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
                        conjugator_radius: int) -> frozenset[ExtAffineElement]:
     """All g x sigma(g)^-1 over conjugators from a word ball."""

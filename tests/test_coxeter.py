@@ -11,8 +11,8 @@ from ekor_atlas.coxeter import (
     CoxeterMatrix,
     format_finite_type,
 )
-from ekor_atlas.ekor import _orbit_closure
 from ekor_atlas.oracles import coxeter_group_size
+from helpers import orbit_closure
 
 
 def group_order(label):
@@ -204,11 +204,11 @@ def test_diagram_map_validation():
 
 def test_orbit_closure_explicit():
     flip = path([4, 3, 4]).check_automorphism((3, 2, 1, 0))
-    assert _orbit_closure(flip, frozenset({0})) == frozenset({0, 3})
-    assert _orbit_closure(flip, frozenset()) == frozenset()
+    assert orbit_closure(flip, frozenset({0})) == frozenset({0, 3})
+    assert orbit_closure(flip, frozenset()) == frozenset()
     cycle = (1, 2, 0, 3)
-    assert _orbit_closure(cycle, frozenset({2})) == frozenset({0, 1, 2})
-    assert _orbit_closure(cycle, frozenset({3})) == frozenset({3})
+    assert orbit_closure(cycle, frozenset({2})) == frozenset({0, 1, 2})
+    assert orbit_closure(cycle, frozenset({3})) == frozenset({3})
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,10 +217,10 @@ def test_orbit_closure_properties(mask_a, mask_b):
     flip = path([4, 3, 4]).check_automorphism((3, 2, 1, 0))
     sub_a = frozenset(i for i in range(4) if mask_a >> i & 1)
     sub_b = frozenset(i for i in range(4) if mask_b >> i & 1)
-    closed = _orbit_closure(flip, sub_a)
+    closed = orbit_closure(flip, sub_a)
     assert sub_a <= closed
-    assert _orbit_closure(flip, closed) == closed
-    assert _orbit_closure(flip, sub_a | sub_b) == closed | _orbit_closure(flip, sub_b)
+    assert orbit_closure(flip, closed) == closed
+    assert orbit_closure(flip, sub_a | sub_b) == closed | orbit_closure(flip, sub_b)
     assert frozenset(flip[i] for i in closed) == closed
 
 

@@ -11,7 +11,6 @@ from ekor_atlas.cli import record_to_json
 from ekor_atlas.coxeter import CoxeterError
 from ekor_atlas.ekor import (
     SigmaSupport,
-    _orbit_closure,
     dl_datum,
     is_basic,
     is_sigma_coxeter,
@@ -22,7 +21,14 @@ from ekor_atlas.ekor import (
 )
 from ekor_atlas.oracles import brute_stable_subset, cayley_ball
 from ekor_atlas.siegel import siegel_context
-from helpers import random_descent_word, random_element, siegel_levels
+from helpers import (
+    build_gl2_restriction,
+    build_gl3_twisted,
+    orbit_closure,
+    random_descent_word,
+    random_element,
+    siegel_levels,
+)
 
 G2_CLOSURES = {
     "tau": frozenset(),
@@ -52,14 +58,17 @@ def test_raw_support_word_independent(ctx2):
             assert group.evaluate_word(word, omega) == x
 
 
-def test_closure_properties(ctx2, ctx3):
-    for ctx in (ctx2, ctx3):
+def test_closure_properties(ctx1, ctx2, ctx3):
+    """Every sigma-support of Adm(mu) for g <= 3: the closure is the
+    fixed-point one, and the cycle walk agrees with it."""
+    for ctx in (ctx1, ctx2, ctx3):
         group = ctx.group
         for x in ctx.adm().elements:
             supp = sigma_support(group, x)
             assert supp.raw <= supp.closure
             assert frozenset(supp.twist[i] for i in supp.closure) == supp.closure
-            assert _orbit_closure(supp.twist, supp.raw) == supp.closure
+            assert orbit_closure(supp.twist, supp.raw) == supp.closure
+            _check_cycle_walk(supp.twist, supp.raw)
 
 
 def _support_from_scratch(group, x):
@@ -69,7 +78,7 @@ def _support_from_scratch(group, x):
     twist = tuple(group.conjugate_simple(rd.omega.element, group.sigma_diagram[s])
                   for s in range(group.num_nodes))
     raw = frozenset(rd.word)
-    return SigmaSupport(raw, _orbit_closure(twist, raw), twist)
+    return SigmaSupport(raw, orbit_closure(twist, raw), twist)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -332,8 +341,42 @@ def test_twist_orbits(ctx2):
     tw = sigma_support(group, ctx2.tau.element).twist
     orbits = twist_orbits(tw, frozenset({0, 2}))
     assert sorted(map(sorted, orbits)) == [[0, 2]]
-    with pytest.raises(GroupError):
-        twist_orbits(tw, frozenset({0}))
+    # a set that is not stable gets the cycles through it
+    assert twist_orbits(tw, frozenset({0})) == [frozenset({0, 2})]
+    assert twist_orbits(tw, frozenset({2, 1})) == [frozenset({0, 2}), frozenset({1})]
+
+
+def _check_cycle_walk(twist, nodes):
+    """The cycles through the nodes are disjoint and twist-stable, their
+    union is the fixed-point closure, and on that stable closure they come
+    out again, ordered by least node."""
+    orbits = twist_orbits(twist, nodes)
+    closure = orbit_closure(twist, nodes)
+    assert frozenset().union(*orbits) == closure
+    assert sum(map(len, orbits)) == len(closure)
+    for orbit in orbits:
+        assert frozenset(twist[i] for i in orbit) == orbit
+    again = twist_orbits(twist, closure)
+    assert again == orbits
+    assert [min(o) for o in again] == sorted(min(o) for o in again)
+
+
+@pytest.mark.parametrize("build", [build_gl3_twisted, build_gl2_restriction])
+def test_twist_orbits_against_closure_twisted(build):
+    """Seeded node subsets under the twists of seeded elements, on data
+    whose Frobenius moves nodes."""
+    group = build()
+    tau = group.length_zero_element((1,) + (0,) * (group.datum.dim - 1)).element
+    omegas = [group.identity, tau, group.mult(tau, tau)]
+    rng = random.Random(31)
+    twists = set()
+    for _ in range(30):
+        twist = sigma_support(group, random_element(rng, group, 5, omegas)).twist
+        twists.add(twist)
+        for _ in range(8):
+            nodes = frozenset(i for i in range(group.num_nodes) if rng.random() < 0.4)
+            _check_cycle_walk(twist, nodes)
+    assert any(twist != tuple(range(group.num_nodes)) for twist in twists)
 
 
 # ----------------------------------------------------------------- reports

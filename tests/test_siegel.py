@@ -6,7 +6,7 @@ from ekor_atlas.coxeter import INFINITE_BOND, format_finite_type
 from ekor_atlas.ekor import is_basic, sigma_support, stable_level_subset
 from ekor_atlas.oracles import brute_stable_subset, coxeter_group_size
 from ekor_atlas.rootdata import RootDatumError
-from ekor_atlas.siegel import SiegelContext, siegel_context, siegel_datum
+from ekor_atlas.siegel import EOStratum, SiegelContext, siegel_context, siegel_datum
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -216,6 +216,28 @@ def test_eo_dimensions_are_lengths(ctx3):
             x = group.times_simple(x, i)
         assert x == s.element
         assert s.dimension == group.length(s.element) == len(letters)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_eo_strata_against_window_differences(g):
+    """The strata from one enumeration at rank floor(g/2) against the
+    windows one defect at a time: tau w for w among the rank-c
+    representatives that are not rank-(c-1) ones, labeled c<c>:<word>, of
+    dimension l(w)."""
+    ctx = siegel_context(g)
+    group = ctx.group
+    want = []
+    for c in range(g // 2 + 1):
+        smaller = set(ctx.embedded_min_reps(c - 1)) if c > 0 else set()
+        for w in ctx.embedded_min_reps(c):
+            if w in smaller:
+                continue
+            word = group.reduced_word(w).word
+            label = f"c{c}:" + ("-".join(f"s{i}" for i in word) or "e")
+            want.append(EOStratum(label, c, group.mult(ctx.tau.element, w),
+                                  group.length(w)))
+    assert len(want) == 2 ** (g // 2)
+    assert ctx.eo_strata() == tuple(sorted(want, key=lambda s: (s.dimension, s.label)))
 
 
 def test_eo_elements_are_kw(ctx2):
