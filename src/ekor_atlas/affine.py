@@ -173,13 +173,15 @@ that step, and sigma-straightness, <nu, 2 rho> = l(x), is tested as
 
 Group objects memoise one row per translation (the 2N pairings, the sum
 and P of the length, and the descent verdict of each node), reduced
-words, Newton points and the Bruhat comparisons asked (not the pairs that
-their walk passes).  Lengths are not memoised: two popcounts on the row
-are about as cheap as a lookup.  An element is the pair (translation,
-finite index) and is its own memo key; a comparison is keyed by its pair
-of elements.
-The caches are only ever extended with values that any thread would
-recompute identically, so concurrent readers are safe.
+words, the node maps of length-zero elements, Newton points and the
+Bruhat comparisons asked (not the pairs that their walk passes).  Each
+table is a ``_Memo``, a dict that builds a missed key, so a lookup is the
+whole accessor.  Lengths are not memoised: two popcounts on the row are
+about as cheap as a lookup.  An element is the pair (translation, finite
+index) and is its own memo key; a comparison is keyed by its pair of
+elements, a Newton point by its ``_newton_key``.  The caches are only
+ever extended with values that any thread would recompute identically,
+so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -261,17 +263,16 @@ class ExtendedAffineWeylGroup:
         self.datum = datum
         self.rank = datum.rank
         self._enumerate_finite()
-        sigma = self._build_nodes()
+        self.sigma_diagram = self._build_nodes()
         self._build_affine_matrix()
-        self.sigma_diagram = self.affine_coxeter.check_automorphism(sigma)
         self._rows = _Memo(self._row)
-        self._rd: dict = {}
-        self._omega: dict = {}
-        self._newton: dict = {}
+        self._rd = _Memo(self._reduce)
+        self._omega = _Memo(self._node_map)
+        self._newton = _Memo(self._newton_point)
+        self._bruhat = _Memo(self._walk)
         # ekor.sigma_support by (omega, letters); the record writer's texts
         self._supports: dict = {}
         self._json_texts: dict = {}
-        self._bruhat: dict = {}
         self.identity = ExtAffineElement((0,) * self.rank, 0)
 
     # ------------------------------------------------------- finite table
@@ -374,8 +375,11 @@ class ExtendedAffineWeylGroup:
         its permutation), ``simple_reflections`` (t^(-e c^vee) s_c, keyed by
         ``_reflection_perm``) and ``_node_of_root`` (the node of each affine
         root +-(b + e), keyed by the root's number and constant).  Returns sigma
-        on the nodes, for the caller to check: per node, the node whose wall
-        is sigma(b) + e."""
+        on the nodes: per node, the node whose wall is sigma(b) + e.  It is a
+        permutation that keeps the bonds, with no check here: the datum
+        checked that F permutes the simple coroots and that b o F^-1 permutes
+        the simple roots alike, so sigma permutes the walls and keeps every
+        pairing <b, b'^vee> that ``_build_affine_matrix`` reads."""
         datum = self.datum
         npos, roots, index = self._npos, self._roots, self._root_index
         r, ncomp = datum.nsimple, len(datum.components)
@@ -401,7 +405,7 @@ class ExtendedAffineWeylGroup:
         # the datum checked that the Frobenius permutes the roots
         frob = bytes([index[row_mat(a, datum.frobenius_lattice)] for a in roots])
         self._frob_table = _table(frob)
-        return [self._node_of_root[frob.index(k + e * npos), e] for k, e, _, _ in nodes]
+        return tuple([self._node_of_root[frob.index(k + e * npos), e] for k, e, _, _ in nodes])
 
     def _build_affine_matrix(self):
         """Bonds from the wall roots of ``_nodes``, with no group product:
@@ -524,28 +528,23 @@ class ExtendedAffineWeylGroup:
         return self._node_of_root.get((q, e + self._rows[x.trans].pairs[q]))
 
     def reduced_word(self, x: ExtAffineElement) -> ReducedDecomposition:
+        return self._rd[x]
+
+    def _reduce(self, x: ExtAffineElement) -> ReducedDecomposition:
         """Greedy reduced word: strip the least left descent until the rest
         is a memoised word or has length zero.  The greedy word of s_i x is
         the tail of that of x, so a memoised tail is the one the stripping
         would find; only x is stored."""
-        got = self._rd.get(x)
-        if got is None:
-            word = []
-            y = x
-            tail = None
-            for _ in range(self.length(x)):
-                i = self.first_descent(y)
-                word.append(i)
-                y = self.simple_times(i, y)
-                tail = self._rd.get(y)
-                if tail is not None:
-                    break
-            if tail is None:
-                got = ReducedDecomposition(tuple(word), self.omega_of(y))
-            else:
-                got = ReducedDecomposition(tuple(word) + tail.word, tail.omega)
-            self._rd[x] = got
-        return got
+        word = []
+        y = x
+        for _ in range(self.length(x)):
+            i = self.first_descent(y)
+            word.append(i)
+            y = self.simple_times(i, y)
+            tail = self._rd.get(y)
+            if tail is not None:
+                return ReducedDecomposition(tuple(word) + tail.word, tail.omega)
+        return ReducedDecomposition(tuple(word), self.omega_of(y))
 
     def evaluate_word(self, word: Iterable[int],
                       omega: Optional[OmegaElement] = None) -> ExtAffineElement:
@@ -564,46 +563,47 @@ class ExtendedAffineWeylGroup:
         return out
 
     def omega_of(self, x: ExtAffineElement) -> OmegaElement:
+        return self._omega[x]
+
+    def _node_map(self, x: ExtAffineElement) -> OmegaElement:
         """Wrap a length-zero element with its node permutation: x maps the
-        base alcove to itself, so it conjugates each s_j to some s_i."""
+        base alcove to itself, so it conjugates each s_j to some s_i.  An
+        element of positive length is refused, and nothing is stored."""
         if self.length(x) != 0:
             raise GroupError("element has positive length")
-        got = self._omega.get(x)
-        if got is None:
-            got = OmegaElement(x, tuple(self.conjugate_simple(x, i)
-                                        for i in range(self.num_nodes)))
-            self._omega[x] = got
-        return got
+        return OmegaElement(x, tuple(self.conjugate_simple(x, i)
+                                     for i in range(self.num_nodes)))
 
     # ------------------------------------------------------- Bruhat order
 
     def bruhat_leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        """x <= y by the lifting property (Bjorner-Brenti, Prop. 2.2.7): if
-        s_i y < y, then x <= y iff s_i x <= s_i y when i is a descent of x,
-        and iff x <= s_i y otherwise.  So x walks along the memoised reduced
-        word of y, stepping down at each letter that is one of its descents,
-        and at the end x <= y iff x is the length-zero part of y.  A letter
+        return self._bruhat[x, y]
+
+    def _walk(self, key: tuple) -> bool:
+        """x <= y for the key (x, y), by the lifting property
+        (Bjorner-Brenti, Prop. 2.2.7): if s_i y < y, then x <= y iff
+        s_i x <= s_i y when i is a descent of x, and iff x <= s_i y
+        otherwise.  So x walks along the memoised reduced word of y,
+        stepping down at each letter that is one of its descents, and at
+        the end x <= y iff x is the length-zero part of y.  A letter
         that is no descent drops the gap l(rest of y) - l(x) by one, and a
         negative gap answers False.  The steps keep the W_a-coset of x, so
         two cosets need no test.  Only the pair asked is memoised."""
-        key = (x, y)
-        got = self._bruhat.get(key)
-        if got is None:
-            rd = self.reduced_word(y)
-            gap = len(rd.word) - self.length(x)
-            rows, wperm = self._rows, self._wperm
-            verdicts, perm = rows[x.trans].verdicts, wperm[x.w]
-            for i in rd.word:
-                if gap < 0:
-                    break
-                kb, t = verdicts[i]
-                if perm[kb] >= t:
-                    x = self.simple_times(i, x)
-                    verdicts, perm = rows[x.trans].verdicts, wperm[x.w]
-                else:
-                    gap -= 1
-            got = self._bruhat[key] = gap >= 0 and x == rd.omega.element
-        return got
+        x, y = key
+        rd = self.reduced_word(y)
+        gap = len(rd.word) - self.length(x)
+        rows, wperm = self._rows, self._wperm
+        verdicts, perm = rows[x.trans].verdicts, wperm[x.w]
+        for i in rd.word:
+            if gap < 0:
+                break
+            kb, t = verdicts[i]
+            if perm[kb] >= t:
+                x = self.simple_times(i, x)
+                verdicts, perm = rows[x.trans].verdicts, wperm[x.w]
+            else:
+                gap -= 1
+        return gap >= 0 and x == rd.omega.element
 
     # -------------------------------------------------------- Newton map
 
@@ -648,28 +648,25 @@ class ExtendedAffineWeylGroup:
                             tuple(tuple(int(den * c) for c in row) for row in inv), den)
 
     def _newton_entry(self, x: ExtAffineElement):
-        """n and the memoised (Newton point, <n nu, 2 rho>) of x.
-
-        The memo is keyed by ``_newton_key``.  A missed key is made
-        dominant in pairing coordinates, which gives the key of n nu; only
-        a new dominant key rebuilds n nu, with the fixed inverse of the
-        frame, so every key that shares a point shares its tuple."""
+        """n and the memoised (Newton point, <n nu, 2 rho>) of x."""
         key = self._newton_key(x)
-        got = self._newton.get(key)
-        if got is None:
-            n, pairs, rad = key
-            dom = (n, tuple(self._dominant_pairings(list(pairs))), rad)
-            got = self._newton.get(dom)
-            if got is None:
-                frame = self._newton_frame
-                values = dom[1] + rad
-                scaled = [vec_dot(row, values) for row in frame.inverse]
-                # den n nu in lattice coordinates; n nu is integral
-                got = self._newton[dom] = (
-                    tuple(Fraction(t, frame.den * n) for t in self.datum.from_lattice(scaled)),
-                    vec_dot(scaled, self.datum.two_rho) // frame.den)
-            self._newton[key] = got
-        return key[0], got
+        return key[0], self._newton[key]
+
+    def _newton_point(self, key: tuple):
+        """The entry of a ``_newton_key``.  The key is made dominant in
+        pairing coordinates, which gives the key of n nu; a non-dominant key
+        takes the entry of that one, and only a dominant key rebuilds n nu,
+        with the fixed inverse of the frame, so every key that shares a
+        point shares its tuple."""
+        n, pairs, rad = key
+        dom = (n, tuple(self._dominant_pairings(list(pairs))), rad)
+        if dom != key:
+            return self._newton[dom]
+        frame = self._newton_frame
+        scaled = [vec_dot(row, pairs + rad) for row in frame.inverse]
+        # den n nu in lattice coordinates; n nu is integral
+        return (tuple(Fraction(t, frame.den * n) for t in self.datum.from_lattice(scaled)),
+                vec_dot(scaled, self.datum.two_rho) // frame.den)
 
     def _dominant_pairings(self, pair: list) -> list:
         """The simple-root pairings of the dominant member of an orbit,

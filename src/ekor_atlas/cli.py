@@ -308,11 +308,7 @@ def _cmd_check(ctx) -> Iterable[str]:
     adm = ctx.adm()
     cache: dict = {}
     for x in adm.elements:
-        for top in adm.maxima:
-            if not bruhat_leq_subword(group, x, top, cache):
-                continue
-            break
-        else:
+        if not any(bruhat_leq_subword(group, x, top, cache) for top in adm.maxima):
             raise GroupError("admissible element fails the subword test")
         if not any(group.bruhat_leq(x, top) for top in adm.maxima):
             raise GroupError("admissible element fails the order test")

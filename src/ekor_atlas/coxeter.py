@@ -71,7 +71,6 @@ class CoxeterMatrix:
         self.rows = mat
         self.n = n
         self._nodes = frozenset(range(n))
-        self._components: Optional[tuple[frozenset[int], ...]] = None
         self._finite: dict[frozenset[int], Optional[FiniteTypeLabel]] = {}
 
     def bond(self, i: int, j: int) -> int:
@@ -115,8 +114,6 @@ class CoxeterMatrix:
 
     def connected_components(self, J: Optional[Iterable[int]] = None) -> tuple[frozenset[int], ...]:
         """Connected components of the sub-diagram on J, sorted by least node."""
-        if J is None and self._components is not None:
-            return self._components
         Jset = self.nodes() if J is None else self._check_subset(J)
         seen: set[int] = set()
         comps: list[frozenset[int]] = []
@@ -133,10 +130,7 @@ class CoxeterMatrix:
                         stack.append(j)
             seen |= comp
             comps.append(frozenset(comp))
-        result = tuple(comps)
-        if J is None:
-            self._components = result
-        return result
+        return tuple(comps)
 
     def _finite_label(self, Jset: frozenset[int]) -> Optional[FiniteTypeLabel]:
         """The finite type of the sub-diagram on a validated node set, or

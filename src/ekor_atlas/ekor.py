@@ -60,8 +60,8 @@ def sigma_support(group: ExtendedAffineWeylGroup,
     key = (rd.omega.element, raw)
     got = group._supports.get(key)
     if got is None:
-        # tau acts by conjugation, which keeps the order of every product, so
-        # tau after sigma preserves the bonds because sigma_diagram does
+        # tau acts by conjugation, which keeps the order of every product, and
+        # sigma_diagram keeps the bonds because the datum's Frobenius does
         twist = tuple(rd.omega.node_images[s] for s in group.sigma_diagram)
         closure = frozenset().union(*twist_orbits(twist, raw))
         got = group._supports[key] = SigmaSupport(raw, closure, twist)

@@ -299,16 +299,8 @@ class ComparisonReport(NamedTuple):
     labels: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "g": self.g,
-            "level": list(self.level),
-            "strata": self.strata,
-            "basic": self.basic,
-            "expected": self.expected,
-            "labels": list(self.labels),
-            "ok": self.basic == self.expected,
-        }
+        # json writes the tuples as lists
+        return dict(self._asdict(), ok=self.basic == self.expected)
 
 
 @functools.cache

@@ -256,9 +256,18 @@ def test_node_queries_form_no_group_products(ctx3, monkeypatch):
 
 
 def test_omega_of_rejects_positive_length(ctx2):
-    group = ctx2.group
+    """The refusal is not memoised: a second call refuses again, and so
+    does a call after reduced_word has filled the node-map memo."""
+    group = ExtendedAffineWeylGroup(ctx2.group.datum)
+    s0 = group.simple_reflections[0]
+    for _ in range(2):
+        with pytest.raises(GroupError):
+            group.omega_of(s0)
+    assert s0 not in group._omega
+    assert group.reduced_word(s0).omega.element == group.identity
+    assert group._omega
     with pytest.raises(GroupError):
-        group.omega_of(group.simple_reflections[0])
+        group.omega_of(s0)
 
 
 def test_tau_node_action(ctx2):
@@ -563,6 +572,19 @@ def test_newton_matches_definition_random_parts(name):
     group = TWIN_DATA[name]()
     for x in _random_parts(group, 40, 61):
         assert group.newton_vector(x) == newton_by_definition(group, x)
+
+
+@pytest.mark.parametrize("g, tuples, points, keys",
+                         [(3, 8, 5, 43), (4, 14, 8, 236), (5, 25, 13, 1542)])
+def test_newton_memo_shares_one_tuple_per_dominant_key(g, tuples, points, keys):
+    """Over the Siegel Adm(mu), every key of a Newton point shares the tuple
+    of its dominant key, which the record writer's texts are keyed by."""
+    ctx = siegel_context(g)
+    group = ExtendedAffineWeylGroup(ctx.group.datum)
+    nus = [group.newton_vector(x) for x in ctx.adm().elements]
+    assert len({id(nu) for nu in nus}) == tuples
+    assert len(set(nus)) == points
+    assert len(group._newton) == keys
 
 
 def test_newton_frame_is_built_on_first_use():

@@ -118,7 +118,7 @@ def test_genus_five_iwahori_report_shares_64_supports():
 
 def test_twist_is_a_diagram_automorphism(ctx1, ctx2, ctx3):
     """The twist of every admissible element permutes the affine nodes and
-    preserves the bond orders; the engine checks this only for sigma."""
+    preserves the bond orders; the engine checks neither this nor sigma."""
     for ctx in (ctx1, ctx2, ctx3):
         group = ctx.group
         bonds = group.affine_coxeter.rows

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ekor_atlas.admissible import kw_elements
@@ -291,11 +293,15 @@ def test_compare_rejects_other_levels(ctx2):
 
 
 def test_report_json(ctx2):
-    data = ctx2.compare(ctx2.hyperspecial).to_json()
+    rep = ctx2.compare(ctx2.hyperspecial)
+    # to_json keeps the tuple fields; the text is what must hold lists
+    data = json.loads(json.dumps(rep.to_json()))
     assert data["mode"] == "hoeve"
     assert data["g"] == 2
     assert data["basic"] == data["expected"] == 2
-    assert isinstance(data["labels"], list)
+    assert data["ok"] is True
+    assert data["level"] == sorted(ctx2.hyperspecial)
+    assert data["labels"] == list(rep.labels)
 
 
 # ------------------------------------------------------------ level parsing

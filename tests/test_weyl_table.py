@@ -227,6 +227,14 @@ def test_generators_against_matrices(pair):
             assert dense.mats[s.w] == reflection_matrices(datum)[node - 1]
 
 
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_sigma_diagram_keeps_the_bonds(name):
+    """The build reads sigma on the nodes with no check: the datum's
+    Frobenius check makes it a permutation that keeps every bond."""
+    group = DATA[name]()
+    assert group.affine_coxeter.check_automorphism(group.sigma_diagram) == group.sigma_diagram
+
+
 def test_sigma_permutes_components():
     """The Frobenius of the restriction swaps the two GL2 factors: sigma
     exchanges the finite nodes 1 and 2 and the affine nodes 0 and 3, and
