@@ -2,8 +2,8 @@
 
     python3 scripts/bench.py --out BENCH_N.json [--max-g 5] [--label change]
 
-For each genus 1..max-g (6 takes about a minute more, 7 is not offered) a
-new process runs, in order:
+For each genus 1..max-g (6 adds about 25 s, most of it in its ``bruhat``
+stage; 7 is not offered) a new process runs, in order:
 
 * ``import``: importing the engine's command line module, which imports
   every engine module;

@@ -164,12 +164,15 @@ c = 0, as the Cartan matrix is invertible, and then d = 0.  So the key
 
 The Newton point is nu = m / n, and <m, a> and <nu, a> have the same sign
 for n > 0, so dominantizing m picks the same reflections as dominantizing
-nu.  The Cartan-row loop runs on the key's pairings, and the phi, being
-W-invariant, do not move, so it returns the key of n times the dominant
-nu.  Only a new dominant key is turned back into n nu, by a fixed
-rational inverse of the rows [simple roots; phi].  The only division is in
-that step, and sigma-straightness, <nu, 2 rho> = l(x), is tested as
-<n nu, 2 rho> = n l(x) without one.
+nu.  The reflections run on the key's pairings, each in place: s_i turns
+the pairing p with a_i into -p and moves only the pairings with the a_j
+bonded to a_i, each by p times its Cartan entry, from bonds the frame
+keeps per simple root.  The phi, being W-invariant, do not move, so this
+gives the key of n times the dominant nu.  Only a new dominant key is
+turned back into n nu, by a fixed rational inverse of the rows
+[simple roots; phi].  The only division is in that step, and
+sigma-straightness, <nu, 2 rho> = l(x), is tested as <n nu, 2 rho> =
+n l(x) without one.
 
 Group objects memoise one row per translation (the 2N pairings, the sum
 and P of the length, and the descent verdict of each node), reduced
@@ -238,6 +241,7 @@ class _NewtonFrame(NamedTuple):
     orbit_sums: tuple   # per phi, sum_(k<f) phi o sigma^k
     inverse: tuple      # den [simple roots; phi]^-1, in integers
     den: int
+    bonds: tuple        # per simple root i, the nonzero (j, cartan[i][j]) with j != i
 
 
 class _Row(NamedTuple):
@@ -532,13 +536,14 @@ class ExtendedAffineWeylGroup:
 
     def _reduce(self, x: ExtAffineElement) -> ReducedDecomposition:
         """Greedy reduced word: strip the least left descent until the rest
-        is a memoised word or has length zero.  The greedy word of s_i x is
-        the tail of that of x, so a memoised tail is the one the stripping
-        would find; only x is stored."""
+        is a memoised word or has no descent, that is length zero.  The
+        greedy word of s_i x is the tail of that of x, so a memoised tail is
+        the one the stripping would find; only x is stored.  Each step
+        lowers the length by one, so the loop ends after at most l(x) steps
+        with no bound computed up front."""
         word = []
         y = x
-        for _ in range(self.length(x)):
-            i = self.first_descent(y)
+        while (i := self.first_descent(y)) is not None:
             word.append(i)
             y = self.simple_times(i, y)
             tail = self._rd.get(y)
@@ -644,8 +649,10 @@ class ExtendedAffineWeylGroup:
             orbit_sums.append(acc)
         inv = fraction_matrix_inverse(datum.root_values + phis)
         den = lcm(*(c.denominator for row in inv for c in row))
+        bonds = tuple(tuple((j, c) for j, c in enumerate(row) if c and j != i)
+                      for i, row in enumerate(datum.cartan))
         return _NewtonFrame(phis, tuple(orbit_sums),
-                            tuple(tuple(int(den * c) for c in row) for row in inv), den)
+                            tuple(tuple(int(den * c) for c in row) for row in inv), den, bonds)
 
     def _newton_entry(self, x: ExtAffineElement):
         """n and the memoised (Newton point, <n nu, 2 rho>) of x."""
@@ -670,17 +677,26 @@ class ExtendedAffineWeylGroup:
 
     def _dominant_pairings(self, pair: list) -> list:
         """The simple-root pairings of the dominant member of an orbit,
-        from the pairings of any member: reflecting by s_i with
-        p = <v, a_i> < 0 subtracts p a_i^vee from v, so the pairing with a_j
-        drops by p <a_i^vee, a_j>, the Cartan entry cartan[i][j].  The
-        result does not depend on which negative pairing is reflected
+        from the pairings of any member, reflected in place at the first
+        negative pairing until there is none: reflecting by s_i with
+        p = <v, a_i> < 0 subtracts p a_i^vee from v, so the pairing
+        with a_j drops by p <a_i^vee, a_j>, the Cartan entry cartan[i][j].
+        That entry is 2 at j = i, which turns p into -p, and zero at every
+        a_j not bonded to a_i, so only the frame's bonds of i are touched.
+        The result does not depend on which negative pairing is reflected
         first, as the orbit has one dominant member.  The rescanning loop
         on vectors is ``oracles.dominantize_by_rescan``."""
-        while pair:
-            p = min(pair)
-            if p >= 0:
-                break
-            pair = [q - p * c for q, c in zip(pair, self.datum.cartan[pair.index(p)])]
+        bonds = self._newton_frame.bonds
+        i, n = 0, len(pair)
+        while i < n:
+            p = pair[i]
+            if p < 0:
+                pair[i] = -p
+                for j, c in bonds[i]:
+                    pair[j] -= p * c
+                i = 0
+            else:
+                i += 1
         return pair
 
     def newton_vector(self, x: ExtAffineElement) -> tuple[Fraction, ...]:

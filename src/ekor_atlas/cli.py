@@ -102,13 +102,17 @@ def _json_list(texts) -> Iterator[str]:
 
 _NL6, _NL8 = "\n      ", "\n        "
 _BOOL = {True: "true", False: "false"}
+# the digits of word letters and one-line finite parts: nodes and ambient
+# coordinates, both below the 256 functionals that the group allows
+_DIGITS = tuple(map(str, range(256)))
 
-# ``_indented`` of a record as a dict, keys in sorted order
+# ``_indented`` of a record as a dict, keys in sorted order; each %%d and
+# %%s is left as a hole for a per-record field (``_fragment``)
 _RECORD = """{
     "basic": %s,
     "dl": %s,
     "i_set": %s,
-    "length": %d,
+    "length": %%d,
     "level": %s,
     "newton": %s,
     "supp_sigma": {
@@ -116,14 +120,14 @@ _RECORD = """{
       "raw": %s
     },
     "w": {
-      "t": %s,
-      "w": %s
+      "t": %%s,
+      "w": %%s
     },
-    "word": %s
+    "word": %%s
   }"""
 _DL = """{
       "ambient": %s,
-      "dim": %d,
+      "dim": %%d,
       "frobenius": %s,
       "parabolic": %s,
       "sigma_coxeter": %s,
@@ -142,14 +146,30 @@ def _ints(vals, nl: str) -> str:
     return _items(map(str, vals), nl)
 
 
-def _memo_ints(texts: dict, vals, nl: str) -> str:
-    """``_ints`` of a tuple in order or of a frozenset sorted, memoised by
-    value and indent."""
-    key = (vals, nl)
-    got = texts.get(key)
-    if got is None:
-        got = texts[key] = _ints(sorted(vals) if vals.__class__ is frozenset else vals, nl)
-    return got
+def _nodes(nodes, nl: str) -> str:
+    return _ints(sorted(nodes), nl)
+
+
+def _fragment(rec: StratumRecord) -> str:
+    """The text of a record with %-holes for its length (twice with a flag
+    datum), translation, finite part and word.  The type and the Newton
+    strings are escaped for the % that fills the holes; the other texts are
+    digits."""
+    supp, iset, dl = rec.support, rec.stable_subset, rec.datum
+    return _RECORD % (
+        _BOOL[rec.basic],
+        "null" if dl is None else _DL % (
+            _nodes(dl.ambient_nodes, _NL8),
+            _ints(supp.twist, _NL8),
+            _nodes(iset, _NL8),
+            _BOOL[dl.sigma_coxeter],
+            _BOOL[dl.stabilizes_parabolic],
+            encode_basestring_ascii(dl.ambient_type).replace("%", "%%")),
+        _nodes(iset, _NL6),
+        _ints(rec.level, _NL6),
+        _items(map(encode_basestring_ascii, map(str, rec.newton)), _NL6).replace("%", "%%"),
+        _nodes(supp.closure, _NL8),
+        _nodes(supp.raw, _NL8))
 
 
 def record_to_json(group, rec: StratumRecord) -> str:
@@ -159,49 +179,34 @@ def record_to_json(group, rec: StratumRecord) -> str:
     datum's ``parabolic``, ``dim`` and ``frobenius`` are the record's
     stable subset, length and twist.
 
-    Only the reduced word and the finite part are formatted per record.
-    The other lists depend on far fewer values than there are records, so
-    their texts are memoised on the group: node sets, twists and levels by
-    value and indent, the translation by its lattice coordinates, and the
-    Newton point by the identity of its tuple, which records share with the
-    Newton memo (hashing Fractions costs more than printing them).  A
-    Newton entry holds its tuple, so the id is not reused while it exists."""
+    Only the length, element and reduced word are a record's own; the other
+    fields repeat over far fewer values than there are records (327
+    combinations for the 6,331 genus-5 strata).  So the record's text with
+    holes for its own fields, its fragment, is memoised on the group, keyed
+    by the basic flag, the flag datum, the stable subset, the level, the
+    sigma-support and the Newton point by the identity of its tuple, which
+    records share with the Newton memo (hashing Fractions costs more than
+    printing them).  The fragment's entry holds that tuple, so the id is
+    not reused while the key exists.  Per record the holes take the length,
+    the translation (memoised by its lattice coordinates), the finite part
+    and the word, whose numbers are read from one tuple of digit strings;
+    a finite part that is no permutation is written as ``{"rows": ...}``."""
     texts = group._json_texts
-    x = rec.element
-    supp = rec.support
-    iset = rec.stable_subset
-    dl = rec.datum
-    # tagged: lattice coordinates can equal a twist, also written at _NL8
-    key = ("t", x.trans)
-    t = texts.get(key)
-    if t is None:
-        t = texts[key] = _ints(group.datum.from_lattice(x.trans), _NL8)
-    nu = rec.newton
-    got = texts.get(id(nu))
+    (trans, widx), word, n, level, basic, supp, iset, nu, dl = rec
+    key = (basic, dl, iset, level, id(nu), supp)
+    got = texts.get(key)
     if got is None:
-        got = texts[id(nu)] = (nu, _items(map(encode_basestring_ascii, map(str, nu)), _NL6))
-    perm = group.finite_to_json(x.w)
-    return _RECORD % (
-        _BOOL[rec.basic],
-        "null" if dl is None else _DL % (
-            _memo_ints(texts, dl.ambient_nodes, _NL8),
-            rec.length,
-            _memo_ints(texts, supp.twist, _NL8),
-            _memo_ints(texts, iset, _NL8),
-            _BOOL[dl.sigma_coxeter],
-            _BOOL[dl.stabilizes_parabolic],
-            encode_basestring_ascii(dl.ambient_type)),
-        _memo_ints(texts, iset, _NL6),
-        rec.length,
-        _memo_ints(texts, rec.level, _NL6),
-        got[1],
-        _memo_ints(texts, supp.closure, _NL8),
-        _memo_ints(texts, supp.raw, _NL8),
-        t,
-        # a finite part that is no permutation is {"rows": ...}
-        _ints(perm, _NL8) if isinstance(perm, list)
-        else json.dumps(perm, indent=2, sort_keys=True).replace("\n", _NL6),
-        _ints(rec.word, _NL6))
+        got = texts[key] = (nu, _fragment(rec))
+    # tagged, apart from the fragment keys
+    tkey = ("t", trans)
+    t = texts.get(tkey)
+    if t is None:
+        t = texts[tkey] = _ints(group.datum.from_lattice(trans), _NL8)
+    perm = group.finite_to_json(widx)
+    w = (_items(map(_DIGITS.__getitem__, perm), _NL8) if isinstance(perm, list)
+         else json.dumps(perm, indent=2, sort_keys=True).replace("\n", _NL6))
+    word = _items(map(_DIGITS.__getitem__, word), _NL6)
+    return got[1] % ((n, t, w, word) if dl is None else (n, n, t, w, word))
 
 
 def _lines(lines) -> Iterator[str]:

@@ -3,10 +3,10 @@
 A :class:`CoxeterMatrix` records the bond orders between abstract generators.
 Only crystallographic orders (2, 3, 4, 6 and infinity) are admitted, which is
 all the affine Weyl machinery ever produces.  On top of the matrix we provide
-connected components, validation of diagram automorphisms (node maps kept as
-plain tuples of images), and one recogniser of finite types, which answers
-both whether a standard parabolic subgroup is finite and which finite type it
-has.
+connected components and one recogniser of finite types, which answers both
+whether a standard parabolic subgroup is finite and which finite type it
+has.  Diagram automorphisms are node maps kept as plain tuples of images;
+their check ``oracles.check_automorphism`` is for tests only.
 
 W_J is finite exactly when every connected component of J is the diagram of
 a finite Coxeter group.  With the bonds above, the classification of finite
@@ -81,18 +81,6 @@ class CoxeterMatrix:
 
     def __repr__(self):
         return f"CoxeterMatrix({list(map(list, self.rows))})"
-
-    def check_automorphism(self, images: Iterable[int]) -> tuple[int, ...]:
-        """Validate a node map given as its tuple of images: it must permute
-        the nodes and preserve every bond order."""
-        images = tuple(images)
-        if sorted(images) != list(range(self.n)):
-            raise CoxeterError(f"images {images} are not a permutation of 0..{self.n - 1}")
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.rows[images[i]][images[j]] != self.rows[i][j]:
-                    raise CoxeterError("node map does not preserve the bond orders")
-        return images
 
     def _check_subset(self, J: Iterable[int]) -> frozenset[int]:
         """J as a set of ints in 0..n-1.  The subset test alone would let

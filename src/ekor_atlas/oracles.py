@@ -3,7 +3,8 @@
 Everything here is deliberately naive: breadth-first enumeration in a
 reflection representation, subword generation, exhaustive subset scans.
 The fast code must agree with these on small inputs.  The straight-class
-survey of ``atlas check`` (C6) lives here too.
+survey of ``atlas check`` (C6) lives here too, and so does the check of
+diagram automorphisms, which only tests call.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup, GroupError
-from ekor_atlas.coxeter import INFINITE_BOND, CoxeterMatrix
+from ekor_atlas.coxeter import INFINITE_BOND, CoxeterError, CoxeterMatrix
 from ekor_atlas.lattice import (
     fraction_matrix_inverse,
     identity_matrix,
@@ -152,6 +153,19 @@ def dominantize_by_rescan(group: ExtendedAffineWeylGroup, v: Sequence) -> tuple:
                 break
         else:
             return cur
+
+
+def check_automorphism(mat: CoxeterMatrix, images: Iterable[int]) -> tuple[int, ...]:
+    """Validate a node map given as its tuple of images: it must permute
+    the nodes and preserve every bond order."""
+    images = tuple(images)
+    if sorted(images) != list(range(mat.n)):
+        raise CoxeterError(f"images {images} are not a permutation of 0..{mat.n - 1}")
+    for i in range(mat.n):
+        for j in range(mat.n):
+            if mat.rows[images[i]][images[j]] != mat.rows[i][j]:
+                raise CoxeterError("node map does not preserve the bond orders")
+    return images
 
 
 def coxeter_group_size(mat: CoxeterMatrix, nodes: Optional[Iterable[int]] = None,

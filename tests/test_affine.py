@@ -11,6 +11,7 @@ from ekor_atlas.oracles import (
     DenseWeylTable,
     bruhat_leq_subword,
     cayley_ball,
+    check_automorphism,
     descents_by_length,
     dominantize_by_rescan,
     galois_average,
@@ -274,7 +275,7 @@ def test_tau_node_action(ctx2):
     m = ctx2.tau.node_images
     assert m == (2, 1, 0)
     assert tuple(m[i] for i in m) == (0, 1, 2)  # an involution
-    assert ctx2.group.affine_coxeter.check_automorphism(m) == m
+    assert check_automorphism(ctx2.group.affine_coxeter, m) == m
 
 
 def test_twisted_omega_action(gl3_twisted):

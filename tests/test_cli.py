@@ -324,6 +324,25 @@ def test_record_writer_matches_indented_dump(g):
     assert flags == {True, False}
 
 
+def test_record_writer_memo_grows_with_shared_fields():
+    """The writer keeps one text per combination of the fields that records
+    share and one per translation, none per record: the genus-4 Iwahori
+    report (633 records) leaves fewer entries than records on a fresh
+    group, and writing it again adds none.  A key that took in the element
+    or the word would give the same bytes and one text per record."""
+    group = ExtendedAffineWeylGroup(siegel_datum(4))
+    recs = stratum_report(admissible_set(group, (1,) * 4 + (0,) * 4), frozenset())
+    assert len(recs) == 633
+    texts = [cli.record_to_json(group, rec) for rec in recs]
+    shared = {(r.basic, r.datum, r.stable_subset, r.level, id(r.newton), r.support)
+              for r in recs}
+    translations = {r.element.trans for r in recs}
+    size = len(group._json_texts)
+    assert size == len(shared) + len(translations) < len(recs)
+    assert [cli.record_to_json(group, rec) for rec in recs] == texts
+    assert len(group._json_texts) == size
+
+
 def test_record_writer_reuses_its_texts():
     """The writer's memo gives the same bytes when warm: the genus-3 report
     at every level, again in reverse level order, then the genus-2 report,

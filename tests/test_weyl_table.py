@@ -21,6 +21,7 @@ from ekor_atlas.lattice import identity_matrix, row_mat, vec_dot, vec_neg
 from ekor_atlas.oracles import (
     DenseWeylTable,
     cayley_ball,
+    check_automorphism,
     reflection_matrices,
     sigma,
     twisted_power,
@@ -232,7 +233,7 @@ def test_sigma_diagram_keeps_the_bonds(name):
     """The build reads sigma on the nodes with no check: the datum's
     Frobenius check makes it a permutation that keeps every bond."""
     group = DATA[name]()
-    assert group.affine_coxeter.check_automorphism(group.sigma_diagram) == group.sigma_diagram
+    assert check_automorphism(group.affine_coxeter, group.sigma_diagram) == group.sigma_diagram
 
 
 def test_sigma_permutes_components():
