@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ekor_atlas.admissible import bruhat_hasse_edges
@@ -27,7 +26,6 @@ from ekor_atlas.affine import GroupError, element_label
 from ekor_atlas.coxeter import CoxeterError
 from ekor_atlas.ekor import StratumRecord
 from ekor_atlas.oracles import (
-    OracleError,
     bruhat_leq_subword,
     cayley_ball,
     coxeter_group_size,
@@ -82,10 +80,11 @@ def _fmt_newton(newton) -> str:
     return "(" + ",".join(str(c) for c in newton) + ")"
 
 
-def _indented(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` indented two more
-    spaces, the layout of an item of an indented list."""
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  ")
+def _indented(obj, nl: str = "\n  ") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with each line break
+    followed by ``nl``: by default two more spaces, the layout of an item of
+    an indented list."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _json_list(texts) -> Iterator[str]:
@@ -100,40 +99,13 @@ def _json_list(texts) -> Iterator[str]:
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-_NL6, _NL8 = "\n      ", "\n        "
-_BOOL = {True: "true", False: "false"}
+_NL4, _NL6, _NL8 = "\n    ", "\n      ", "\n        "
 # the digits of word letters and one-line finite parts: nodes and ambient
 # coordinates, both below the 256 functionals that the group allows
 _DIGITS = tuple(map(str, range(256)))
-
-# ``_indented`` of a record as a dict, keys in sorted order; each %%d and
-# %%s is left as a hole for a per-record field (``_fragment``)
-_RECORD = """{
-    "basic": %s,
-    "dl": %s,
-    "i_set": %s,
-    "length": %%d,
-    "level": %s,
-    "newton": %s,
-    "supp_sigma": {
-      "closure": %s,
-      "raw": %s
-    },
-    "w": {
-      "t": %%s,
-      "w": %%s
-    },
-    "word": %%s
-  }"""
-_DL = """{
-      "ambient": %s,
-      "dim": %%d,
-      "frobenius": %s,
-      "parabolic": %s,
-      "sigma_coxeter": %s,
-      "stabilizes_parabolic": %s,
-      "type": %s
-    }"""
+# a field of one record alone: json writes it as "\u0000", a %s hole in the
+# record's text (``_fragment``)
+_HOLE = "\0"
 
 
 def _items(texts, nl: str) -> str:
@@ -142,71 +114,67 @@ def _items(texts, nl: str) -> str:
     return "[" + nl + body + nl[:-2] + "]" if body else "[]"
 
 
-def _ints(vals, nl: str) -> str:
-    return _items(map(str, vals), nl)
-
-
-def _nodes(nodes, nl: str) -> str:
-    return _ints(sorted(nodes), nl)
-
-
 def _fragment(rec: StratumRecord) -> str:
-    """The text of a record with %-holes for its length (twice with a flag
-    datum), translation, finite part and word.  The type and the Newton
-    strings are escaped for the % that fills the holes; the other texts are
-    digits."""
+    """The text of a record with a %s hole for each field of its own: the
+    length (twice with a flag datum), the Newton point, the translation, the
+    finite part and the word.  The rest is digits, booleans, null, key names
+    and the name of a finite type, none of which holds a %."""
     supp, iset, dl = rec.support, rec.stable_subset, rec.datum
-    return _RECORD % (
-        _BOOL[rec.basic],
-        "null" if dl is None else _DL % (
-            _nodes(dl.ambient_nodes, _NL8),
-            _ints(supp.twist, _NL8),
-            _nodes(iset, _NL8),
-            _BOOL[dl.sigma_coxeter],
-            _BOOL[dl.stabilizes_parabolic],
-            encode_basestring_ascii(dl.ambient_type).replace("%", "%%")),
-        _nodes(iset, _NL6),
-        _ints(rec.level, _NL6),
-        _items(map(encode_basestring_ascii, map(str, rec.newton)), _NL6).replace("%", "%%"),
-        _nodes(supp.closure, _NL8),
-        _nodes(supp.raw, _NL8))
+    return _indented({
+        "basic": rec.basic,
+        "dl": None if dl is None else {
+            "ambient": sorted(dl.ambient_nodes),
+            "dim": _HOLE,
+            "frobenius": list(supp.twist),
+            "parabolic": sorted(iset),
+            "sigma_coxeter": dl.sigma_coxeter,
+            "stabilizes_parabolic": dl.stabilizes_parabolic,
+            "type": dl.ambient_type,
+        },
+        "i_set": sorted(iset),
+        "length": _HOLE,
+        "level": list(rec.level),
+        "newton": _HOLE,
+        "supp_sigma": {"closure": sorted(supp.closure), "raw": sorted(supp.raw)},
+        "w": {"t": _HOLE, "w": _HOLE},
+        "word": _HOLE,
+    }).replace('"\\u0000"', "%s")
 
 
 def record_to_json(group, rec: StratumRecord) -> str:
-    """``_indented`` of the record as a dict, filled into its fixed layout
-    straight from the record: ``json.dumps`` with an indent runs the
-    pure-Python encoder, which takes three to five times as long.  The flag
-    datum's ``parabolic``, ``dim`` and ``frobenius`` are the record's
-    stable subset, length and twist.
+    """``_indented`` of the record as a dict, with a flag datum whose
+    ``parabolic``, ``dim`` and ``frobenius`` are the record's stable subset,
+    length and twist.
 
-    Only the length, element and reduced word are a record's own; the other
-    fields repeat over far fewer values than there are records (327
-    combinations for the 6,331 genus-5 strata).  So the record's text with
-    holes for its own fields, its fragment, is memoised on the group, keyed
-    by the basic flag, the flag datum, the stable subset, the level, the
-    sigma-support and the Newton point by the identity of its tuple, which
-    records share with the Newton memo (hashing Fractions costs more than
-    printing them).  The fragment's entry holds that tuple, so the id is
-    not reused while the key exists.  Per record the holes take the length,
-    the translation (memoised by its lattice coordinates), the finite part
-    and the word, whose numbers are read from one tuple of digit strings;
-    a finite part that is no permutation is written as ``{"rows": ...}``."""
+    The record's text with holes, its fragment, is memoised on the group,
+    keyed by the flag datum, the stable subset, the level and the
+    sigma-support, which decides the basic flag: 68 keys for the 6,331
+    genus-5 strata (327 with the Newton point in the key), so the indented
+    ``json.dumps``, which runs the pure-Python encoder, stays off the
+    per-record path.  The holes take the length, the Newton point, the
+    translation, the finite part and the word.  The texts of the
+    translation, by its lattice coordinates, and of the Newton point, by
+    the identity of the tuple that records share with the Newton memo
+    (hashing Fractions costs more than printing them), are memoised too;
+    the Newton entry holds the tuple, so its id is not reused.  The numbers
+    of the finite part and the word are read from one tuple of digit
+    strings; a finite part that is no permutation is written as
+    ``{"rows": ...}``."""
     texts = group._json_texts
-    (trans, widx), word, n, level, basic, supp, iset, nu, dl = rec
-    key = (basic, dl, iset, level, id(nu), supp)
-    got = texts.get(key)
-    if got is None:
-        got = texts[key] = (nu, _fragment(rec))
+    (trans, widx), word, n, level, _, supp, iset, nu, dl = rec
+    key = (dl, iset, level, supp)
+    frag = texts.get(key) or texts.setdefault(key, _fragment(rec))
+    newton = (texts.get(id(nu)) or texts.setdefault(
+        id(nu), (nu, _indented(list(map(str, nu)), _NL4))))[1]
     # tagged, apart from the fragment keys
     tkey = ("t", trans)
-    t = texts.get(tkey)
-    if t is None:
-        t = texts[tkey] = _ints(group.datum.from_lattice(trans), _NL8)
+    t = texts.get(tkey) or texts.setdefault(
+        tkey, _indented(group.datum.from_lattice(trans), _NL6))
     perm = group.finite_to_json(widx)
     w = (_items(map(_DIGITS.__getitem__, perm), _NL8) if isinstance(perm, list)
-         else json.dumps(perm, indent=2, sort_keys=True).replace("\n", _NL6))
+         else _indented(perm, _NL6))
     word = _items(map(_DIGITS.__getitem__, word), _NL6)
-    return got[1] % ((n, t, w, word) if dl is None else (n, n, t, w, word))
+    return frag % ((n, newton, t, w, word) if dl is None else (n, n, newton, t, w, word))
 
 
 def _lines(lines) -> Iterator[str]:
@@ -389,7 +357,7 @@ def _write(args, out) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GroupError, RootDatumError, CoxeterError, OracleError) as exc:
+    except (GroupError, RootDatumError, CoxeterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

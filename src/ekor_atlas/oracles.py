@@ -31,16 +31,12 @@ if TYPE_CHECKING:  # admissible imports this module
 DEFAULT_CAP = 10 ** 6
 
 
-class OracleError(RuntimeError):
-    pass
-
-
 def _reflection_generators(mat: CoxeterMatrix, nodes: Sequence[int]):
     """Integer reflection representation with pairing products 4cos^2(pi/m).
 
     s_i sends a_j to a_j - p(i,j) a_i where p(i,i) = 2 and off the diagonal
-    p is 0, -1x-1, -1x-2, -1x-3 or -2x-2 for bonds 2, 3, 4, 6 and infinity,
-    the asymmetric weight going to the larger index.  p is a generalized
+    p is 0, -1x-1, -1x-2, -1x-3 or -2x-2 for bonds 2, 3, 4, 6 and infinity
+    (the bonds that ``CoxeterMatrix`` admits), the asymmetric weight going to the larger index.  p is a generalized
     Cartan matrix, whose Weyl group is the Coxeter group with these bonds
     (Kac, *Infinite-dimensional Lie algebras*, Prop. 3.13).  The signs
     matter on a cycle: with p >= 0 the triangle of bonds 3 closes up into a
@@ -52,10 +48,7 @@ def _reflection_generators(mat: CoxeterMatrix, nodes: Sequence[int]):
     for a in range(n):
         pairing[a][a] = 2
         for b in range(a + 1, n):
-            m = mat.bond(nodes[a], nodes[b])
-            if m not in weights:
-                raise OracleError(f"no integer representation for bond {m}")
-            pairing[a][b], pairing[b][a] = weights[m]
+            pairing[a][b], pairing[b][a] = weights[mat.bond(nodes[a], nodes[b])]
     gens = []
     for i in range(n):
         rows = []

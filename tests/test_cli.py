@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -8,12 +9,13 @@ import sys
 import pytest
 
 from ekor_atlas import cli
-from ekor_atlas.admissible import admissible_set
+from ekor_atlas.admissible import admissible_set, parahoric_label
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.cli import main
 from ekor_atlas.ekor import stratum_report
 from ekor_atlas.siegel import SiegelContext, siegel_context, siegel_datum
-from helpers import build_b2, build_g2, record_dict, siegel_levels
+from helpers import (build_b2, build_g2, build_gl, build_gl2_restriction, record_dict,
+                     siegel_levels)
 
 
 def run_cli(capsys, *argv):
@@ -326,19 +328,20 @@ def test_record_writer_matches_indented_dump(g):
 
 def test_record_writer_memo_grows_with_shared_fields():
     """The writer keeps one text per combination of the fields that records
-    share and one per translation, none per record: the genus-4 Iwahori
-    report (633 records) leaves fewer entries than records on a fresh
+    share, one per translation and one per Newton tuple, none per record:
+    the genus-4 Iwahori report (633 records) leaves 66 entries on a fresh
     group, and writing it again adds none.  A key that took in the element
     or the word would give the same bytes and one text per record."""
     group = ExtendedAffineWeylGroup(siegel_datum(4))
     recs = stratum_report(admissible_set(group, (1,) * 4 + (0,) * 4), frozenset())
     assert len(recs) == 633
     texts = [cli.record_to_json(group, rec) for rec in recs]
-    shared = {(r.basic, r.datum, r.stable_subset, r.level, id(r.newton), r.support)
-              for r in recs}
+    shared = {(r.datum, r.stable_subset, r.level, r.support) for r in recs}
     translations = {r.element.trans for r in recs}
+    newtons = {id(r.newton) for r in recs}
+    assert (len(shared), len(translations), len(newtons)) == (36, 16, 14)
     size = len(group._json_texts)
-    assert size == len(shared) + len(translations) < len(recs)
+    assert size == len(shared) + len(translations) + len(newtons) == 66
     assert [cli.record_to_json(group, rec) for rec in recs] == texts
     assert len(group._json_texts) == size
 
@@ -388,6 +391,35 @@ def test_record_writer_rows_form_and_null_dl():
         with_rows = [d for d in dicts if isinstance(d["w"]["w"], dict)]
         assert len(with_rows) == rows
         assert sum(d["dl"] is not None for d in with_rows) == rows_dl
+
+
+@pytest.mark.parametrize("build, mu, sizes", [
+    (build_gl2_restriction, (1, 0, 1, 0), (9, 3, 17, 13)),
+    (lambda: build_gl(4, twisted=True), (1, 0, 0, 0), (15, 7, 61, 31)),
+    (lambda: build_gl(4, twisted=True), (1, 1, 0, 0), (33, 7, 119, 89)),
+], ids=["gl2-restriction", "gl4-twisted-1000", "gl4-twisted-1100"])
+def test_record_writer_twisted_data(build, mu, sizes):
+    """The writer on data whose sigma moves nodes: the Weil restriction of
+    GL2, which swaps the two factors, and GL4 with the duality twist, at
+    every level that ``parahoric_label`` accepts.  Their flag data carry a
+    non-identity ``frobenius`` and their Newton points, averaged over sigma,
+    have non-integer coordinates."""
+    group = build()
+    adm = admissible_set(group, mu)
+    levels = []
+    for r in range(group.num_nodes + 1):
+        for nodes in itertools.combinations(range(group.num_nodes), r):
+            try:
+                levels.append(parahoric_label(group, nodes))
+            except GroupError:
+                pass
+    recs = [rec for level in levels for rec in stratum_report(adm, level)]
+    assert (len(adm), len(levels), len(recs), sum(r.basic for r in recs)) == sizes
+    for rec in recs:
+        assert cli.record_to_json(group, rec) == _indented_dump(record_dict(group, rec))
+    identity = tuple(range(group.num_nodes))
+    assert any(rec.datum is not None and rec.support.twist != identity for rec in recs)
+    assert any(c.denominator != 1 for rec in recs for c in rec.newton)
 
 
 def test_record_writer_empty_report(capsys, monkeypatch):
