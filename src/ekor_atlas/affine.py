@@ -654,17 +654,12 @@ class ExtendedAffineWeylGroup:
         return _NewtonFrame(phis, tuple(orbit_sums),
                             tuple(tuple(int(den * c) for c in row) for row in inv), den, bonds)
 
-    def _newton_entry(self, x: ExtAffineElement):
-        """n and the memoised (Newton point, <n nu, 2 rho>) of x."""
-        key = self._newton_key(x)
-        return key[0], self._newton[key]
-
     def _newton_point(self, key: tuple):
-        """The entry of a ``_newton_key``.  The key is made dominant in
-        pairing coordinates, which gives the key of n nu; a non-dominant key
-        takes the entry of that one, and only a dominant key rebuilds n nu,
-        with the fixed inverse of the frame, so every key that shares a
-        point shares its tuple."""
+        """The memo entry (nu, <n nu, 2 rho>, n) of a ``_newton_key``.  The
+        key is made dominant in pairing coordinates, which gives the key of
+        n nu with the same n; a non-dominant key takes the entry of that
+        one, and only a dominant key rebuilds n nu, with the fixed inverse
+        of the frame, so every key that shares a point shares its tuple."""
         n, pairs, rad = key
         dom = (n, tuple(self._dominant_pairings(list(pairs))), rad)
         if dom != key:
@@ -673,7 +668,7 @@ class ExtendedAffineWeylGroup:
         scaled = [vec_dot(row, pairs + rad) for row in frame.inverse]
         # den n nu in lattice coordinates; n nu is integral
         return (tuple(Fraction(t, frame.den * n) for t in self.datum.from_lattice(scaled)),
-                vec_dot(scaled, self.datum.two_rho) // frame.den)
+                vec_dot(scaled, self.datum.two_rho) // frame.den, n)
 
     def _dominant_pairings(self, pair: list) -> list:
         """The simple-root pairings of the dominant member of an orbit,
@@ -707,11 +702,11 @@ class ExtendedAffineWeylGroup:
         and shared through the key of the dominant form n nu (25 of them
         at genus 5, for 13 Newton points).
         """
-        return self._newton_entry(x)[1][0]
+        return self._newton[self._newton_key(x)][0]
 
     def is_sigma_straight(self, x: ExtAffineElement) -> bool:
         """Length equals the pairing of the Newton point with 2*rho."""
-        n, (_, two_rho) = self._newton_entry(x)
+        _, two_rho, n = self._newton[self._newton_key(x)]
         return two_rho == n * self.length(x)
 
     def newton_leq(self, nu1_ambient: Sequence, nu2_ambient: Sequence) -> bool:

@@ -64,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--level", default="iwahori", metavar="LEVEL",
                            help="iwahori, hyperspecial, or comma separated nodes")
         if name != "check":
+            dot = ["dot"] if name in ("adm", "classify") else []
             q.add_argument("--format", dest="fmt", default="text",
-                           choices=["text", "json", "dot"])
+                           choices=["text", "json"] + dot)
         q.add_argument("--out", default=None, metavar="PATH",
                        help="write output to a file instead of stdout")
     return parser
@@ -318,8 +319,6 @@ def dispatch(args) -> Iterable[str]:
         if args.g > 3:
             raise UsageError("check supports g up to 3; larger genera take too long")
         return _cmd_check(siegel_context(args.g))
-    if args.fmt == "dot" and args.command not in ("adm", "classify"):
-        raise UsageError("dot output is only available for adm and classify")
     if args.fmt == "dot" and args.g > 4:  # genus 5 compares millions of pairs
         raise UsageError("dot output supports g up to 4; larger genera take too long")
     ctx = siegel_context(args.g)

@@ -73,9 +73,6 @@ class CoxeterMatrix:
         self._nodes = frozenset(range(n))
         self._finite: dict[frozenset[int], Optional[FiniteTypeLabel]] = {}
 
-    def bond(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def nodes(self) -> frozenset[int]:
         return self._nodes
 
@@ -177,7 +174,7 @@ def _finite_component(mat: CoxeterMatrix, comp: frozenset[int]) -> Optional[tupl
         order = [min(v for v in comp if len(adj[v]) < 2)]
         while len(order) < n:
             order.append(next(u for u in adj[order[-1]] if u not in order[-2:]))
-        bonds = [mat.bond(a, b) for a, b in zip(order, order[1:])]
+        bonds = [mat.rows[a][b] for a, b in zip(order, order[1:])]
         if all(m == 3 for m in bonds):
             return "A", n
         if bonds == [6]:

@@ -48,7 +48,7 @@ def _reflection_generators(mat: CoxeterMatrix, nodes: Sequence[int]):
     for a in range(n):
         pairing[a][a] = 2
         for b in range(a + 1, n):
-            pairing[a][b], pairing[b][a] = weights[mat.bond(nodes[a], nodes[b])]
+            pairing[a][b], pairing[b][a] = weights[mat.rows[nodes[a]][nodes[b]]]
     gens = []
     for i in range(n):
         rows = []

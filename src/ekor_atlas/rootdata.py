@@ -112,11 +112,12 @@ class RootDatum:
             for j in range(self.nsimple):
                 if i == j:
                     continue
-                prod = self.cartan[i][j] * self.cartan[j][i]
-                if not 0 <= prod < 4 or self.cartan[i][j] > 0:
+                # a generalized Cartan matrix: a_ij <= 0, zero iff a_ji is
+                a, b = self.cartan[i][j], self.cartan[j][i]
+                if a > 0 or (a == 0) != (b == 0) or not 0 <= a * b < 4:
                     raise RootDatumError(
                         f"pairing of simple roots {i}, {j} is not of finite crystallographic type")
-                finite_rows[i][j] = BOND_OF_PRODUCT[prod]
+                finite_rows[i][j] = BOND_OF_PRODUCT[a * b]
         self.finite_coxeter = CoxeterMatrix(finite_rows)
         if not self.finite_coxeter.is_finite_parabolic(self.finite_coxeter.nodes()):
             raise RootDatumError("the Cartan matrix is not of finite type")
@@ -175,10 +176,10 @@ class RootDatum:
         changes coordinate i alone, by the integer <b, a_i^vee> =
         sum_j b_j cartan[i][j]; its coroot is s_i b^vee = b^vee -
         <a_i, b^vee> a_i^vee.  The constructor checked that the Cartan matrix
-        is of finite type, so it is invertible: the simple roots are
-        independent on X, the coordinates name each root once, and the
-        closure is finite unless some root has coordinates of both signs,
-        which is refused as soon as it appears.  With each root b it holds
+        is a generalized one of finite type, so it is invertible and the
+        coordinates name each root once; each root has coordinates of one
+        sign (Kac, Lemma 1.3), and the Weyl group, the Coxeter group of the
+        bonds (Prop. 3.13), is finite (Prop. 4.9).  With each root b it holds
         -b, as b = w a_i gives -b = w s_i a_i."""
         n = self.nsimple
         coroots = {tuple(int(i == j) for j in range(n)): self.coroots_lattice[i]
@@ -192,8 +193,6 @@ class RootDatum:
                     p = sum(map(mul, coords, row))
                     image = coords[:i] + (coords[i] - p,) + coords[i + 1:]
                     if image not in coroots:
-                        if min(image) < 0 < max(image):
-                            raise RootDatumError("root with mixed-sign simple coordinates")
                         q = vec_dot(self.root_values[i], coroot)
                         coroots[image] = tuple(
                             c - q * a for c, a in zip(coroot, self.coroots_lattice[i]))

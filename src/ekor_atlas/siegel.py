@@ -180,31 +180,33 @@ class SiegelContext:
         g = self.g
         return g * g // 2 if g % 2 == 0 else g * (g - 1) // 2
 
+    def _tau_times(self, word: Iterable[int]) -> ExtAffineElement:
+        """tau s_word[0] s_word[1] ..., by right products with one node."""
+        x = self.tau.element
+        for i in word:
+            x = self.group.times_simple(x, i)
+        return x
+
     def canonical_basic_element(self, c: int) -> ExtAffineElement:
         """tau times the sign flips s_g s_(g-1) ... s_(g-c+1)."""
-        group = self.group
-        x = self.tau.element
-        for i in range(self.g, self.g - c, -1):
-            x = group.times_simple(x, i)
-        return x
+        return self._tau_times(range(self.g, self.g - c, -1))
 
     # ------------------------------------------------------- basic strata
 
     def eo_strata(self) -> tuple["EOStratum", ...]:
         """Predicted basic strata at maximal level, labeled by the defect and
         the reduced word of a parabolic element, which the word determines."""
-        group = self.group
         g = self.g
         out = []
         for w in self.embedded_min_reps(g // 2):
-            word = group.reduced_word(w).word
+            word = self.group.reduced_word(w).word
             # the least window g-c+1..g holding the word
             c = g + 1 - min(word) if word else 0
             label = f"c{c}:" + ("-".join(f"s{i}" for i in word) or "e")
             out.append(EOStratum(
                 label=label,
                 defect=c,
-                element=group.mult(self.tau.element, w),
+                element=self._tau_times(word),
                 dimension=len(word),
             ))
         return tuple(sorted(out, key=lambda s: (s.dimension, s.label)))
@@ -264,11 +266,9 @@ class SiegelContext:
                 raise GroupError(f"defect mismatch at {s.label}")
             if rec.support.closure != self.closed_support(c):
                 raise GroupError(f"support closure mismatch at {s.label}")
+        # s_g ... s_(g-c+1) is a representative, so its stratum was matched
         for c in range(self.g // 2 + 1):
-            x = self.canonical_basic_element(c)
-            rec = by_element.get(x)
-            if rec is None:
-                raise GroupError(f"canonical defect-{c} stratum is not basic")
+            rec = by_element[self.canonical_basic_element(c)]
             if rec.stable_subset != self.closed_stable_subset(c):
                 raise GroupError(f"stable subset mismatch at defect {c}")
         return ComparisonReport(mode="hoeve", g=self.g,

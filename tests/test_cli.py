@@ -162,8 +162,6 @@ def test_check_runs(capsys):
     ("classify", "--g", "2", "--level", "9"),
     ("check", "--g", "4"),
     ("compare", "--g", "2", "--level", "0,1"),
-    ("compare", "--g", "2", "--format", "dot"),
-    ("dl-data", "--g", "2", "--format", "dot"),
 ])
 def test_config_errors_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -220,9 +218,12 @@ def test_dot_refuses_large_genus_before_building(capsys, monkeypatch, g):
     ("adm", "--g", "1", "--level", "bogus"),
     ("check", "--g", "1", "--level", "iwahori"),
     ("check", "--g", "1", "--format", "json"),
+    ("compare", "--g", "2", "--format", "dot"),
+    ("dl-data", "--g", "2", "--format", "dot"),
 ])
 def test_options_unread_by_a_command_exit_two(capsys, argv):
-    """--level and --format exist only where the command reads them."""
+    """--level and --format exist only where the command reads them, and
+    --format offers dot only to adm and classify."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2

@@ -135,6 +135,51 @@ def test_cartan_outside_finite_type_rejected(cartan):
     assert done.stdout == "refused\n", done.stderr
 
 
+I2 = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(dim=2, basis=I2, simple_roots=((1, 0),), simple_coroots=()),
+     "parallel lists"),
+    (dict(dim=2, basis=((1, 0, 0), (0, 1)), simple_roots=(), simple_coroots=()),
+     "ambient length"),
+    (dict(dim=2, basis=(), simple_roots=(), simple_coroots=()),
+     "empty basis"),
+    (dict(dim=2, basis=I2, simple_roots=((2, -2), (-2, 2)), simple_coroots=I2),
+     "pairing of simple roots 0, 1 is not of finite crystallographic type"),
+    # <coroot 0, root 1> = -1 against <coroot 1, root 0> = 0: not a
+    # generalized Cartan matrix, refused before any root is closed
+    (dict(dim=2, basis=I2, simple_roots=((2, 0), (-1, 2)), simple_coroots=I2),
+     "pairing of simple roots 0, 1 is not of finite crystallographic type"),
+    (dict(dim=3, basis=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+          simple_roots=((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+          simple_coroots=((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+     "Cartan matrix is not of finite type"),
+    (dict(dim=2, basis=I2, simple_roots=((1, -1),), simple_coroots=((1, -1),),
+          ambient_weyl=[]),
+     "one d x d matrix per simple reflection"),
+    (dict(dim=2, basis=I2, simple_roots=(), simple_coroots=(),
+          frobenius=((1, 0),)),
+     "frobenius must be a d x d integer matrix"),
+    (dict(dim=2, basis=I2, simple_roots=(), simple_coroots=(),
+          frobenius=((2, 0), (0, 1))),
+     "frobenius is not an automorphism of X"),
+    (dict(dim=2, basis=I2, simple_roots=((2, 0),), simple_coroots=((1, 0),),
+          frobenius=((1, 1), (0, 1))),
+     "frobenius acts inconsistently on roots and coroots"),
+    # a unipotent matrix: no power is the identity
+    (dict(dim=2, basis=I2, simple_roots=(), simple_coroots=(),
+          frobenius=((1, 1), (0, 1))),
+     "frobenius has unreasonably large order on X"),
+], ids=["parallel_lists", "ambient_length", "empty_basis", "crystallographic",
+        "asymmetric_zero", "finite_type", "matrix_count", "frobenius_shape",
+        "not_automorphism", "inconsistent", "order"])
+def test_root_datum_refusals(kwargs, message):
+    """Each refusal of the constructor, named by its message."""
+    with pytest.raises(RootDatumError, match=message):
+        RootDatum(**kwargs)
+
+
 def test_dependent_basis_rejected():
     with pytest.raises(RootDatumError):
         RootDatum(dim=2, basis=((1, 0), (2, 0)),

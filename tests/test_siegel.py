@@ -107,7 +107,7 @@ def test_diagram_types(ctx1, ctx3):
     assert format_finite_type(
         ctx3.group.datum.finite_coxeter.finite_type(range(3))) == "C3"
     # rank one: single finite node, infinite bond in the affine diagram
-    assert ctx1.group.affine_coxeter.bond(0, 1) == 0
+    assert ctx1.group.affine_coxeter.rows[0][1] == 0
 
 
 # ------------------------------------------------------------- minimal reps
@@ -282,6 +282,83 @@ def test_compare_hyperspecial(g, basic):
     assert report.basic == basic
     assert report.expected == 2 ** (g // 2)
     assert len(report.labels) == basic
+
+
+def _replace_first(report, pick, change):
+    """The report with its first record that ``pick`` accepts changed."""
+    i = next(k for k, rec in enumerate(report) if pick(rec))
+    return report[:i] + (change(report[i]),) + report[i + 1:]
+
+
+def _support(rec, **fields):
+    return rec._replace(support=rec.support._replace(**fields))
+
+
+def _flag_non_basic(ctx, report):
+    return _replace_first(report, lambda rec: not rec.basic,
+                          lambda rec: rec._replace(basic=True))
+
+
+def _drop_longest_basic(ctx, report):
+    longest = max(rec.length for rec in report if rec.basic)
+    return tuple(rec for rec in report if not (rec.basic and rec.length == longest))
+
+
+def _drop_basic(ctx, report):
+    i = next(k for k, rec in enumerate(report) if rec.basic)
+    return report[:i] + report[i + 1:]
+
+
+def _empty_raw_support(ctx, report):
+    # a record of positive defect, so the empty support reads defect 0
+    return _replace_first(
+        report, lambda rec: rec.basic and ctx.superspecial_index(rec.support.raw),
+        lambda rec: _support(rec, raw=frozenset()))
+
+
+def _defect_node_in_closure(ctx, report):
+    return _replace_first(
+        report, lambda rec: rec.basic,
+        lambda rec: _support(rec, closure=rec.support.closure
+                             | {ctx.superspecial_index(rec.support.raw)}))
+
+
+def _canonical_stable_subset(ctx, report):
+    tau = ctx.canonical_basic_element(0)
+    return _replace_first(report, lambda rec: rec.element == tau,
+                          lambda rec: rec._replace(stable_subset=rec.stable_subset ^ {1}))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("level, tamper, message", [
+    ("iwahori", _flag_non_basic, "basic flags disagree"),
+    ("iwahori", _drop_longest_basic, "Goertz-Yu dimension"),
+    ("hyperspecial", _drop_basic, "differ from the predicted"),
+    ("hyperspecial", _empty_raw_support, "defect mismatch"),
+    ("hyperspecial", _defect_node_in_closure, "support closure mismatch"),
+    ("hyperspecial", _canonical_stable_subset, "stable subset mismatch"),
+], ids=["basic_flag", "goertz_yu", "predicted", "defect", "closure", "stable_subset"])
+def test_compare_detects_a_tampered_report(g, level, tamper, message):
+    """Each comparison fails on a report that disagrees with the closed
+    forms in one field.  The context is a fresh one, not the cached one."""
+    ctx = SiegelContext(g)
+    report = ctx.report
+    ctx.report = lambda nodes: tamper(ctx, report(nodes))
+    with pytest.raises(GroupError, match=message):
+        ctx.compare(ctx.level_nodes(level))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_compare_detects_a_missing_stratum(g):
+    """One predicted stratum dropped together with its record: the two sets
+    agree, and the count of 2^(g//2) does not."""
+    ctx = SiegelContext(g)
+    report, strata = ctx.report, ctx.eo_strata()
+    ctx.eo_strata = lambda: strata[1:]
+    ctx.report = lambda nodes: tuple(rec for rec in report(nodes)
+                                     if rec.element != strata[0].element)
+    with pytest.raises(GroupError, match=rf"expected {2 ** (g // 2)} basic strata, found"):
+        ctx.compare(ctx.hyperspecial)
 
 
 def test_compare_rejects_other_levels(ctx2):
