@@ -69,6 +69,7 @@ from ekor_atlas.affine import (
     ExtendedAffineWeylGroup,
     GroupError,
 )
+from ekor_atlas.coxeter import reachable
 from ekor_atlas.oracles import admissible_by_subwords
 
 
@@ -110,7 +111,7 @@ class AdmissibleSet:
 
     @property
     def elements(self) -> tuple[ExtAffineElement, ...]:
-        return kw_elements(self, ())
+        return kw_elements(self, frozenset())
 
     def by_length(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -124,19 +125,8 @@ def weyl_orbit(group: ExtendedAffineWeylGroup,
                v_lattice: Sequence[int]) -> list[tuple[int, ...]]:
     """The sorted W-orbit of v, by ``simple_times`` at the finite nodes
     (s_i t^v = t^(s_i v) s_i): it fills the rows of Wv, which ``Adm`` reads."""
-    seen = {tuple(v_lattice)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            x = ExtAffineElement(v, 0)
-            for i in group.finite_nodes:
-                u = group.simple_times(i, x).trans
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(seen)
+    return sorted(reachable([tuple(v_lattice)], lambda v: [
+        group.simple_times(i, ExtAffineElement(v, 0)).trans for i in group.finite_nodes]))
 
 
 def admissible_set(group: ExtendedAffineWeylGroup,
@@ -202,15 +192,17 @@ def _vertex_masks(group: ExtendedAffineWeylGroup) -> Iterator[tuple[int, int]]:
 
 
 def kw_elements(adm: AdmissibleSet,
-                nodes: Iterable[int]) -> tuple[ExtAffineElement, ...]:
+                label: frozenset[int]) -> tuple[ExtAffineElement, ...]:
     """Left-minimal admissible elements at the given level, in canonical
     order: the unsorted set filtered by ``group.left_minimal`` (all of it at
     Iwahori level), then the survivors worded shortest first and sorted by
     ``group.sort_key``, memoised per level on the set.  The key is a total
     order on distinct elements, so this is the filtered ``adm.elements``
-    without wording the rest."""
+    without wording the rest.
+
+    ``label`` is a level as ``parahoric_label`` returns it; it is not
+    validated again."""
     group = adm.group
-    label = parahoric_label(group, nodes)
     got = adm._levels.get(label)
     if got is None:
         kept = group.left_minimal(adm.found, label) if label else list(adm.found)

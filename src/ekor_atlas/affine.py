@@ -195,7 +195,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from ekor_atlas.coxeter import BOND_OF_PRODUCT, CoxeterMatrix
+from ekor_atlas.coxeter import BOND_OF_PRODUCT, CoxeterMatrix, reachable
 from ekor_atlas.lattice import (
     fraction_matrix_inverse,
     identity_matrix,
@@ -741,18 +741,8 @@ class ExtendedAffineWeylGroup:
         key = frozenset(nodes)
         if not self.affine_coxeter.is_finite_parabolic(key):
             raise GroupError(f"parabolic on {sorted(key)} is infinite")
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for i in sorted(key):
-                    y = self.times_simple(x, i)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen, key=self.sort_key))
+        return tuple(sorted(reachable([self.identity], lambda x: [
+            self.times_simple(x, i) for i in key]), key=self.sort_key))
 
     # ----------------------------------------------------- canonical order
 

@@ -7,6 +7,8 @@ connected components and one recogniser of finite types, which answers both
 whether a standard parabolic subgroup is finite and which finite type it
 has.  Diagram automorphisms are node maps kept as plain tuples of images;
 their check ``oracles.check_automorphism`` is for tests only.
+``reachable`` is the engine's one orbit walk: the components here, the
+W-orbit of mu, finite parabolics, twist orbits and root systems.
 
 W_J is finite exactly when every connected component of J is the diagram of
 a finite Coxeter group.  With the bonds above, the classification of finite
@@ -21,7 +23,7 @@ Everything here is immutable and pure, hence safe to share between threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 #: Sentinel for an infinite bond order.  Deliberately not a large integer so
 #: it can never be confused with a finite label.
@@ -42,6 +44,22 @@ _E_ARMS = {(1, 2, 2): ("E", 6), (1, 2, 3): ("E", 7), (1, 2, 4): ("E", 8)}
 
 #: The types of a valid node (``CoxeterMatrix._check_subset``).
 _INT_TYPES = frozenset({int, bool})
+
+_T = TypeVar("_T", bound=Hashable)
+
+
+def reachable(seeds: Iterable[_T], moves: Callable[[_T], Iterable[_T]]) -> list[_T]:
+    """Everything reachable from the seeds by the moves, each once, in
+    breadth-first order: the seeds, a repeated one at its first position,
+    then the new images of each element in the order its moves give them."""
+    out = list(dict.fromkeys(seeds))
+    seen = set(out)
+    for x in out:
+        for y in moves(x):
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
 
 
 class CoxeterError(ValueError):
@@ -100,21 +118,11 @@ class CoxeterMatrix:
     def connected_components(self, J: Optional[Iterable[int]] = None) -> tuple[frozenset[int], ...]:
         """Connected components of the sub-diagram on J, sorted by least node."""
         Jset = self.nodes() if J is None else self._check_subset(J)
-        seen: set[int] = set()
         comps: list[frozenset[int]] = []
         for start in sorted(Jset):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for j in Jset:
-                    if j not in comp and self.rows[i][j] != 2:
-                        comp.add(j)
-                        stack.append(j)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if not any(start in comp for comp in comps):
+                comps.append(frozenset(reachable(
+                    [start], lambda i: [j for j in Jset if self.rows[i][j] != 2])))
         return tuple(comps)
 
     def _finite_label(self, Jset: frozenset[int]) -> Optional[FiniteTypeLabel]:

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from ekor_atlas.admissible import AdmissibleSet, kw_elements, parahoric_label
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
-from ekor_atlas.coxeter import format_finite_type
+from ekor_atlas.coxeter import format_finite_type, reachable
 
 
 class SigmaSupport(NamedTuple):
@@ -34,18 +34,12 @@ class SigmaSupport(NamedTuple):
 def twist_orbits(twist: tuple[int, ...], nodes: frozenset[int]) -> list[frozenset[int]]:
     """Cycles of the node map through the given nodes, ordered by least node.
     The map is a permutation (a length-zero element's node images after
-    sigma's diagram), so every walk returns to its start."""
+    sigma's diagram), so the nodes reachable from one are its cycle."""
     remaining = set(nodes)
     orbits = []
     while remaining:
-        start = min(remaining)
-        orbit = {start}
-        cur = twist[start]
-        while cur != start:
-            orbit.add(cur)
-            cur = twist[cur]
-        remaining -= orbit
-        orbits.append(frozenset(orbit))
+        orbits.append(frozenset(reachable([min(remaining)], lambda s: [twist[s]])))
+        remaining -= orbits[-1]
     return sorted(orbits, key=min)
 
 

@@ -18,7 +18,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from ekor_atlas.coxeter import BOND_OF_PRODUCT, CoxeterMatrix
+from ekor_atlas.coxeter import BOND_OF_PRODUCT, CoxeterMatrix, reachable
 from ekor_atlas.lattice import (
     fraction_matrix_inverse,
     identity_matrix,
@@ -184,20 +184,20 @@ class RootDatum:
         n = self.nsimple
         coroots = {tuple(int(i == j) for j in range(n)): self.coroots_lattice[i]
                    for i in range(n)}
-        frontier = list(coroots)
-        while frontier:
-            new = []
-            for coords in frontier:
-                coroot = coroots[coords]
-                for i, row in enumerate(self.cartan):
-                    p = sum(map(mul, coords, row))
-                    image = coords[:i] + (coords[i] - p,) + coords[i + 1:]
-                    if image not in coroots:
-                        q = vec_dot(self.root_values[i], coroot)
-                        coroots[image] = tuple(
-                            c - q * a for c, a in zip(coroot, self.coroots_lattice[i]))
-                        new.append(image)
-            frontier = new
+
+        def reflect(coords):
+            # the coroot of a root is set once, when the root is first met
+            coroot = coroots[coords]
+            for i, row in enumerate(self.cartan):
+                p = sum(map(mul, coords, row))
+                image = coords[:i] + (coords[i] - p,) + coords[i + 1:]
+                if image not in coroots:
+                    q = vec_dot(self.root_values[i], coroot)
+                    coroots[image] = tuple(
+                        c - q * a for c, a in zip(coroot, self.coroots_lattice[i]))
+                yield image
+
+        reachable(list(coroots), reflect)
 
         positive = [(row_mat(coords, self.root_values), coroot, coords)
                     for coords, coroot in coroots.items() if min(coords) >= 0]

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 from ekor_atlas.admissible import AdmissibleSet, parahoric_label
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
-from ekor_atlas.coxeter import INFINITE_BOND
+from ekor_atlas.coxeter import INFINITE_BOND, CoxeterMatrix
 from ekor_atlas.ekor import StratumRecord
 from ekor_atlas.lattice import mat_vec, row_mat, solve_linear
 from ekor_atlas.oracles import (
@@ -100,6 +100,24 @@ def orbit_closure(twist: Sequence[int], nodes: Iterable[int]) -> frozenset[int]:
         if grown == out:
             return frozenset(out)
         out = grown
+
+
+def components_by_growth(mat: CoxeterMatrix, nodes: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """Components of the sub-diagram on the nodes, each grown from the least
+    node left to a fixed point of adjacency: the reference for
+    ``CoxeterMatrix.connected_components``."""
+    left = set(nodes)
+    comps = []
+    while left:
+        comp = {min(left)}
+        while True:
+            grown = comp | {j for i in comp for j in left if mat.rows[i][j] != 2}
+            if grown == comp:
+                break
+            comp = grown
+        left -= comp
+        comps.append(frozenset(comp))
+    return tuple(comps)
 
 
 def twisted_conjugates(group: ExtendedAffineWeylGroup, x: ExtAffineElement,

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -436,3 +438,15 @@ def test_failure_leaves_stdout_empty(capsys, monkeypatch):
     monkeypatch.setattr(SiegelContext, "report", broken)
     code, out, err = run_cli(capsys, "classify", "--g", "2", "--format", "json")
     assert code == 1 and out == "" and "broken report" in err
+
+
+def test_workflow_commands_parse():
+    """Every ``python -m ekor_atlas`` command of the CI workflow is accepted
+    by the parser, so a renamed flag cannot break a digest step unseen.  A
+    regex, not a YAML parser: CI installs only pytest and hypothesis."""
+    workflow = pathlib.Path(__file__).resolve().parents[1] / ".github/workflows/tier1.yml"
+    text = workflow.read_text()
+    commands = re.findall(r"python -m ekor_atlas ([^|)\n]*)", text)
+    assert commands and len(commands) == text.count("-m ekor_atlas")
+    for command in commands:
+        cli.build_parser().parse_args(shlex.split(command))

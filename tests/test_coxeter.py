@@ -10,6 +10,7 @@ from ekor_atlas.coxeter import (
     CoxeterError,
     CoxeterMatrix,
     format_finite_type,
+    reachable,
 )
 from ekor_atlas.oracles import check_automorphism, coxeter_group_size
 from helpers import orbit_closure
@@ -222,6 +223,17 @@ def test_orbit_closure_properties(mask_a, mask_b):
     assert orbit_closure(flip, closed) == closed
     assert orbit_closure(flip, sub_a | sub_b) == closed | orbit_closure(flip, sub_b)
     assert frozenset(flip[i] for i in closed) == closed
+
+
+def test_reachable():
+    """Each element once, seeds first in their order, then breadth-first:
+    a depth-first walk of this graph from 0 would give 0, 1, 3, 5, 2, 4.
+    Moves back to a seed or to an element already seen add nothing."""
+    moves = {0: [1, 2, 0], 1: [3, 0], 2: [4, 1], 3: [5, 2], 4: [2], 5: [0, 5], 6: [6]}
+    assert reachable([0], moves.__getitem__) == [0, 1, 2, 3, 4, 5]
+    assert reachable([4, 6, 4, 0], moves.__getitem__) == [4, 6, 0, 2, 1, 3, 5]
+    assert reachable([6], moves.__getitem__) == [6]
+    assert reachable([], moves.__getitem__) == []
 
 
 def test_bond_validation():

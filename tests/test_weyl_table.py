@@ -37,6 +37,7 @@ from helpers import (
     build_gl2_unitary,
     build_gl3_twisted,
     build_split_adjoint,
+    components_by_growth,
     product_order,
     root_system_by_solving,
 )
@@ -120,6 +121,18 @@ def test_weyl_orbit_against_dense(name):
     for _ in range(10):
         v = tuple(rng.randint(-2, 2) for _ in range(group.rank))
         assert weyl_orbit(group, v) == sorted({dense.act(w, v) for w in range(len(dense.mats))})
+
+
+@pytest.mark.parametrize("name", sorted(DATA) + ["siegel4"])
+def test_components_against_growth(name):
+    """connected_components, a reachable walk per least unseen node, against
+    components grown to a fixed point of adjacency, on every node subset of
+    the affine diagram."""
+    group = DATA[name]() if name in DATA else siegel_context(int(name[-1])).group
+    mat = group.affine_coxeter
+    for r in range(mat.n + 1):
+        for nodes in itertools.combinations(range(mat.n), r):
+            assert mat.connected_components(nodes) == components_by_growth(mat, nodes), nodes
 
 
 def test_same_elements_same_indices(pair):
