@@ -40,7 +40,8 @@ back to the subword closure.
 The one exception.  A datum outside the theorem (B2 or G2 from a Cartan
 matrix, whose reflections are not permutations, a mu that is not 0/1, or
 simple roots e_(j+1) - e_j ordered against the coordinates) falls back to
-the subword closure ``oracles.admissible_by_subwords``.
+the subword closure ``oracles.admissible_by_subwords``, which is built by
+node products and so forms no general group product either.
 
 The level filter is ``group.left_minimal``, which reads the descent
 verdicts of each translation's row (``affine`` module docstring).

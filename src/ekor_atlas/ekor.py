@@ -12,9 +12,9 @@ sigma-conjugates into itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from ekor_atlas.admissible import AdmissibleSet, kw_elements, parahoric_label
+from ekor_atlas.admissible import AdmissibleSet, kw_elements
 from ekor_atlas.affine import ExtAffineElement, ExtendedAffineWeylGroup
 from ekor_atlas.coxeter import format_finite_type, reachable
 
@@ -133,11 +133,11 @@ class StratumRecord(NamedTuple):
 
 
 def stratum_report(adm: AdmissibleSet,
-                   nodes: Iterable[int]) -> tuple[StratumRecord, ...]:
-    """Classify every stratum of the admissible set at the given level,
+                   label: frozenset[int]) -> tuple[StratumRecord, ...]:
+    """Classify every stratum of the admissible set at a level as
+    ``parahoric_label`` returns it, which is not validated again,
     computing each invariant of a stratum once."""
     group = adm.group
-    label = parahoric_label(group, nodes)
     level = tuple(sorted(label))
     records = []
     for x in kw_elements(adm, label):

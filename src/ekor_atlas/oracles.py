@@ -4,7 +4,10 @@ Everything here is deliberately naive: breadth-first enumeration in a
 reflection representation, subword generation, exhaustive subset scans.
 The fast code must agree with these on small inputs.  The straight-class
 survey of ``atlas check`` (C6) lives here too, and so does the check of
-diagram automorphisms, which only tests call.
+diagram automorphisms, which only tests call.  The subword closure
+``admissible_by_subwords`` is production's fallback outside the vertex
+rule, so it walks by node products; its twin ``admissible_by_right_words``
+keeps the general law, as the other searches here do.
 """
 
 from __future__ import annotations
@@ -207,11 +210,10 @@ def subword_products(group: ExtendedAffineWeylGroup,
     """All products of subwords of one reduced word of y, times its
     length-zero part."""
     rd = group.reduced_word(y)
-    acc = {group.identity}
-    for letter in rd.word:
-        s = group.simple_reflections[letter]
-        acc |= {group.mult(x, s) for x in acc}
-    return frozenset(group.mult(x, rd.omega.element) for x in acc)
+    acc = {rd.omega.element}
+    for letter in reversed(rd.word):
+        acc |= {group.simple_times(letter, x) for x in acc}
+    return frozenset(acc)
 
 
 def bruhat_leq_subword(group: ExtendedAffineWeylGroup, x: ExtAffineElement,

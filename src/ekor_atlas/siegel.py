@@ -111,8 +111,8 @@ class SiegelContext:
             self._adm = admissible_set(self.group, self.mu)
         return self._adm
 
-    def report(self, nodes: Iterable[int]) -> tuple[StratumRecord, ...]:
-        return stratum_report(self.adm(), nodes)
+    def report(self, label: frozenset[int]) -> tuple[StratumRecord, ...]:
+        return stratum_report(self.adm(), label)
 
     def level_nodes(self, spec: str) -> frozenset[int]:
         """Parse a level name: iwahori, hyperspecial, or comma separated nodes."""

@@ -309,6 +309,23 @@ def build_split_adjoint(cartan):
                                              simple_coroots=cartan))
 
 
+def build_gl3_reversed():
+    """GL3 with simple roots e_(i+1) - e_i: permutation reflections, but the
+    base alcove is not the one whose vertices the rule reads (the rule
+    would return seven elements, not all admissible)."""
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    roots = ((-1, 1, 0), (0, -1, 1))
+    return ExtendedAffineWeylGroup(RootDatum(dim=3, basis=basis, simple_roots=roots,
+                                             simple_coroots=roots))
+
+
+def build_d4_adjoint():
+    """Split adjoint D4 (node 1 the branch point): its ambient functionals
+    are the 24 roots, so its reflections are no permutations."""
+    return build_split_adjoint(((2, -1, 0, 0), (-1, 2, -1, -1),
+                                (0, -1, 2, 0), (0, -1, 0, 2)))
+
+
 def build_b2():
     """Type B2 (root 0 long, root 1 short): one bond of order 4."""
     return build_from_cartan(((2, -1), (-2, 2)))
@@ -347,3 +364,15 @@ def record_dict(group: ExtendedAffineWeylGroup, rec: StratumRecord) -> dict:
         "newton": [str(c) for c in rec.newton],
         "dl": dl,
     }
+
+
+def refuse_group_law(monkeypatch) -> None:
+    """Make every general product of the group raise: ``mult`` and ``inv``,
+    and the finite-part ``act``, ``wmul`` and ``winv`` they are built from.
+    Node products (``simple_times``, ``times_simple``, ``conjugate_simple``)
+    stay."""
+    def refuse(*args):
+        raise AssertionError("the group law was called")
+
+    for name in ("mult", "inv", "act", "wmul", "winv"):
+        monkeypatch.setattr(ExtendedAffineWeylGroup, name, refuse)

@@ -19,17 +19,20 @@ from ekor_atlas.oracles import (
     is_left_minimal,
     straight_classes,
 )
-from ekor_atlas.rootdata import RootDatum
 from ekor_atlas.siegel import siegel_context, siegel_datum
 from helpers import (
     build_b2,
+    build_d4_adjoint,
+    build_g2,
     build_gl,
     build_gl2_gl3,
     build_gl2_unitary,
+    build_gl3_reversed,
     double_coset_minima,
     hasse_by_reduction,
     is_right_minimal,
     kw_by_sorting_all,
+    refuse_group_law,
     saturated_set,
     siegel_levels,
 )
@@ -139,26 +142,40 @@ def test_vertex_masks_match_coordinates(g):
         assert ones == sum(0x80 << 8 * r for r, c in enumerate(line) if c < r)
 
 
-def _gl3_reversed():
-    """GL3 with simple roots e_(i+1) - e_i: permutation reflections, but the
-    base alcove is not the one whose vertices the rule reads (the rule
-    would return seven elements, not all admissible)."""
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    roots = ((-1, 1, 0), (0, -1, 1))
-    return ExtendedAffineWeylGroup(RootDatum(dim=3, basis=basis, simple_roots=roots,
-                                             simple_coroots=roots))
+# data outside the vertex rule: builder, cocharacter, size of Adm(mu)
+FALLBACK = {
+    "b2": (build_b2, (1, 1), 19),
+    "g2": (build_g2, (2, 1), 41),
+    "d4_adjoint_w1": (build_d4_adjoint, (1, 0, 0, 0), 115),
+    "gl3_211": (lambda: build_gl(3), (2, 1, 1), 7),
+    "gl3_reversed": (build_gl3_reversed, (0, 0, 1), 7),
+}
 
 
 def test_outside_vertex_rule_falls_back_to_closure():
-    """B2 from its Cartan matrix has non-permutation reflections, a
-    cocharacter that is not 0/1 leaves the theorem, and so do roots ordered
-    against the coordinates."""
-    for group, mu in ((build_b2(), (1, 1)), (build_gl(3), (2, 1, 1)),
-                      (_gl3_reversed(), (0, 0, 1))):
+    """B2 and G2 from their Cartan matrices and split adjoint D4 have
+    non-permutation reflections, a cocharacter that is not 0/1 leaves the
+    theorem, and so do roots ordered against the coordinates.  The closure
+    by node products equals its twin, which forms general products."""
+    for build, mu, size in FALLBACK.values():
+        group = build()
         orbit = weyl_orbit(group, group.datum.to_lattice(mu))
         assert admissible._vertex_rule(group, orbit) is None
         maxima = [group.from_parts(lam, 0) for lam in orbit]
-        assert set(admissible_set(group, mu)) == admissible_by_right_words(group, maxima)
+        found = set(admissible_set(group, mu))
+        assert len(found) == size
+        assert found == admissible_by_right_words(group, maxima)
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK))
+def test_fallback_closure_forms_no_general_product(name, monkeypatch):
+    """On a fresh group with the general law refused, the fallback closure
+    gives the set of an unrefused fresh group, in the same order."""
+    build, mu, _ = FALLBACK[name]
+    want = admissible_set(build(), mu)
+    refuse_group_law(monkeypatch)
+    got = admissible_set(build(), mu)
+    assert got.found == want.found and got.maxima == want.maxima
 
 
 def test_maxima_are_orbit_translations(ctx2):

@@ -17,7 +17,7 @@ from ekor_atlas.cli import main
 from ekor_atlas.ekor import stratum_report
 from ekor_atlas.siegel import SiegelContext, siegel_context, siegel_datum
 from helpers import (build_b2, build_g2, build_gl, build_gl2_restriction, record_dict,
-                     siegel_levels)
+                     refuse_group_law, siegel_levels)
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +153,69 @@ def test_check_runs(capsys):
     assert lines[-1] == "all checks passed"
     assert all(line.startswith("ok: ") for line in lines[:-1])
     assert len(lines) >= 5
+
+
+def _ball_one_too_far(monkeypatch):
+    ball = cli.cayley_ball
+
+    def far(group, radius, omegas):
+        dist = ball(group, radius, omegas)
+        x = next(x for x, r in dist.items() if r)
+        return {**dist, x: dist[x] + 1}
+    monkeypatch.setattr(cli, "cayley_ball", far)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda mp: mp.setattr(cli, "coxeter_group_size", lambda *args, cap: 7),
+     "finite group size 7, expected 8"),
+    (_ball_one_too_far, "but word distance"),
+    (lambda mp: mp.setattr(cli, "bruhat_leq_subword", lambda *args: False),
+     "admissible element fails the subword test"),
+    (lambda mp: mp.setattr(ExtendedAffineWeylGroup, "bruhat_leq", lambda self, x, y: False),
+     "admissible element fails the order test"),
+    # every Newton point is then least only against itself
+    (lambda mp: mp.setattr(ExtendedAffineWeylGroup, "newton_leq", lambda self, a, b: a == b),
+     "no unique basic Newton point"),
+], ids=["order", "length", "subword", "bruhat", "straight_classes"])
+def test_check_fails_on_a_tampered_side(capsys, monkeypatch, tamper, message):
+    """Each check of the battery fails when the oracle or the engine is
+    tampered with: exit 1 and nothing on stdout.  The context is a fresh
+    one, not the cached one."""
+    monkeypatch.setattr(cli, "siegel_context", SiegelContext)
+    tamper(monkeypatch)
+    code, out, err = run_cli(capsys, "check", "--g", "2")
+    assert code == 1 and out == ""
+    assert message in err
+
+
+# ------------------------------------------------- no general products
+
+
+def _strata_argvs(g):
+    """Every command that writes strata, in every format it offers, at the
+    named levels and at one level given by its nodes."""
+    levels = [("--level", level) for level in ("iwahori", "hyperspecial", "0")]
+    for command, fmts, command_levels in (("adm", ("text", "json", "dot"), [()]),
+                                          ("classify", ("text", "json", "dot"), levels),
+                                          ("dl-data", ("text", "json"), levels),
+                                          ("compare", ("text", "json"), levels[:2])):
+        for level in command_levels:
+            for fmt in fmts:
+                yield (command, "--g", str(g)) + level + ("--format", fmt)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_commands_form_no_general_product(capsys, monkeypatch, g):
+    """With mult, inv and the finite-part products they use refused, each
+    command on a fresh context prints the bytes of the cached context
+    unrefused: no command path forms a general group product."""
+    argvs = list(_strata_argvs(g))
+    want = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "siegel_context", SiegelContext)
+    refuse_group_law(monkeypatch)
+    for argv, (code, out, err) in zip(argvs, want):
+        assert code == 0 and out, argv
+        assert run_cli(capsys, *argv) == (code, out, err), argv
 
 
 # ------------------------------------------------------------ exit codes
