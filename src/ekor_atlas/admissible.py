@@ -76,8 +76,12 @@ from ekor_atlas.oracles import admissible_by_subwords
 
 def parahoric_label(group: ExtendedAffineWeylGroup,
                     nodes: Iterable[int]) -> frozenset[int]:
-    """Validate a level: a Frobenius-stable node set with finite group."""
-    label = frozenset(int(i) for i in nodes)
+    """Validate a level: a Frobenius-stable node set of ints with finite
+    group.  A node is kept as given, so 1.7 or "1" is refused, not cast."""
+    label = frozenset(nodes)
+    for i in label:
+        if not isinstance(i, int):
+            raise GroupError(f"node {i!r} is not an integer")
     for i in label:
         if not 0 <= i < group.num_nodes:
             raise GroupError(f"node {i} is out of range")

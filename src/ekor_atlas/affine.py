@@ -94,7 +94,7 @@ three-way and read off l alone: every t^l w has the descent when v > e,
 none has it when v < e, and when v = e exactly those with w^-1 b < 0, that
 is perm(w)[kb] >= N.  The row stores per node kb and a threshold t, 0
 (ALWAYS), N or 256 (NEVER), and the node is a descent iff
-perm(w)[kb] >= t, one byte comparison; ``is_descent``, ``first_descent``
+perm(w)[kb] >= t, one byte comparison; ``first_descent``, ``left_minimal``
 and the walk of ``bruhat_leq`` read nothing else.  The length-difference
 test is kept as ``oracles.descents_by_length``.
 
@@ -463,11 +463,6 @@ class ExtendedAffineWeylGroup:
         _, total, nonneg, _ = self._rows[x.trans]
         inv = int.from_bytes(self._wperm[x.w][:self._npos].translate(self._negative), "little")
         return total + 2 * (inv & nonneg).bit_count() - inv.bit_count()
-
-    def is_descent(self, x: ExtAffineElement, i: int) -> bool:
-        """Whether s_i x is shorter than x, by the verdict of the row."""
-        kb, t = self._rows[x.trans].verdicts[i]
-        return self._wperm[x.w][kb] >= t
 
     def first_descent(self, x: ExtAffineElement) -> Optional[int]:
         """The least left descent of x, from the verdicts of its row and

@@ -217,10 +217,7 @@ def subword_products(group: ExtendedAffineWeylGroup,
 
 
 def bruhat_leq_subword(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
-                       y: ExtAffineElement,
-                       cache: Optional[dict] = None) -> bool:
-    if cache is None:
-        cache = {}
+                       y: ExtAffineElement, cache: dict) -> bool:
     got = cache.get(y)
     if got is None:
         got = cache[y] = subword_products(group, y)

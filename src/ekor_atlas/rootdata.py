@@ -47,16 +47,16 @@ class RootDatum:
     simple_coroots:
         elements of X, listed parallel to ``simple_roots``.
     frobenius:
-        optional d x d integer matrix acting on Z^d and preserving X;
-        identity when omitted.
+        optional d x d integer matrix acting on Z^d and preserving X, the
+        identity when omitted; either way it goes through one check.
     ambient_weyl:
         optional d x d integer matrices, one per simple reflection,
         fixing how reflections act on all of Z^d.  A lattice automorphism
         of X has no preferred extension when X spans a proper subspace, so
         callers that want a specific shape (say, coordinate permutations)
-        must pass it.  Each matrix m is checked to restrict to the
+        must pass it; the default is the formula v - <v, a_i> a_i^vee.
+        Every matrix m, passed or not, is checked to restrict to the
         reflection on X, on the basis: m b_j = b_j - <b_j, a_i> a_i^vee.
-        Without this the reflection formula v - <v, a> a^vee is used.
     """
 
     def __init__(self, dim: int, basis: Sequence[Sequence[int]],
@@ -122,27 +122,27 @@ class RootDatum:
         if not self.finite_coxeter.is_finite_parabolic(self.finite_coxeter.nodes()):
             raise RootDatumError("the Cartan matrix is not of finite type")
 
-        # simple reflections in ambient coordinates
+        # simple reflections in ambient coordinates (class docstring)
         if ambient_weyl is None:
-            self.reflections_ambient = tuple(
-                self._reflection_ambient(self.simple_roots[i], self.simple_coroots[i])
-                for i in range(self.nsimple))
-        else:
-            mats = tuple(tuple(tuple(int(v) for v in row) for row in m)
-                         for m in ambient_weyl)
-            if len(mats) != self.nsimple or any(
-                    len(m) != self.dim or any(len(row) != self.dim for row in m)
-                    for m in mats):
-                raise RootDatumError("need one d x d matrix per simple reflection")
-            for i, (m, coroot) in enumerate(zip(mats, self.simple_coroots)):
-                for b, p in zip(self.basis, self.root_values[i]):
-                    if mat_vec(m, b) != tuple(x - p * y for x, y in zip(b, coroot)):
-                        raise RootDatumError(
-                            f"ambient matrix {i} does not restrict to reflection {i} on X")
-            self.reflections_ambient = mats
+            ambient_weyl = [[[int(r == c) - coroot[r] * root[c] for c in range(self.dim)]
+                             for r in range(self.dim)]
+                            for root, coroot in zip(self.simple_roots, self.simple_coroots)]
+        mats = tuple(tuple(tuple(int(v) for v in row) for row in m)
+                     for m in ambient_weyl)
+        if len(mats) != self.nsimple or any(
+                len(m) != self.dim or any(len(row) != self.dim for row in m)
+                for m in mats):
+            raise RootDatumError("need one d x d matrix per simple reflection")
+        for i, (m, coroot) in enumerate(zip(mats, self.simple_coroots)):
+            for b, p in zip(self.basis, self.root_values[i]):
+                if mat_vec(m, b) != tuple(x - p * y for x, y in zip(b, coroot)):
+                    raise RootDatumError(
+                        f"ambient matrix {i} does not restrict to reflection {i} on X")
+        self.reflections_ambient = mats
 
         self._build_root_system()
-        self._build_frobenius(frobenius)
+        self._build_frobenius(identity_matrix(self.dim) if frobenius is None
+                              else frobenius)
 
     # ---------------------------------------------------------- coordinates
 
@@ -163,10 +163,6 @@ class RootDatum:
     def from_lattice(self, coords: Sequence) -> tuple:
         """Ambient vector with the given lattice coordinates."""
         return tuple(sum(map(mul, coords, col)) for col in zip(*self.basis))
-
-    def _reflection_ambient(self, root, coroot):
-        return tuple(tuple(int(i == j) - coroot[i] * root[j] for j in range(self.dim))
-                     for i in range(self.dim))
 
     # --------------------------------------------------------- root system
 
@@ -210,27 +206,17 @@ class RootDatum:
         self.two_rho = tuple(sum(col) for col in zip(*self.positive_roots)) \
             if positive else (0,) * self.rank
 
-        # highest root per finite component, found by maximal height (the
-        # component's simple roots qualify, so one is found)
+        # highest root per finite component: the positive root of maximal
+        # height supported on it (the component's simple roots qualify)
         self.components = self.finite_coxeter.connected_components()
-        self.theta = []
-        for comp in self.components:
-            best = None
-            for idx, coords in enumerate(self.positive_coords):
-                support = {i for i, c in enumerate(coords) if c != 0}
-                if support <= comp:
-                    if best is None or sum(coords) > sum(self.positive_coords[best]):
-                        best = idx
-            self.theta.append(self.positive_roots[best])
-        self.theta = tuple(self.theta)
+        self.theta = tuple(
+            max((p for p in positive if {i for i, c in enumerate(p[2]) if c} <= comp),
+                key=lambda p: sum(p[2]))[0]
+            for comp in self.components)
 
     # ----------------------------------------------------------- frobenius
 
     def _build_frobenius(self, frobenius):
-        if frobenius is None:
-            self.frobenius_lattice = identity_matrix(self.rank)
-            self.frobenius_order = 1
-            return
         amb = tuple(tuple(int(v) for v in row) for row in frobenius)
         if len(amb) != self.dim or any(len(r) != self.dim for r in amb):
             raise RootDatumError("frobenius must be a d x d integer matrix")

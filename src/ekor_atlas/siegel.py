@@ -55,17 +55,8 @@ def siegel_datum(g: int) -> RootDatum:
         raise GroupError("g must be at least 1")
     d = 2 * g
 
-    def e(*idx):
-        v = [0] * d
-        for i in idx:
-            v[i] += 1
-        return tuple(v)
-
-    def e_minus(i, j):
-        v = [0] * d
-        v[i] = 1
-        v[j] = -1
-        return tuple(v)
+    def vec(plus, minus=()):
+        return tuple((i in plus) - (i in minus) for i in range(d))
 
     def perm_matrix(*swaps):
         perm = list(range(d))
@@ -74,20 +65,12 @@ def siegel_datum(g: int) -> RootDatum:
         return tuple(tuple(int(perm[c] == r) for c in range(d))
                      for r in range(d))
 
-    basis = [e_minus(i, d - 1 - i) for i in range(g)]
-    basis.append(e(*range(g, d)))
-    roots = [e_minus(i, i + 1) for i in range(g)]
-    coroots = []
-    weyl = []
-    for i in range(g - 1):
-        v = [0] * d
-        v[i] = 1
-        v[i + 1] = -1
-        v[d - 2 - i] = 1
-        v[d - 1 - i] = -1
-        coroots.append(tuple(v))
-        weyl.append(perm_matrix((i, i + 1), (d - 2 - i, d - 1 - i)))
-    coroots.append(e_minus(g - 1, g))
+    basis = [vec([i], [d - 1 - i]) for i in range(g)]
+    basis.append(vec(range(g, d)))
+    roots = [vec([i], [i + 1]) for i in range(g)]
+    coroots = [vec([i, d - 2 - i], [i + 1, d - 1 - i]) for i in range(g - 1)]
+    coroots.append(vec([g - 1], [g]))
+    weyl = [perm_matrix((i, i + 1), (d - 2 - i, d - 1 - i)) for i in range(g - 1)]
     weyl.append(perm_matrix((g - 1, g)))
     return RootDatum(dim=d, basis=tuple(basis), simple_roots=tuple(roots),
                      simple_coroots=tuple(coroots), ambient_weyl=tuple(weyl))

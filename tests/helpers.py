@@ -65,8 +65,9 @@ def hasse_by_reduction(group: ExtendedAffineWeylGroup,
 
 
 def left_descents(group: ExtendedAffineWeylGroup, x: ExtAffineElement) -> list[int]:
-    """The left descents of x in node order."""
-    return [i for i in range(group.num_nodes) if group.is_descent(x, i)]
+    """The left descents of x in node order: the nodes i for which x is
+    not left minimal at the level {i}."""
+    return [i for i in range(group.num_nodes) if not group.left_minimal([x], (i,))]
 
 
 def random_descent_word(rng: random.Random, group: ExtendedAffineWeylGroup,
@@ -151,8 +152,7 @@ def dominantize(group: ExtendedAffineWeylGroup, ambient: Sequence):
 def is_right_minimal(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
                      label: frozenset[int]) -> bool:
     """Right descents of x are the left descents of x^-1."""
-    xinv = group.inv(x)
-    return not any(group.is_descent(xinv, i) for i in label)
+    return bool(group.left_minimal([group.inv(x)], label))
 
 
 def kw_by_sorting_all(adm: AdmissibleSet,

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,18 @@ def test_parahoric_label_validation(ctx2, gl3_twisted):
     with pytest.raises(GroupError):
         parahoric_label(gl3_twisted, [1])
     assert parahoric_label(gl3_twisted, [1, 2]) == frozenset({1, 2})
+
+
+@pytest.mark.parametrize("node", [1.7, Fraction(1), "1", 1.0],
+                         ids=["float", "fraction", "string", "integral_float"])
+def test_parahoric_label_refuses_non_integer_nodes(ctx2, node):
+    """A node is kept as given, not cast: 1.7 is not truncated to 1, and
+    a value equal to the int 1 is refused too.  The refusal comes before
+    the range check."""
+    with pytest.raises(GroupError, match=re.escape(f"node {node!r} is not an integer")):
+        parahoric_label(ctx2.group, [node])
+    with pytest.raises(GroupError, match="is not an integer"):
+        parahoric_label(ctx2.group, [node, 99])
 
 
 def test_kw_hyperspecial_g2(ctx2):

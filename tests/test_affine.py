@@ -608,7 +608,7 @@ def test_straightness_matches_definition_random_parts(name):
 
 @pytest.mark.parametrize("name", ["b2", "g2", "gl2_unitary"])
 def test_descent_verdicts_match_length_oracle_random_parts(name):
-    """``is_descent``, ``first_descent`` and ``left_minimal`` read the row
+    """``first_descent`` and ``left_minimal`` read the row
     verdicts; ``descents_by_length`` compares lengths of products.  Short
     roots, an asymmetric Cartan matrix and a nontrivial radical."""
     group = TWIN_DATA[name]()

@@ -168,13 +168,15 @@ def test_test_only_code_is_out_of_src():
     or ambient rows, and no helpers to build or apply them.  Lookups that
     only tests and oracles called are gone: the index of a lattice matrix,
     the node of a reflection, the lattice dominantize, the root sign, the
-    translation by an ambient weight, the list of descents, the basic
-    test of an element, the Frobenius image of an element
-    (``oracles.sigma``) and the per-element left-minimality test
-    (``oracles.is_left_minimal``, twin of ``group.left_minimal``).  The
-    descent rule is derived once, on the group's one row memo keyed by
-    translation: no pairing, length-row, radical or per-element length
-    memo beside it, and no second derivation in ``admissible``."""
+    translation by an ambient weight, the list of descents, the one-node
+    descent test (the verdicts are read by ``first_descent``,
+    ``left_minimal`` and the Bruhat walk), the basic test of an element,
+    the Frobenius image of an element (``oracles.sigma``) and the
+    per-element left-minimality test (``oracles.is_left_minimal``, twin
+    of ``group.left_minimal``).  The descent rule is derived once, on the
+    group's one row memo keyed by translation: no pairing, length-row,
+    radical or per-element length memo beside it, and no second
+    derivation in ``admissible``."""
     from ekor_atlas import admissible, affine, ekor, lattice
     from ekor_atlas.rootdata import RootDatum
     from ekor_atlas.siegel import siegel_context
@@ -192,7 +194,7 @@ def test_test_only_code_is_out_of_src():
     for name in ("_RowProducts", "_sparse", "_dense", "_apply", "_is_permutation"):
         assert not hasattr(affine, name)
     for name in ("weyl_index", "reflection_node", "dominantize_lattice",
-                 "translation", "descents", "sigma"):
+                 "translation", "descents", "sigma", "is_descent"):
         assert not hasattr(affine.ExtendedAffineWeylGroup, name)
     assert not hasattr(ekor, "is_basic_element")
     fresh = affine.ExtendedAffineWeylGroup(group.datum)

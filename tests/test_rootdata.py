@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from ekor_atlas.affine import ExtendedAffineWeylGroup
 from ekor_atlas.coxeter import format_finite_type
-from ekor_atlas.lattice import solve_linear
+from ekor_atlas.lattice import identity_matrix, solve_linear
 from ekor_atlas.rootdata import RootDatum, RootDatumError
 from ekor_atlas.siegel import siegel_datum
-from helpers import build_g2, build_gl2_gl3, build_gl3_twisted
+from helpers import build_g2, build_gl, build_gl2_gl3, build_gl3_twisted
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -208,6 +209,52 @@ def test_ambient_weyl_must_restrict():
                   ambient_weyl=(swap01,) + d.reflections_ambient[1:])
     RootDatum(dim=4, basis=d.basis, simple_roots=d.simple_roots,
               simple_coroots=d.simple_coroots, ambient_weyl=d.reflections_ambient)
+
+
+SINGLE_PATH_DATA = {
+    **{f"siegel{g}": (lambda g=g: siegel_datum(g)) for g in (1, 2, 3)},
+    "gl3": lambda: build_gl(3).datum,
+}
+
+
+def _rebuild(datum, **kwargs):
+    """The same roots, coroots and lattice, with the given optional data."""
+    return RootDatum(dim=datum.dim, basis=datum.basis,
+                     simple_roots=datum.simple_roots,
+                     simple_coroots=datum.simple_coroots, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_PATH_DATA))
+def test_omitted_frobenius_is_the_identity(name):
+    """An omitted Frobenius is the identity matrix on the one checked path:
+    the same lattice matrix, order and diagram twist as the identity
+    passed explicitly."""
+    datum = SINGLE_PATH_DATA[name]()
+    walls = datum.reflections_ambient
+    omitted = _rebuild(datum, ambient_weyl=walls)
+    passed = _rebuild(datum, ambient_weyl=walls,
+                      frobenius=identity_matrix(datum.dim))
+    assert omitted.frobenius_lattice == passed.frobenius_lattice \
+        == identity_matrix(datum.rank)
+    assert omitted.frobenius_order == passed.frobenius_order == 1
+    assert ExtendedAffineWeylGroup(omitted).sigma_diagram \
+        == ExtendedAffineWeylGroup(passed).sigma_diagram \
+        == tuple(range(datum.nsimple + len(datum.components)))
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_PATH_DATA))
+def test_omitted_ambient_weyl_is_the_formula(name):
+    """Omitted ambient reflections are the matrices of v - <v, a_i> a_i^vee
+    on the one checked path: the same as those matrices passed."""
+    datum = SINGLE_PATH_DATA[name]()
+    d = datum.dim
+    formula = tuple(
+        tuple(tuple(int(r == c) - coroot[r] * root[c] for c in range(d))
+              for r in range(d))
+        for root, coroot in zip(datum.simple_roots, datum.simple_coroots))
+    omitted = _rebuild(datum)
+    assert omitted.reflections_ambient == formula
+    assert _rebuild(datum, ambient_weyl=formula).reflections_ambient == formula
 
 
 def test_frobenius_must_permute_coroots():

@@ -159,8 +159,9 @@ def test_action_on_lattice(pair):
 
 
 def test_signs_and_descents(pair):
-    """is_descent against the one-pairing rule evaluated with the dense
-    table's signs, for every w and every translation in {-1, 0, 1}^rank."""
+    """The descent verdicts, read through ``left_minimal`` at one node,
+    against the one-pairing rule evaluated with the dense table's signs,
+    for every w and every translation in {-1, 0, 1}^rank."""
     _, group, dense = pair
     datum = group.datum
     index = datum.positive_roots.index
@@ -177,7 +178,7 @@ def test_signs_and_descents(pair):
                 positive = signs[index(vals if node in group.finite_nodes
                                        else vec_neg(vals))]
                 want = vec_dot(lam, vals) >= (hi if positive else lo)
-                assert group.is_descent(x, node) == want
+                assert (not group.left_minimal([x], (node,))) == want
 
 
 def test_length_against_closed_form(pair):
@@ -204,7 +205,7 @@ def test_wrong_rank_translation_raises(pair):
             group.length(x)
         for node in range(group.num_nodes):
             with pytest.raises(ValueError):
-                group.is_descent(x, node)
+                group.left_minimal([x], (node,))
 
 
 def _ball(group):
