@@ -14,6 +14,9 @@ stage; 7 is not offered) a new process runs, in order:
   that asks for them).  So the stage times the same work as the ``adm``
   stage of BENCH_6.json to BENCH_13.json, and the words and sort do not
   move into ``newton``;
+* ``words``: the group law on the memoised reduced words: every admissible
+  element is rebuilt from its word and length-zero part by
+  ``evaluate_word``, and a mismatch stops the worker with an error;
 * ``newton``: ``newton_vector`` of every admissible element, from an empty
   Newton memo, which is emptied again afterwards so that the report below
   computes its Newton points as it did before this stage existed;
@@ -72,32 +75,37 @@ def measure(g: int) -> dict:
     t3 = clock()
     group = ctx.group
     for x in adm.elements:
-        group.newton_vector(x)
+        rd = group.reduced_word(x)
+        if group.evaluate_word(rd.word, rd.omega) != x:
+            raise SystemExit(f"a reduced word of genus {g} evaluates to another element")
     t4 = clock()
-    group._newton.clear()
+    for x in adm.elements:
+        group.newton_vector(x)
     t5 = clock()
-    report = stratum_report(adm, ctx.iwahori)
+    group._newton.clear()
     t6 = clock()
-    basic = sum(rec.basic for rec in stratum_report(adm, ctx.hyperspecial))
+    report = stratum_report(adm, ctx.iwahori)
     t7 = clock()
+    basic = sum(rec.basic for rec in stratum_report(adm, ctx.hyperspecial))
+    t8 = clock()
     with open(os.devnull, "w", encoding="ascii") as out:
         out.writelines(cli._json_list(cli.record_to_json(group, rec) for rec in report))
     strata = len(report)
     del report  # the command line builds its own: one report alive at a time
-    t8 = clock()
+    t9 = clock()
     code = cli.main(["classify", "--g", str(g), "--level", "iwahori",
                      "--format", "json", "--out", os.devnull])
-    t9 = clock()
+    t10 = clock()
     if code != 0:
         raise SystemExit(f"classify --g {g} exited {code}")
     for x in adm.elements:
         if not any(group.bruhat_leq(x, top) for top in adm.maxima):
             raise SystemExit(f"an admissible element of genus {g} is below no maximum")
-    t10 = clock()
+    t11 = clock()
     stages = {"import": t1 - t0, "context": t2 - t1, "adm": t3 - t2,
-              "newton": t4 - t3, "iwahori_report": t6 - t5,
-              "hyperspecial_report": t7 - t6, "serialization": t8 - t7,
-              "classify_json": t9 - t8, "bruhat": t10 - t9}
+              "words": t4 - t3, "newton": t5 - t4, "iwahori_report": t7 - t6,
+              "hyperspecial_report": t8 - t7, "serialization": t9 - t8,
+              "classify_json": t10 - t9, "bruhat": t11 - t10}
     return {
         "g": g,
         "adm": len(adm),

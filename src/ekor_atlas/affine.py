@@ -19,10 +19,11 @@ whose restrictions span the dual space because the Cartan matrix is
 invertible.  For the same reason the images of the simple roots alone fix
 w; these first nsimple entries are the key of the index.  Hence
 
-* w1 w2 sends k to perm(w2)[perm(w1)[k]], so its key takes one lookup in
-  perm(w2) per simple root, and the table is built breadth-first from the
-  identity by one ``bytes.translate`` per element and simple reflection,
-  in the search order of the dense-matrix oracle ``oracles.DenseWeylTable``;
+* w1 w2 sends k to perm(w2)[perm(w1)[k]], so perm(w1 w2) is perm(w1)
+  translated by the padded perm(w2), one ``bytes.translate``, and so is its
+  key; the table is built breadth-first from the identity by one translate
+  per element and simple reflection, in the search order of the
+  dense-matrix oracle ``oracles.DenseWeylTable``;
 * the key of w^-1 lists the positions of the simple roots in perm(w);
 * w^-1 a is positive for the root number k iff perm(w)[k] < N;
 * row r of the ambient matrix of w is the functional numbered
@@ -117,12 +118,15 @@ rule.  Write the generator of a node as s = t^(-e c^vee) s_c, with c = a_i,
 e = 0 or c = theta, e = 1.
 
 * Left: s t^l w = t^(l - (<l, c> + e) c^vee) s_c w, as s_c l =
-  l - <l, c> c^vee, and <l, c> is one table entry.  The permutation of
-  s_c w sends k to perm(w)[perm(s_c)[k]].
+  l - <l, c> c^vee, and <l, c> is one table entry.  perm(s_c w) is
+  perm(s_c) translated by the padded perm(w), so the key of s_c w is
+  key(s_c) translated alike.  The Bruhat walk carries the translation and
+  this permutation, and reads a table index only at its end.
 * Right: t^l w s = t^(l - e w(c^vee)) w s_c.  w(c^vee) is the coroot of
   the root w c, whose number is the position of the number of c in
-  perm(w), as (w c)(v) = c(w^-1 v).  The key of w s_c is the key of w
-  translated by perm(s_c), one ``bytes.translate``.
+  perm(w), as (w c)(v) = c(w^-1 v).  perm(w s_c) is perm(w) translated by
+  perm(s_c), so a word is one translate of the whole permutation per
+  letter and one table lookup at the end (``times_word``).
 * Conjugate: x = t^l w sends an affine function f to f o x^-1, and
   x^-1 v = w^-1 (v + l), so x(b + k) = w b + (k + <l, w b>).  Since
   (x f)(x v) = f(v), x s_f x^-1 is the reflection in the zero set of x f,
@@ -341,8 +345,7 @@ class ExtendedAffineWeylGroup:
                       for a, p in zip(roots, pairings)])
 
     def wmul(self, i: int, j: int) -> int:
-        return self._windex[bytes(
-            map(self._wperm[j].__getitem__, self._wperm[i][:self._base]))]
+        return self._windex[self._wperm[i][:self._base].translate(_table(self._wperm[j]))]
 
     def winv(self, i: int) -> int:
         return self._windex[bytes(map(self._wperm[i].index, range(self._base)))]
@@ -375,8 +378,8 @@ class ExtendedAffineWeylGroup:
         simple roots, r + j the affine node of component j >= 1.  The affine
         simple root of a node is b + e: a_i + 0 at a finite node, -theta + 1
         at an affine node; c = +-b is the positive one, numbered k.  Sets
-        ``_nodes`` (per node k, e, the key of s_c and the translate table of
-        its permutation), ``simple_reflections`` (t^(-e c^vee) s_c, keyed by
+        ``_nodes`` (per node k, e, perm(s_c) and its translate table),
+        ``simple_reflections`` (t^(-e c^vee) s_c, keyed by
         ``_reflection_perm``) and ``_node_of_root`` (the node of each affine
         root +-(b + e), keyed by the root's number and constant).  Returns sigma
         on the nodes: per node, the node whose wall is sigma(b) + e.  It is a
@@ -398,9 +401,8 @@ class ExtendedAffineWeylGroup:
         nodes, gens = [], []
         self._node_of_root = {}
         for i, (k, e) in enumerate(walls):
-            key = self._reflection_perm(k, self._base)
-            w = self._windex[key]
-            nodes.append((k, e, key, _table(self._wperm[w])))
+            w = self._windex[self._reflection_perm(k, self._base)]
+            nodes.append((k, e, self._wperm[w], _table(self._wperm[w])))
             gens.append(ExtAffineElement(tuple([-e * y for y in self._coroots[k]]), w))
             self._node_of_root[k + e * npos, e] = i
             self._node_of_root[k + (1 - e) * npos, -e] = i
@@ -499,24 +501,35 @@ class ExtendedAffineWeylGroup:
     # ------------------------------------------ products with one node
 
     def simple_times(self, i: int, x: ExtAffineElement) -> ExtAffineElement:
-        """s_i x, from one looked-up pairing (module docstring)."""
-        k, e, key, _ = self._nodes[i]
-        c = self._rows[x.trans].pairs[k] + e
-        trans = x.trans
+        """s_i x: ``_left`` and one table lookup of the key."""
+        trans, perm = self._left(i, x.trans, self._wperm[x.w])
+        return ExtAffineElement(trans, self._windex[perm[:self._base]])
+
+    def _left(self, i: int, trans: tuple, perm: bytes) -> tuple:
+        """s_i t^trans w as its translation and perm(s_i w), from one
+        looked-up pairing and one translate (module docstring)."""
+        k, e, node_perm, _ = self._nodes[i]
+        c = self._rows[trans].pairs[k] + e
         if c:
             trans = tuple([a - c * b for a, b in zip(trans, self._coroots[k])])
-        w = self._windex[bytes(map(self._wperm[x.w].__getitem__, key))]
-        return ExtAffineElement(trans, w)
+        return trans, node_perm.translate(_table(perm))
 
     def times_simple(self, x: ExtAffineElement, i: int) -> ExtAffineElement:
-        """x s_i: one translate for the finite part, and at an affine node
-        one looked-up coroot for the translation (module docstring)."""
-        k, e, _, table = self._nodes[i]
-        perm = self._wperm[x.w]
-        trans = x.trans
-        if e:
-            trans = vec_add(trans, self._coroots[perm.index(k + self._npos)])
-        return ExtAffineElement(trans, self._windex[perm[:self._base].translate(table)])
+        return self.times_word(x, (i,))
+
+    def times_word(self, x: ExtAffineElement, word: Iterable[int]) -> ExtAffineElement:
+        """x s_word[0] s_word[1] ...: the translation and the whole of
+        perm(w) walk the word, one translate per letter and at an affine
+        letter one looked-up coroot; the finite index is looked up once, at
+        the end (module docstring)."""
+        nodes, coroots, npos = self._nodes, self._coroots, self._npos
+        trans, perm = x.trans, self._wperm[x.w]
+        for i in word:
+            k, e, _, table = nodes[i]
+            if e:
+                trans = vec_add(trans, coroots[perm.index(k + npos)])
+            perm = perm.translate(table)
+        return ExtAffineElement(trans, self._windex[perm[:self._base]])
 
     def conjugate_simple(self, x: ExtAffineElement, j: int) -> Optional[int]:
         """The node i with x s_j x^-1 = s_i, or None when that conjugate is
@@ -553,14 +566,11 @@ class ExtendedAffineWeylGroup:
         so j is the preimage of i under omega's node map, which is read
         from ``omega_of`` (memoised), not from the given wrapper."""
         if omega is None:
-            out, back = self.identity, range(self.num_nodes)
-        else:
-            out, back = omega.element, [0] * self.num_nodes
-            for j, i in enumerate(self.omega_of(out).node_images):
-                back[i] = j
-        for i in word:
-            out = self.times_simple(out, back[i])
-        return out
+            return self.times_word(self.identity, word)
+        back = [0] * self.num_nodes
+        for j, i in enumerate(self.omega_of(omega.element).node_images):
+            back[i] = j
+        return self.times_word(omega.element, map(back.__getitem__, word))
 
     def omega_of(self, x: ExtAffineElement) -> OmegaElement:
         return self._omega[x]
@@ -588,22 +598,23 @@ class ExtendedAffineWeylGroup:
         the end x <= y iff x is the length-zero part of y.  A letter
         that is no descent drops the gap l(rest of y) - l(x) by one, and a
         negative gap answers False.  The steps keep the W_a-coset of x, so
-        two cosets need no test.  Only the pair asked is memoised."""
+        two cosets need no test.  x walks as its translation and perm(w),
+        with no table lookup until the end.  Only the pair asked is memoised."""
         x, y = key
         rd = self.reduced_word(y)
         gap = len(rd.word) - self.length(x)
-        rows, wperm = self._rows, self._wperm
-        verdicts, perm = rows[x.trans].verdicts, wperm[x.w]
+        rows, trans, perm = self._rows, x.trans, self._wperm[x.w]
+        verdicts = rows[trans].verdicts
         for i in rd.word:
             if gap < 0:
                 break
             kb, t = verdicts[i]
             if perm[kb] >= t:
-                x = self.simple_times(i, x)
-                verdicts, perm = rows[x.trans].verdicts, wperm[x.w]
+                trans, perm = self._left(i, trans, perm)
+                verdicts = rows[trans].verdicts
             else:
                 gap -= 1
-        return gap >= 0 and x == rd.omega.element
+        return gap >= 0 and (trans, self._windex[perm[:self._base]]) == rd.omega.element
 
     # -------------------------------------------------------- Newton map
 

@@ -165,10 +165,7 @@ class SiegelContext:
 
     def _tau_times(self, word: Iterable[int]) -> ExtAffineElement:
         """tau s_word[0] s_word[1] ..., by right products with one node."""
-        x = self.tau.element
-        for i in word:
-            x = self.group.times_simple(x, i)
-        return x
+        return self.group.times_word(self.tau.element, word)
 
     def canonical_basic_element(self, c: int) -> ExtAffineElement:
         """tau times the sign flips s_g s_(g-1) ... s_(g-c+1)."""

@@ -369,8 +369,9 @@ def record_dict(group: ExtendedAffineWeylGroup, rec: StratumRecord) -> dict:
 def refuse_group_law(monkeypatch) -> None:
     """Make every general product of the group raise: ``mult`` and ``inv``,
     and the finite-part ``act``, ``wmul`` and ``winv`` they are built from.
-    Node products (``simple_times``, ``times_simple``, ``conjugate_simple``)
-    stay."""
+    Node products (``simple_times``, ``times_simple``, ``times_word``,
+    ``conjugate_simple``) and ``evaluate_word``, which is built on
+    ``times_word``, stay."""
     def refuse(*args):
         raise AssertionError("the group law was called")
 

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import pathlib
@@ -6,6 +7,8 @@ import subprocess
 import sys
 import types
 from collections import Counter
+
+import pytest
 
 import ekor_atlas
 
@@ -110,7 +113,7 @@ def test_bench_runs(tmp_path):
     run = json.loads(out.read_text())["runs"]["probe"]
     assert [row["adm"] for row in run["genera"]] == [3, 13]
     assert set(run["genera"][0]["stages_s"]) == {
-        "import", "context", "adm", "newton", "iwahori_report",
+        "import", "context", "adm", "words", "newton", "iwahori_report",
         "hyperspecial_report", "serialization", "classify_json", "bruhat"}
     assert run["genera"][1]["peak_rss_mb"] > 0
 
@@ -125,6 +128,19 @@ def test_bench_needs_out(tmp_path):
     assert done.returncode == 2
     assert "--out" in done.stderr
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bench.py", "scripts"]
+
+
+def test_bench_words_stage_refuses_a_wrong_word(monkeypatch):
+    """The words stage stops the worker when a reduced word evaluates to
+    another element."""
+    from ekor_atlas.affine import ExtendedAffineWeylGroup
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(ExtendedAffineWeylGroup, "evaluate_word",
+                        lambda self, word, omega=None: self.identity)
+    with pytest.raises(SystemExit, match="genus 2 evaluates to another element"):
+        bench.measure(2)
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -9,6 +9,7 @@ its lattice is not the coroot lattice.  The refusal tests pin where a
 byte per functional stops: more than 256 roots, or more than 256 roots
 and ambient functionals together."""
 
+import functools
 import itertools
 import random
 
@@ -278,6 +279,59 @@ def test_node_products_against_mult(pair):
         for i, s in enumerate(group.simple_reflections):
             assert group.simple_times(i, x) == group.mult(s, x)
             assert group.times_simple(x, i) == group.mult(x, s)
+
+
+@pytest.mark.parametrize("name", sorted(DATA) + ["siegel4"])
+def test_times_word_against_group_law(name, monkeypatch):
+    """times_word from seeded start elements along seeded words of length
+    0..20 over every node, against the fold of mult with the generators and
+    the fold of one-letter times_simple; then again on a fresh group with
+    the group law refused."""
+    group = DATA[name]() if name in DATA else siegel_context(int(name[-1])).group
+    rng = random.Random(f"times-word/{name}")
+    cases = []
+    for length in [n for n in range(21) for _ in range(3)]:
+        x = group.from_parts(tuple(rng.randint(-2, 2) for _ in range(group.rank)),
+                             rng.randrange(group.finite_order))
+        word = [rng.randrange(group.num_nodes) for _ in range(length)]
+        by_law = by_letter = x
+        for i in word:
+            by_law = group.mult(by_law, group.simple_reflections[i])
+            by_letter = group.times_simple(by_letter, i)
+        assert group.times_word(x, word) == by_law == by_letter
+        cases.append((x, word, by_law))
+    fresh = ExtendedAffineWeylGroup(group.datum)
+    refuse_group_law(monkeypatch)
+    for x, word, want in cases:
+        assert fresh.times_word(x, iter(word)) == want
+
+
+@pytest.mark.parametrize("name", sorted(DATA) + ["siegel4"])
+def test_evaluate_word_against_group_law(name, monkeypatch):
+    """evaluate_word(word) is the product of the generators, and
+    evaluate_word(word, omega) is that times omega, for every length-zero
+    omega met as the length-zero part of a translation in {-1, 0, 1}^rank
+    and seeded words of length 0..12; then both branches again on a fresh
+    group with the group law refused."""
+    group = DATA[name]() if name in DATA else siegel_context(int(name[-1])).group
+    gens = group.simple_reflections
+    omegas = sorted({group.reduced_word(group.from_parts(lam, 0)).omega
+                     for lam in itertools.product((-1, 0, 1), repeat=group.rank)})
+    rng = random.Random(f"omega-words/{name}")
+    cases = []
+    for omega in omegas:
+        for length in range(0, 13, 3):
+            word = tuple(rng.randrange(group.num_nodes) for _ in range(length))
+            plain = functools.reduce(group.mult, (gens[i] for i in word), group.identity)
+            want = group.mult(plain, omega.element)
+            assert group.evaluate_word(word) == plain
+            assert group.evaluate_word(word, omega) == want
+            cases.append((word, omega, plain, want))
+    fresh = ExtendedAffineWeylGroup(group.datum)
+    refuse_group_law(monkeypatch)
+    for word, omega, plain, want in cases:
+        assert fresh.evaluate_word(iter(word)) == plain
+        assert fresh.evaluate_word(iter(word), omega) == want
 
 
 def test_conjugate_against_mult(pair):
