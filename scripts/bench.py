@@ -125,7 +125,7 @@ def source_digest() -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--max-g", type=int, default=5, choices=range(1, 7))
+    parser.add_argument("--max-g", type=int, default=5, choices=range(1, 8))
     parser.add_argument("--out", help="stage file to add the run to (required)")
     parser.add_argument("--label", default="change")
     parser.add_argument("--worker", type=int, default=None, help=argparse.SUPPRESS)

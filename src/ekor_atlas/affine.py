@@ -121,7 +121,7 @@ e = 0 or c = theta, e = 1.
   l - <l, c> c^vee, and <l, c> is one table entry.  perm(s_c w) is
   perm(s_c) translated by the padded perm(w), so the key of s_c w is
   key(s_c) translated alike.  The Bruhat walk carries the translation and
-  this permutation, and reads a table index only at its end.
+  this permutation, and reads no table index.
 * Right: t^l w s = t^(l - e w(c^vee)) w s_c.  w(c^vee) is the coroot of
   the root w c, whose number is the position of the number of c in
   perm(w), as (w c)(v) = c(w^-1 v).  perm(w s_c) is perm(w) translated by
@@ -565,12 +565,11 @@ class ExtendedAffineWeylGroup:
         to the front: s_i omega = omega s_j where omega s_j omega^-1 = s_i,
         so j is the preimage of i under omega's node map, which is read
         from ``omega_of`` (memoised), not from the given wrapper."""
-        if omega is None:
-            return self.times_word(self.identity, word)
+        x = self.identity if omega is None else omega.element
         back = [0] * self.num_nodes
-        for j, i in enumerate(self.omega_of(omega.element).node_images):
+        for j, i in enumerate(self.omega_of(x).node_images):
             back[i] = j
-        return self.times_word(omega.element, map(back.__getitem__, word))
+        return self.times_word(x, map(back.__getitem__, word))
 
     def omega_of(self, x: ExtAffineElement) -> OmegaElement:
         return self._omega[x]
@@ -598,8 +597,10 @@ class ExtendedAffineWeylGroup:
         the end x <= y iff x is the length-zero part of y.  A letter
         that is no descent drops the gap l(rest of y) - l(x) by one, and a
         negative gap answers False.  The steps keep the W_a-coset of x, so
-        two cosets need no test.  x walks as its translation and perm(w),
-        with no table lookup until the end.  Only the pair asked is memoised."""
+        two cosets need no test.  An end with gap >= 0 has gap = -l(x), so
+        x has length zero and is the length-zero part of y iff the
+        translations agree (their quotient is finite of length zero, so 1).
+        x walks as translation and perm(w).  Only the pair asked is memoised."""
         x, y = key
         rd = self.reduced_word(y)
         gap = len(rd.word) - self.length(x)
@@ -614,7 +615,7 @@ class ExtendedAffineWeylGroup:
                 verdicts = rows[trans].verdicts
             else:
                 gap -= 1
-        return gap >= 0 and (trans, self._windex[perm[:self._base]]) == rd.omega.element
+        return gap >= 0 and trans == rd.omega.element.trans
 
     # -------------------------------------------------------- Newton map
 

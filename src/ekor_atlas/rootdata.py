@@ -229,16 +229,15 @@ class RootDatum:
         inv = fraction_matrix_inverse(self.frobenius_lattice)
         if inv is None or any(f.denominator != 1 for row in inv for f in row):
             raise RootDatumError("frobenius is not an automorphism of X")
-        inv_int = tuple(tuple(int(f) for f in row) for row in inv)
-        # must permute the simple coroots, and the same permutation must
-        # govern the root functionals; as F is injective, a map that sends
-        # each simple coroot to one simple coroot is a permutation
+        # must permute the simple coroots, F c_i = c_j, with r_j o F = r_i on
+        # the root functionals; as F is injective, a map that sends each
+        # simple coroot to one simple coroot is a permutation
         for i in range(self.nsimple):
             target = mat_vec(self.frobenius_lattice, self.coroots_lattice[i])
             matches = [j for j in range(self.nsimple) if self.coroots_lattice[j] == target]
             if len(matches) != 1:
                 raise RootDatumError("frobenius does not permute the simple coroots")
-            if row_mat(self.root_values[i], inv_int) != self.root_values[matches[0]]:
+            if row_mat(self.root_values[matches[0]], self.frobenius_lattice) != self.root_values[i]:
                 raise RootDatumError("frobenius acts inconsistently on roots and coroots")
         power = self.frobenius_lattice
         order = 1

@@ -163,13 +163,9 @@ class SiegelContext:
         g = self.g
         return g * g // 2 if g % 2 == 0 else g * (g - 1) // 2
 
-    def _tau_times(self, word: Iterable[int]) -> ExtAffineElement:
-        """tau s_word[0] s_word[1] ..., by right products with one node."""
-        return self.group.times_word(self.tau.element, word)
-
     def canonical_basic_element(self, c: int) -> ExtAffineElement:
         """tau times the sign flips s_g s_(g-1) ... s_(g-c+1)."""
-        return self._tau_times(range(self.g, self.g - c, -1))
+        return self.group.times_word(self.tau.element, range(self.g, self.g - c, -1))
 
     # ------------------------------------------------------- basic strata
 
@@ -186,7 +182,7 @@ class SiegelContext:
             out.append(EOStratum(
                 label=label,
                 defect=c,
-                element=self._tau_times(word),
+                element=self.group.times_word(self.tau.element, word),
                 dimension=len(word),
             ))
         return tuple(sorted(out, key=lambda s: (s.dimension, s.label)))

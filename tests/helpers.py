@@ -285,6 +285,20 @@ def build_gl2_restriction():
     return ExtendedAffineWeylGroup(datum)
 
 
+def build_gl2_cubic_restriction():
+    """GL2^3 on Z^6 with the Frobenius e1 -> e3 -> e5 -> e1, e2 -> e4 ->
+    e6 -> e2, as for a Weil restriction along a cubic extension: sigma has
+    order 3, so it differs from its inverse on the nodes and on the roots,
+    which no involution tells apart."""
+    basis = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+    roots = ((1, -1, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0), (0, 0, 0, 0, 1, -1))
+    # row i is e_(i - 2 mod 6), so F e_j = e_(j + 2 mod 6)
+    cycle = basis[4:] + basis[:4]
+    datum = RootDatum(dim=6, basis=basis, simple_roots=roots,
+                      simple_coroots=roots, frobenius=cycle)
+    return ExtendedAffineWeylGroup(datum)
+
+
 def build_from_cartan(cartan):
     """Split datum on the coroot lattice: the simple coroots are the
     standard basis of Z^n and root j takes the values cartan[i][j] on them,

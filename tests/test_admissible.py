@@ -6,6 +6,7 @@ import pytest
 
 from ekor_atlas import admissible
 from ekor_atlas.admissible import (
+    AdmissibleSet,
     admissible_set,
     bruhat_hasse_edges,
     kw_elements,
@@ -26,6 +27,7 @@ from helpers import (
     build_d4_adjoint,
     build_g2,
     build_gl,
+    build_gl2_cubic_restriction,
     build_gl2_gl3,
     build_gl2_unitary,
     build_gl3_reversed,
@@ -120,6 +122,14 @@ def test_vertex_rule_matches_closure_gl2_gl3(mu):
 def test_vertex_rule_matches_closure_unitary(mu):
     walk, closure = _walk_and_closure(build_gl2_unitary(), mu)
     assert walk == closure
+
+
+def test_vertex_rule_matches_closure_cubic_restriction():
+    """sigma of order 3 leaves Adm(mu) alone, as it must: 3^3 elements,
+    the product of three GL2 sets of size 3."""
+    walk, closure = _walk_and_closure(build_gl2_cubic_restriction(), (1, 0, 1, 0, 1, 0))
+    assert walk == closure
+    assert len(walk) == 27
 
 
 def test_vertex_rule_count_g6():
@@ -503,6 +513,21 @@ def test_straight_class_counts(g, count):
     classes = straight_classes(siegel_context(g).adm())
     assert len(classes) == count
     assert sum(c.is_basic for c in classes) == 1
+
+
+def test_straight_classes_refusals(ctx1):
+    """Hand-built sets that no admissible set is: one holding only a
+    simple reflection, which is not straight (its square is 1), and one
+    holding only t^(2, 0), whose Newton point lies above mu = (1, 0)."""
+    group = ctx1.group
+    mu = (1, 0)
+    no_straight = AdmissibleSet(group, mu, (group.simple_reflections[0],), ())
+    with pytest.raises(GroupError, match="contains no straight element"):
+        straight_classes(no_straight)
+    high = group.from_parts(group.datum.to_lattice((2, 0)), 0)
+    above = AdmissibleSet(group, mu, (high,), ())
+    with pytest.raises(GroupError, match="exceeds the averaged cocharacter"):
+        straight_classes(above)
 
 
 def test_basic_class_is_newton_least(ctx3):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ekor_atlas.admissible import admissible_set
 from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError, element_label
 from ekor_atlas.lattice import mat_vec, vec_dot
 from ekor_atlas.oracles import (
@@ -24,6 +25,7 @@ from helpers import (
     build_b2,
     build_g2,
     build_gl,
+    build_gl2_cubic_restriction,
     build_gl2_gl3,
     build_gl2_unitary,
     build_gl3_twisted,
@@ -541,6 +543,23 @@ def test_newton_matches_definition_other_data(gl3_twisted):
             assert group.newton_vector(x) == newton_by_definition(group, x)
 
 
+def test_newton_matches_definition_cubic_restriction():
+    """A Frobenius of order 3, where sigma and its inverse differ on the
+    nodes: over Adm(mu) for mu = (1, 0, 1, 0, 1, 0) the Newton points read
+    off sigma's node map agree with twisted powers."""
+    group = build_gl2_cubic_restriction()
+    assert group.datum.frobenius_order == 3
+    assert group.sigma_diagram == (4, 2, 3, 1, 5, 0)
+    adm = admissible_set(group, (1, 0, 1, 0, 1, 0))
+    assert len(adm) == 27
+    points = set()
+    for x in adm:
+        nu = group.newton_vector(x)
+        assert nu == newton_by_definition(group, x)
+        points.add(nu)
+    assert len(points) > 1
+
+
 TWIN_DATA = {
     "gl2_unitary": build_gl2_unitary,
     "gl4_twisted": lambda: build_gl(4, twisted=True),
@@ -548,6 +567,7 @@ TWIN_DATA = {
     "b2": build_b2,
     "g2": build_g2,
     "gl2_gl3": build_gl2_gl3,
+    "gl2_cubic": build_gl2_cubic_restriction,
     "siegel1": lambda: siegel_context(1).group,
     "siegel2": lambda: siegel_context(2).group,
     "siegel3": lambda: siegel_context(3).group,

@@ -237,6 +237,8 @@ def test_reachable():
 
 
 def test_bond_validation():
+    with pytest.raises(CoxeterError, match="matrix must be square"):
+        CoxeterMatrix([[1, 2], [2]])
     with pytest.raises(CoxeterError):
         CoxeterMatrix([[1, 5], [5, 1]])
     with pytest.raises(CoxeterError):

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from ekor_atlas import ekor
-from ekor_atlas.admissible import kw_elements, parahoric_label
+from ekor_atlas.admissible import admissible_set, kw_elements, parahoric_label
 from ekor_atlas.affine import GroupError, element_label
 from ekor_atlas.cli import record_to_json
 from ekor_atlas.coxeter import CoxeterError
@@ -22,6 +22,7 @@ from ekor_atlas.ekor import (
 from ekor_atlas.oracles import brute_stable_subset, cayley_ball
 from ekor_atlas.siegel import siegel_context
 from helpers import (
+    build_gl2_cubic_restriction,
     build_gl2_restriction,
     build_gl3_twisted,
     orbit_closure,
@@ -237,6 +238,33 @@ def test_stable_subset_matches_brute_force_twisted(gl3_twisted):
             found.add(got)
         # every subset of the level occurs as a stable subset on the ball
         assert len(found) == 2 ** len(nodes)
+
+
+def test_stable_subset_matches_brute_force_cubic_restriction():
+    """The three sigma-stable levels of GL2^3 with sigma of order 3, on
+    Adm(mu) and on a ball around three length-zero elements.  sigma moves
+    every node to another factor and no length-zero element moves the
+    factors, so a stable subset is empty or the whole level."""
+    group = build_gl2_cubic_restriction()
+    mu = (1, 0, 1, 0, 1, 0)
+    seeds = [group.identity, group.length_zero_element((1, 0, 0, 0, 0, 0)).element,
+             group.length_zero_element(mu).element]
+    elements = set(admissible_set(group, mu)) | set(cayley_ball(group, 3, seeds))
+    levels = []
+    for mask in range(1 << group.num_nodes):
+        nodes = frozenset(i for i in range(group.num_nodes) if mask >> i & 1)
+        try:
+            levels.append(parahoric_label(group, nodes))
+        except GroupError:
+            pass
+    assert levels == [frozenset(), frozenset({1, 2, 3}), frozenset({0, 4, 5})]
+    for nodes in levels:
+        found = set()
+        for x in elements:
+            got = stable_level_subset(group, x, nodes)
+            assert got == brute_stable_subset(group, x, nodes)
+            found.add(got)
+        assert found == {frozenset(), nodes}
 
 
 def test_stable_subset_of_identity(ctx2):

@@ -21,6 +21,7 @@ from ekor_atlas.affine import ExtendedAffineWeylGroup, GroupError
 from ekor_atlas.lattice import identity_matrix, row_mat, vec_dot, vec_neg
 from ekor_atlas.oracles import (
     DenseWeylTable,
+    bruhat_leq_subword,
     cayley_ball,
     check_automorphism,
     reflection_matrices,
@@ -33,6 +34,7 @@ from helpers import (
     build_b2,
     build_from_cartan,
     build_g2,
+    build_gl2_cubic_restriction,
     build_gl2_gl3,
     build_gl2_restriction,
     build_gl2_unitary,
@@ -63,13 +65,14 @@ DATA = {
     "gl2_gl3": build_gl2_gl3,
     "gl2_unitary": build_gl2_unitary,
     "gl2_restriction": build_gl2_restriction,
+    "gl2_cubic": build_gl2_cubic_restriction,
     "b2": build_b2,
     "g2": build_g2,
     "c3_adjoint": lambda: build_split_adjoint(_cartan_c(3)),
 }
 ORDERS = {"siegel1": 2, "siegel2": 8, "siegel3": 48, "gl3_twisted": 6,
-          "gl2_gl3": 12, "gl2_unitary": 2, "gl2_restriction": 4, "b2": 8,
-          "g2": 12, "c3_adjoint": 48}
+          "gl2_gl3": 12, "gl2_unitary": 2, "gl2_restriction": 4, "gl2_cubic": 8,
+          "b2": 8, "g2": 12, "c3_adjoint": 48}
 
 
 @pytest.fixture(scope="module", params=sorted(DATA))
@@ -332,6 +335,30 @@ def test_evaluate_word_against_group_law(name, monkeypatch):
     for word, omega, plain, want in cases:
         assert fresh.evaluate_word(iter(word)) == plain
         assert fresh.evaluate_word(iter(word), omega) == want
+
+
+@pytest.mark.parametrize("name", sorted(set(DATA) - {"b2", "g2"}))
+def test_bruhat_across_length_zero_cosets(name):
+    """On data whose Omega is more than 1 (Z/2 for c3_adjoint, Z or Z^k
+    for the others): the length-zero parts of the translations in
+    {-1, 0, 1}^rank have distinct translations, which is what lets the
+    Bruhat walk end on a translation, and the walk answers as the subword
+    oracle on all pairs of the radius-3 ball around four of them, where
+    most pairs lie in different cosets of the affine Weyl group."""
+    group = DATA[name]()
+    omegas = sorted({group.reduced_word(group.from_parts(lam, 0)).omega.element
+                     for lam in itertools.product((-1, 0, 1), repeat=group.rank)})
+    assert len(omegas) > 1
+    assert len({omega.trans for omega in omegas}) == len(omegas)
+    ball = list(cayley_ball(group, 3, omegas[:4]))
+    cache = {}
+    found = set()
+    for x in ball:
+        for y in ball:
+            leq = group.bruhat_leq(x, y)
+            assert leq == bruhat_leq_subword(group, x, y, cache)
+            found.add((leq, group.length(x) <= group.length(y)))
+    assert found == {(False, False), (False, True), (True, True)}
 
 
 def test_conjugate_against_mult(pair):
