@@ -3,7 +3,9 @@
     python3 scripts/bench.py --out BENCH_N.json [--max-g 5] [--label change]
 
 For each genus 1..max-g (6 adds about 25 s, most of it in its ``bruhat``
-stage; 7 is not offered) a new process runs, in order:
+stage; 7 adds about 7.5 minutes and a 2.5 GB peak on a 2-vCPU host, about
+6 of those minutes in ``bruhat``, whose memo keeps every pair asked) a new
+process runs, in order:
 
 * ``import``: importing the engine's command line module, which imports
   every engine module;
