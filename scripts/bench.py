@@ -2,10 +2,9 @@
 
     python3 scripts/bench.py --out BENCH_N.json [--max-g 5] [--label change]
 
-For each genus 1..max-g (6 adds about 25 s, most of it in its ``bruhat``
-stage; 7 adds about 7.5 minutes and a 2.5 GB peak on a 2-vCPU host, about
-6 of those minutes in ``bruhat``, whose memo keeps every pair asked) a new
-process runs, in order:
+For each genus 1..max-g (6 adds about 15 s, most of it in its ``bruhat``
+stage; 7 adds about 7 minutes and a 770 MB peak on a 2-vCPU host, about
+5.5 of those minutes in ``bruhat``) a new process runs, in order:
 
 * ``import``: importing the engine's command line module, which imports
   every engine module;
@@ -16,6 +15,10 @@ process runs, in order:
   that asks for them).  So the stage times the same work as the ``adm``
   stage of BENCH_6.json to BENCH_13.json, and the words and sort do not
   move into ``newton``;
+* ``kw``: the level filter ``group.left_minimal`` over the unsorted set at
+  hyperspecial level and at the level {0}, which is valid for every
+  genus.  It reads the rows the ``adm`` stage built and fills no memo, so
+  the report stages below time what they timed before it existed;
 * ``words``: the group law on the memoised reduced words: every admissible
   element is rebuilt from its word and length-zero part by
   ``evaluate_word``, and a mismatch stops the worker with an error;
@@ -32,8 +35,9 @@ process runs, in order:
   and the admissible set are cached by then, so this is the Iwahori report
   again plus its serialization;
 * ``bruhat``: every admissible element compared with ``adm.maxima`` in
-  turn until the first one above it, as ``atlas check`` does, from an
-  empty Bruhat memo.
+  turn until the first one above it, as ``atlas check`` does.  One pass
+  asks no pair twice, so the Bruhat memo is emptied after each element and
+  never holds more than its 2^g pairs.
 
 Times are wall-clock seconds (``time.perf_counter``) on whatever machine
 runs the script; ``peak_rss_mb`` is the process's ``ru_maxrss``, which
@@ -76,6 +80,9 @@ def measure(g: int) -> dict:
     adm.elements
     t3 = clock()
     group = ctx.group
+    for label in (ctx.hyperspecial, frozenset({0})):
+        group.left_minimal(adm.found, label)
+    t3k = clock()
     for x in adm.elements:
         rd = group.reduced_word(x)
         if group.evaluate_word(rd.word, rd.omega) != x:
@@ -103,9 +110,11 @@ def measure(g: int) -> dict:
     for x in adm.elements:
         if not any(group.bruhat_leq(x, top) for top in adm.maxima):
             raise SystemExit(f"an admissible element of genus {g} is below no maximum")
+        group._bruhat.clear()
     t11 = clock()
     stages = {"import": t1 - t0, "context": t2 - t1, "adm": t3 - t2,
-              "words": t4 - t3, "newton": t5 - t4, "iwahori_report": t7 - t6,
+              "kw": t3k - t3, "words": t4 - t3k, "newton": t5 - t4,
+              "iwahori_report": t7 - t6,
               "hyperspecial_report": t8 - t7, "serialization": t9 - t8,
               "classify_json": t10 - t9, "bruhat": t11 - t10}
     return {

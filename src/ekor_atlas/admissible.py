@@ -48,10 +48,9 @@ verdicts of each translation's row (``affine`` module docstring).
 
 The canonical order.  ``admissible_set`` keeps the elements unsorted, as
 found, with no length, reduced word or sort key.  ``kw_elements`` filters
-them by ``group.left_minimal`` (not at Iwahori level, which keeps all),
-words the survivors shortest first, sorts them by ``group.sort_key`` and
-memoises the result per level on the set; ``AdmissibleSet.elements`` is
-its Iwahori level, where all survive.  The key
+them by ``group.left_minimal``, words the survivors shortest first, sorts
+them by ``group.sort_key`` and memoises the result per level on the set;
+``AdmissibleSet.elements`` is its Iwahori level, where all survive.  The key
 (length, reduced word, translation of the length-zero part) is a total
 order on distinct elements, since the word and the length-zero part
 determine x, so this is exactly the filtered sorted set.  At hyperspecial
@@ -199,18 +198,18 @@ def _vertex_masks(group: ExtendedAffineWeylGroup) -> Iterator[tuple[int, int]]:
 def kw_elements(adm: AdmissibleSet,
                 label: frozenset[int]) -> tuple[ExtAffineElement, ...]:
     """Left-minimal admissible elements at the given level, in canonical
-    order: the unsorted set filtered by ``group.left_minimal`` (all of it at
-    Iwahori level), then the survivors worded shortest first and sorted by
-    ``group.sort_key``, memoised per level on the set.  The key is a total
-    order on distinct elements, so this is the filtered ``adm.elements``
-    without wording the rest.
+    order: the unsorted set filtered by ``group.left_minimal``, then the
+    survivors worded shortest first and sorted by ``group.sort_key``,
+    memoised per level on the set.  The key is a total order on distinct
+    elements, so this is the filtered ``adm.elements`` without wording the
+    rest.
 
     ``label`` is a level as ``parahoric_label`` returns it; it is not
     validated again."""
     group = adm.group
     got = adm._levels.get(label)
     if got is None:
-        kept = group.left_minimal(adm.found, label) if label else list(adm.found)
+        kept = group.left_minimal(adm.found, label)
         # shortest first, so a word whose greedy tail was worded already
         # stops there and reuses it
         kept.sort(key=group.length)

@@ -100,12 +100,9 @@ and the walk of ``bruhat_leq`` read nothing else.  The length-difference
 test is kept as ``oracles.descents_by_length``.
 
 The level filter ``left_minimal`` keeps the elements with no left descent
-at a node of the level, deciding the level once per translation from
-these verdicts: a translation with an ALWAYS node is dropped, NEVER nodes
-need no test, and only the other nodes read a byte of perm(w).  The
-Siegel Adm(mu) has 2^g translations, so at g = 5 the 6,331 elements need
-32 verdicts; at hyperspecial level 31 of them drop the translation
-outright.
+at a node of the level: per element, one byte comparison per node of the
+level, stopping at the first descent, as in ``first_descent``.  The
+Iwahori level has no node, so it keeps every element.
 
 Products with one generator, and conjugates of generators, are root
 lookups as well.  Let t^l w act on V = X (x) R by v -> w v - l, which
@@ -478,24 +475,20 @@ class ExtendedAffineWeylGroup:
     def left_minimal(self, elements: Iterable[ExtAffineElement],
                      label: Iterable[int]) -> list[ExtAffineElement]:
         """The elements with no left descent in the label, in the given
-        order.  The level is decided once per translation (module
-        docstring): only an undecided node reads a byte of perm(w).
+        order, read as ``first_descent`` reads them: the verdicts of the
+        row at the label's nodes against perm(w).
         ``oracles.is_left_minimal`` is the per-element twin."""
         nodes = sorted(label)
-        npos, rows, wperm = self._npos, self._rows, self._wperm
-        tests_of: dict = {}
+        rows, wperm = self._rows, self._wperm
         out = []
         for x in elements:
-            if x.trans not in tests_of:
-                verdicts = rows[x.trans].verdicts
-                level = [verdicts[i] for i in nodes]
-                tests_of[x.trans] = (None if any(t == ALWAYS for _, t in level)
-                                     else [kb for kb, t in level if t == npos])
-            tests = tests_of[x.trans]
-            if tests is not None:
-                perm = wperm[x.w]
-                if all(perm[kb] < npos for kb in tests):
-                    out.append(x)
+            perm, verdicts = wperm[x.w], rows[x.trans].verdicts
+            for i in nodes:
+                kb, t = verdicts[i]
+                if perm[kb] >= t:
+                    break
+            else:
+                out.append(x)
         return out
 
     # ------------------------------------------ products with one node

@@ -626,11 +626,12 @@ def test_straightness_matches_definition_random_parts(name):
     assert seen == {False, True}
 
 
-@pytest.mark.parametrize("name", ["b2", "g2", "gl2_unitary"])
+@pytest.mark.parametrize("name", ["b2", "g2", "gl2_cubic", "gl2_unitary", "gl5_twisted"])
 def test_descent_verdicts_match_length_oracle_random_parts(name):
     """``first_descent`` and ``left_minimal`` read the row
     verdicts; ``descents_by_length`` compares lengths of products.  Short
-    roots, an asymmetric Cartan matrix and a nontrivial radical."""
+    roots, an asymmetric Cartan matrix, a nontrivial radical, a Frobenius
+    of order 3 and a twisted A4; every level, the empty one included."""
     group = TWIN_DATA[name]()
     elements = _random_parts(group, 150, 71)
     descents = [descents_by_length(group, x) for x in elements]

@@ -113,7 +113,7 @@ def test_bench_runs(tmp_path):
     run = json.loads(out.read_text())["runs"]["probe"]
     assert [row["adm"] for row in run["genera"]] == [3, 13]
     assert set(run["genera"][0]["stages_s"]) == {
-        "import", "context", "adm", "words", "newton", "iwahori_report",
+        "import", "context", "adm", "kw", "words", "newton", "iwahori_report",
         "hyperspecial_report", "serialization", "classify_json", "bruhat"}
     assert run["genera"][1]["peak_rss_mb"] > 0
 
@@ -130,17 +130,30 @@ def test_bench_needs_out(tmp_path):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bench.py", "scripts"]
 
 
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
 def test_bench_words_stage_refuses_a_wrong_word(monkeypatch):
     """The words stage stops the worker when a reduced word evaluates to
     another element."""
     from ekor_atlas.affine import ExtendedAffineWeylGroup
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = load_bench()
     monkeypatch.setattr(ExtendedAffineWeylGroup, "evaluate_word",
                         lambda self, word, omega=None: self.identity)
     with pytest.raises(SystemExit, match="genus 2 evaluates to another element"):
         bench.measure(2)
+
+
+def test_bench_bruhat_stage_empties_the_memo():
+    """The bruhat stage empties the Bruhat memo after each element, so it
+    holds at most one pair per maximum and ends empty."""
+    from ekor_atlas.siegel import siegel_context
+    load_bench().measure(2)
+    assert not siegel_context(2).group._bruhat
 
 
 def test_cli_import_loads_no_dataclasses():
