@@ -11,10 +11,11 @@ stage; 7 adds about 7 minutes and a 770 MB peak on a 2-vCPU host, about
 * ``context``: ``siegel_context(g)``, the finite Weyl table and generators;
 * ``adm``: the admissible set and its canonical order: ``admissible_set``
   (the vertex rule) and then ``adm.elements`` (the reduced words and sort
-  of the whole set, which ``admissible_set`` leaves to the first level
-  that asks for them).  So the stage times the same work as the ``adm``
-  stage of BENCH_6.json to BENCH_13.json, and the words and sort do not
-  move into ``newton``;
+  of the whole set, which ``admissible_set`` leaves to ``kw_elements``).
+  The set keeps no sorted copy, so the order is read here once and the
+  ``words``, ``newton`` and ``bruhat`` stages iterate that tuple.  So the
+  stage times the same work as the ``adm`` stage of BENCH_6.json to
+  BENCH_13.json, and the words and sort do not move into ``newton``;
 * ``kw``: the level filter ``group.left_minimal`` over the unsorted set at
   hyperspecial level and at the level {0}, which is valid for every
   genus.  It reads the rows the ``adm`` stage built and fills no memo, so
@@ -77,18 +78,18 @@ def measure(g: int) -> dict:
     ctx = siegel_context(g)
     t2 = clock()
     adm = ctx.adm()
-    adm.elements
+    elements = adm.elements
     t3 = clock()
     group = ctx.group
     for label in (ctx.hyperspecial, frozenset({0})):
         group.left_minimal(adm.found, label)
     t3k = clock()
-    for x in adm.elements:
+    for x in elements:
         rd = group.reduced_word(x)
         if group.evaluate_word(rd.word, rd.omega) != x:
             raise SystemExit(f"a reduced word of genus {g} evaluates to another element")
     t4 = clock()
-    for x in adm.elements:
+    for x in elements:
         group.newton_vector(x)
     t5 = clock()
     group._newton.clear()
@@ -107,7 +108,7 @@ def measure(g: int) -> dict:
     t10 = clock()
     if code != 0:
         raise SystemExit(f"classify --g {g} exited {code}")
-    for x in adm.elements:
+    for x in elements:
         if not any(group.bruhat_leq(x, top) for top in adm.maxima):
             raise SystemExit(f"an admissible element of genus {g} is below no maximum")
         group._bruhat.clear()

@@ -48,8 +48,8 @@ verdicts of each translation's row (``affine`` module docstring).
 
 The canonical order.  ``admissible_set`` keeps the elements unsorted, as
 found, with no length, reduced word or sort key.  ``kw_elements`` filters
-them by ``group.left_minimal``, words the survivors shortest first, sorts
-them by ``group.sort_key`` and memoises the result per level on the set;
+them by ``group.left_minimal``, words the survivors shortest first and
+sorts them by ``group.sort_key`` on every call, keeping nothing on the set;
 ``AdmissibleSet.elements`` is its Iwahori level, where all survive.  The key
 (length, reduced word, translation of the length-zero part) is a total
 order on distinct elements, since the word and the length-zero part
@@ -76,10 +76,11 @@ from ekor_atlas.oracles import admissible_by_subwords
 def parahoric_label(group: ExtendedAffineWeylGroup,
                     nodes: Iterable[int]) -> frozenset[int]:
     """Validate a level: a Frobenius-stable node set of ints with finite
-    group.  A node is kept as given, so 1.7 or "1" is refused, not cast."""
+    group.  A node is kept as given, so 1.7, "1" or True is refused, not
+    cast."""
     label = frozenset(nodes)
     for i in label:
-        if not isinstance(i, int):
+        if type(i) is not int:
             raise GroupError(f"node {i!r} is not an integer")
     for i in label:
         if not 0 <= i < group.num_nodes:
@@ -96,7 +97,7 @@ class AdmissibleSet:
 
     ``len`` and iteration read the elements unsorted, as found;
     ``elements`` is the whole set in canonical order, the Iwahori level of
-    ``kw_elements``, worded and sorted on first use (module docstring)."""
+    ``kw_elements``, worded and sorted on each read (module docstring)."""
 
     def __init__(self, group: ExtendedAffineWeylGroup, mu: tuple[int, ...],
                  found: tuple[ExtAffineElement, ...],
@@ -105,7 +106,6 @@ class AdmissibleSet:
         self.mu = mu
         self.found = found
         self.maxima = maxima
-        self._levels: dict[frozenset[int], tuple[ExtAffineElement, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.found)
@@ -199,25 +199,21 @@ def kw_elements(adm: AdmissibleSet,
                 label: frozenset[int]) -> tuple[ExtAffineElement, ...]:
     """Left-minimal admissible elements at the given level, in canonical
     order: the unsorted set filtered by ``group.left_minimal``, then the
-    survivors worded shortest first and sorted by ``group.sort_key``,
-    memoised per level on the set.  The key is a total order on distinct
-    elements, so this is the filtered ``adm.elements`` without wording the
-    rest.
+    survivors worded shortest first and sorted by ``group.sort_key``.  The
+    key is a total order on distinct elements, so this is the filtered
+    ``adm.elements`` without wording the rest.
 
     ``label`` is a level as ``parahoric_label`` returns it; it is not
     validated again."""
     group = adm.group
-    got = adm._levels.get(label)
-    if got is None:
-        kept = group.left_minimal(adm.found, label)
-        # shortest first, so a word whose greedy tail was worded already
-        # stops there and reuses it
-        kept.sort(key=group.length)
-        for x in kept:
-            group.reduced_word(x)
-        kept.sort(key=group.sort_key)
-        got = adm._levels[label] = tuple(kept)
-    return got
+    kept = group.left_minimal(adm.found, label)
+    # shortest first, so a word whose greedy tail was worded already stops
+    # there and reuses it
+    kept.sort(key=group.length)
+    for x in kept:
+        group.reduced_word(x)
+    kept.sort(key=group.sort_key)
+    return tuple(kept)
 
 
 def bruhat_hasse_edges(group: ExtendedAffineWeylGroup,

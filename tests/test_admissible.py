@@ -242,8 +242,8 @@ def test_parahoric_label_validation(ctx2, gl3_twisted):
     assert parahoric_label(gl3_twisted, [1, 2]) == frozenset({1, 2})
 
 
-@pytest.mark.parametrize("node", [1.7, Fraction(1), "1", 1.0],
-                         ids=["float", "fraction", "string", "integral_float"])
+@pytest.mark.parametrize("node", [1.7, Fraction(1), "1", 1.0, True],
+                         ids=["float", "fraction", "string", "integral_float", "bool"])
 def test_parahoric_label_refuses_non_integer_nodes(ctx2, node):
     """A node is kept as given, not cast: 1.7 is not truncated to 1, and
     a value equal to the int 1 is refused too.  The refusal comes before

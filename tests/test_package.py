@@ -205,7 +205,8 @@ def test_test_only_code_is_out_of_src():
     of ``group.left_minimal``).  The descent rule is derived once, on the
     group's one row memo keyed by translation: no pairing, length-row,
     radical or per-element length memo beside it, and no second
-    derivation in ``admissible``."""
+    derivation in ``admissible``.  The admissible set keeps no per-level
+    memo: ``kw_elements`` words and sorts on every call."""
     from ekor_atlas import admissible, affine, ekor, lattice
     from ekor_atlas.rootdata import RootDatum
     from ekor_atlas.siegel import siegel_context
@@ -233,3 +234,4 @@ def test_test_only_code_is_out_of_src():
     for name in ("root_sign", "_positive_index"):
         assert not hasattr(RootDatum, name)
         assert not hasattr(group.datum, name)
+    assert not hasattr(siegel_context(1).adm(), "_levels")
