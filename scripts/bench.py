@@ -12,10 +12,10 @@ stage; 7 adds about 7 minutes and a 770 MB peak on a 2-vCPU host, about
 * ``adm``: the admissible set and its canonical order: ``admissible_set``
   (the vertex rule) and then ``adm.elements`` (the reduced words and sort
   of the whole set, which ``admissible_set`` leaves to ``kw_elements``).
+  So the stage times the same work as the ``adm`` stage of BENCH_6.json
+  to BENCH_13.json, and the words and sort do not move into ``newton``.
   The set keeps no sorted copy, so the order is read here once and the
-  ``words``, ``newton`` and ``bruhat`` stages iterate that tuple.  So the
-  stage times the same work as the ``adm`` stage of BENCH_6.json to
-  BENCH_13.json, and the words and sort do not move into ``newton``;
+  ``words``, ``newton`` and ``bruhat`` stages iterate that tuple;
 * ``kw``: the level filter ``group.left_minimal`` over the unsorted set at
   hyperspecial level and at the level {0}, which is valid for every
   genus.  It reads the rows the ``adm`` stage built and fills no memo, so
