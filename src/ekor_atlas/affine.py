@@ -160,8 +160,10 @@ and phi(m) = (n / f) sum_(k<f) phi(sigma^k l), one dot product per phi.
 The simple roots and the phi are a basis of the rational dual of X:
 evaluating a relation sum c_j a_j + sum d phi = 0 on the coroots gives
 c = 0, as the Cartan matrix is invertible, and then d = 0.  So the key
-(n, <m, a_j>_j, phi(m)) names m.  The same basis gives ``act``:
-<w v, a_j> = <v, root perm(w)[a_j]> and phi(w v) = phi(v).
+names m: one flat tuple (n, <m, a_1>, ..., <m, a_r>, phi_1(m), ...) of
+ints, which the Newton map splits after its first r + 1 entries.  The same
+basis gives ``act``: <w v, a_j> = <v, root perm(w)[a_j]> and
+phi(w v) = phi(v).
 
 The Newton point is nu = m / n, and <m, a> and <nu, a> have the same sign
 for n > 0, so dominantizing m picks the same reflections as dominantizing
@@ -183,9 +185,14 @@ table is a ``_Memo``, a dict that builds a missed key, so a lookup is the
 whole accessor.  Lengths are not memoised: two popcounts on the row are
 about as cheap as a lookup.  An element is the pair (translation, finite
 index) and is its own memo key; a comparison is keyed by its pair of
-elements, a Newton point by its ``_newton_key``.  The caches are only
-ever extended with values that any thread would recompute identically,
-so concurrent readers are safe.
+elements, a Newton point by its ``_newton_key``.  A reduced word is
+``bytes``, one letter per byte: there are r + (number of components)
+<= 2r <= 2N nodes, and a datum with more than 256 roots is refused, so
+every node number is below 256.  A word then takes 33 bytes plus one per
+letter where a tuple takes 40 plus eight, and byte order is tuple order,
+so the canonical sort compares two words with one memcmp.  The caches are
+only ever extended with values that any thread would recompute
+identically, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -255,9 +262,10 @@ class _Row(NamedTuple):
 
 
 class ReducedDecomposition(NamedTuple):
-    """A reduced word in node letters and the residual length-zero factor."""
+    """A reduced word in node letters, one byte per node number (module
+    docstring), and the residual length-zero factor."""
 
-    word: tuple[int, ...]
+    word: bytes
     omega: OmegaElement
 
 
@@ -549,8 +557,8 @@ class ExtendedAffineWeylGroup:
             y = self.simple_times(i, y)
             tail = self._rd.get(y)
             if tail is not None:
-                return ReducedDecomposition(tuple(word) + tail.word, tail.omega)
-        return ReducedDecomposition(tuple(word), self.omega_of(y))
+                return ReducedDecomposition(bytes(word) + tail.word, tail.omega)
+        return ReducedDecomposition(bytes(word), self.omega_of(y))
 
     def evaluate_word(self, word: Iterable[int],
                       omega: Optional[OmegaElement] = None) -> ExtAffineElement:
@@ -613,10 +621,10 @@ class ExtendedAffineWeylGroup:
     # -------------------------------------------------------- Newton map
 
     def _newton_key(self, x: ExtAffineElement) -> tuple:
-        """(n, <m, a_j> over the simple roots, phi(m) over the radical
-        functionals) for the least n with (x sigma)^n = t^m: one walk of
-        the cycle of each simple root through the pairing row of the
-        translation (module docstring)."""
+        """The flat tuple (n, <m, a_j> over the simple roots, phi(m) over
+        the radical functionals) for the least n with (x sigma)^n = t^m:
+        one walk of the cycle of each simple root through the pairing row
+        of the translation (module docstring)."""
         perm = self._wperm[x.w].translate(self._frob_table)
         ext = self._rows[x.trans].pairs
         sums, sizes = [], []
@@ -630,8 +638,8 @@ class ExtendedAffineWeylGroup:
             sizes.append(c)
         f = self.datum.frobenius_order
         n = lcm(f, *sizes)
-        return (n, tuple([n // c * s for s, c in zip(sums, sizes)]),
-                tuple([n // f * vec_dot(x.trans, psi) for psi in self._newton_frame.orbit_sums]))
+        return (n, *[n // c * s for s, c in zip(sums, sizes)],
+                *[n // f * vec_dot(x.trans, psi) for psi in self._newton_frame.orbit_sums])
 
     @cached_property
     def _newton_frame(self) -> "_NewtonFrame":
@@ -655,17 +663,18 @@ class ExtendedAffineWeylGroup:
                             tuple(tuple(int(den * c) for c in row) for row in inv), den, bonds)
 
     def _newton_point(self, key: tuple):
-        """The memo entry (nu, <n nu, 2 rho>, n) of a ``_newton_key``.  The
+        """The memo entry (nu, <n nu, 2 rho>, n) of a ``_newton_key``, whose
+        entries 1..r are the pairings and the rest the radical values.  The
         key is made dominant in pairing coordinates, which gives the key of
         n nu with the same n; a non-dominant key takes the entry of that
         one, and only a dominant key rebuilds n nu, with the fixed inverse
         of the frame, so every key that shares a point shares its tuple."""
-        n, pairs, rad = key
-        dom = (n, tuple(self._dominant_pairings(list(pairs))), rad)
+        n, r = key[0], self.datum.nsimple
+        dom = (n, *self._dominant_pairings(list(key[1:r + 1])), *key[r + 1:])
         if dom != key:
             return self._newton[dom]
         frame = self._newton_frame
-        scaled = [vec_dot(row, pairs + rad) for row in frame.inverse]
+        scaled = [vec_dot(row, key[1:]) for row in frame.inverse]
         # den n nu in lattice coordinates; n nu is integral
         return (tuple(Fraction(t, frame.den * n) for t in self.datum.from_lattice(scaled)),
                 vec_dot(scaled, self.datum.two_rho) // frame.den, n)
@@ -697,10 +706,10 @@ class ExtendedAffineWeylGroup:
     def newton_vector(self, x: ExtAffineElement) -> tuple[Fraction, ...]:
         """Dominant Newton point of the element, in ambient coordinates.
 
-        Memoised by ``_newton_key``, which spares most dominantizations
-        (the Siegel Adm has 1,542 such keys for 6,331 elements at genus 5),
-        and shared through the key of the dominant form n nu (25 of them
-        at genus 5, for 13 Newton points).
+        Memoised by ``_newton_key``, one flat tuple of ints, which spares
+        most dominantizations (the Siegel Adm has 1,542 such keys for 6,331
+        elements at genus 5), and shared through the key of the dominant
+        form n nu (25 of them at genus 5, for 13 Newton points).
         """
         return self._newton[self._newton_key(x)][0]
 

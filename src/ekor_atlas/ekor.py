@@ -86,7 +86,7 @@ def stable_level_subset(group: ExtendedAffineWeylGroup, x: ExtAffineElement,
         cur = nxt
 
 
-def is_sigma_coxeter(word: tuple[int, ...], supp: SigmaSupport) -> bool:
+def is_sigma_coxeter(word: bytes, supp: SigmaSupport) -> bool:
     """The reduced word uses exactly one letter from each twist orbit of the
     closure of its support."""
     return all(sum(map(word.count, orbit)) == 1
@@ -104,7 +104,7 @@ class DLDatum(NamedTuple):
     stabilizes_parabolic: bool
 
 
-def dl_datum(group: ExtendedAffineWeylGroup, word: tuple[int, ...],
+def dl_datum(group: ExtendedAffineWeylGroup, word: bytes,
              supp: SigmaSupport, iset: frozenset[int]) -> DLDatum:
     """The flag datum of a basic stratum from the reduced word, twisted
     support and stable subset of its record; ``finite_type`` raises when
@@ -122,7 +122,7 @@ class StratumRecord(NamedTuple):
     """One stratum at a fixed level: the element and all its invariants."""
 
     element: ExtAffineElement
-    word: tuple[int, ...]
+    word: bytes
     length: int
     level: tuple[int, ...]
     basic: bool

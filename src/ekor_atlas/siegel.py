@@ -33,6 +33,7 @@ is fixed by the datum and asserted for g = 1..5 in the tests, not on build.
 from __future__ import annotations
 
 import functools
+import re
 from typing import Iterable, NamedTuple, Optional
 
 from ekor_atlas.admissible import (
@@ -47,6 +48,15 @@ from ekor_atlas.affine import (
 )
 from ekor_atlas.ekor import StratumRecord, stratum_report
 from ekor_atlas.rootdata import RootDatum
+
+# a node in a level name: an optional sign and ASCII digits; int() alone
+# would also read underscores and the digits of other scripts
+_NODE = re.compile(r"[+-]?[0-9]+")
+
+
+def _word_text(word: bytes) -> str:
+    """A reduced word by its letters, s0-s1, or e when it is empty."""
+    return "-".join(f"s{i}" for i in word) or "e"
 
 
 def siegel_datum(g: int) -> RootDatum:
@@ -98,17 +108,17 @@ class SiegelContext:
         return stratum_report(self.adm(), label)
 
     def level_nodes(self, spec: str) -> frozenset[int]:
-        """Parse a level name: iwahori, hyperspecial, or comma separated nodes."""
+        """Parse a level name: iwahori, hyperspecial, or comma separated
+        nodes, each an optional sign and ASCII digits (``_NODE``)."""
         text = spec.strip().lower()
         if text == "iwahori":
             return self.iwahori
         if text == "hyperspecial":
             return self.hyperspecial
-        try:
-            nodes = frozenset(int(p) for p in text.split(",") if p.strip() != "")
-        except ValueError:
-            raise GroupError(f"cannot parse level {spec!r}") from None
-        return parahoric_label(self.group, nodes)
+        parts = [p.strip() for p in text.split(",") if p.strip() != ""]
+        if not all(map(_NODE.fullmatch, parts)):
+            raise GroupError(f"cannot parse level {spec!r}")
+        return parahoric_label(self.group, frozenset(map(int, parts)))
 
     # ------------------------------------------------ minimal coset reps
 
@@ -178,7 +188,7 @@ class SiegelContext:
             word = self.group.reduced_word(w).word
             # the least window g-c+1..g holding the word
             c = g + 1 - min(word) if word else 0
-            label = f"c{c}:" + ("-".join(f"s{i}" for i in word) or "e")
+            label = f"c{c}:" + _word_text(word)
             out.append(EOStratum(
                 label=label,
                 defect=c,
@@ -204,11 +214,10 @@ class SiegelContext:
             index = self.superspecial_index(rec.support.raw)
             if (index is not None) != rec.basic:
                 raise GroupError(
-                    f"basic flags disagree at word {rec.word}: "
+                    f"basic flags disagree at word {_word_text(rec.word)}: "
                     f"closure says {rec.basic}, index says {index is not None}")
             if rec.basic:
-                labels.append(f"c{index}:len{rec.length}:"
-                              + ("-".join(f"s{i}" for i in rec.word) or "e"))
+                labels.append(f"c{index}:len{rec.length}:" + _word_text(rec.word))
         # every disagreement raised above, so the index predicts these strata
         basic = len(labels)
         longest = max((rec.length for rec in report if rec.basic), default=None)

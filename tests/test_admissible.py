@@ -14,6 +14,7 @@ from ekor_atlas.admissible import (
     weyl_orbit,
 )
 from ekor_atlas.affine import ALWAYS, NEVER, ExtendedAffineWeylGroup, GroupError, element_label
+from ekor_atlas.ekor import stratum_report
 from ekor_atlas.oracles import (
     admissible_by_right_words,
     admissible_by_subwords,
@@ -296,6 +297,31 @@ def test_kw_order_matches_sorting_all_g4(ctx4):
     for nodes in (ctx4.hyperspecial, frozenset({0})):
         assert kw_elements(adm, nodes) == kw_by_sorting_all(adm, nodes)
     assert adm.elements == kw_by_sorting_all(adm, ctx4.iwahori)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_words_are_bytes_in_tuple_order(g):
+    """Every reduced word of Adm(mu) is ``bytes``, and its Iwahori record
+    holds that object; byte order is tuple order, so every level's order is
+    the sort by (length, word as a tuple, translation of the length-zero
+    part); a Newton key is one flat tuple (n, simple-root pairings, radical
+    values)."""
+    ctx = siegel_context(g)
+    group, adm = ctx.group, ctx.adm()
+    width = 1 + group.datum.nsimple + len(group._newton_frame.orbit_sums)
+    for x in adm.found:
+        assert type(group.reduced_word(x).word) is bytes
+        assert len(group._newton_key(x)) == width
+    for rec in stratum_report(adm, ctx.iwahori):
+        assert rec.word is group.reduced_word(rec.element).word
+
+    def by_tuple(x):
+        rd = group.reduced_word(x)
+        return len(rd.word), tuple(rd.word), rd.omega.element.trans
+
+    for nodes in siegel_levels(g):
+        want = tuple(sorted(group.left_minimal(adm.found, nodes), key=by_tuple))
+        assert kw_elements(adm, nodes) == want, sorted(nodes)
 
 
 def test_kw_order_matches_sorting_all_subword_fallback():

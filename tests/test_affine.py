@@ -695,9 +695,11 @@ def test_dominantize_matches_rescan_on_newton_translations(request, g):
     ctx = request.getfixturevalue(f"ctx{g}")
     group = ctx.group
     frame = group._newton_frame
+    r = group.datum.nsimple
     moved = 0
     for x in ctx.adm().elements:
-        n, pairs, rad = group._newton_key(x)
+        key = group._newton_key(x)
+        n, pairs, rad = key[0], key[1:r + 1], key[r + 1:]
         y = twisted_power(group, x, n)
         m = tuple(Fraction(vec_dot(row, pairs + rad), frame.den) for row in frame.inverse)
         assert y.w == 0 and m == y.trans

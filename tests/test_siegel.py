@@ -331,7 +331,9 @@ def _canonical_stable_subset(ctx, report):
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 @pytest.mark.parametrize("level, tamper, message", [
-    ("iwahori", _flag_non_basic, "basic flags disagree"),
+    # the word by its letters, as the labels write it
+    ("iwahori", _flag_non_basic,
+     r"basic flags disagree at word s\d+(-s\d+)*: closure says True, index says False$"),
     ("iwahori", _drop_longest_basic, "Goertz-Yu dimension"),
     ("hyperspecial", _drop_basic, "differ from the predicted"),
     ("hyperspecial", _empty_raw_support, "defect mismatch"),
@@ -390,8 +392,13 @@ def test_level_nodes(ctx2):
     assert ctx2.level_nodes("1,2") == frozenset({1, 2})
     assert ctx2.level_nodes(" 2 , 1 ") == frozenset({1, 2})
     assert ctx2.level_nodes("0") == frozenset({0})
-    with pytest.raises(GroupError):
-        ctx2.level_nodes("bogus")
+    assert ctx2.level_nodes("+1,2") == frozenset({1, 2})
+    # int() reads "1_0" as 10 and the Arabic-Indic three as 3
+    for spec in ("bogus", "1_0", "\u0663", "1.0", "--1"):
+        with pytest.raises(GroupError, match="cannot parse level"):
+            ctx2.level_nodes(spec)
+    with pytest.raises(GroupError, match="node -1 is out of range"):
+        ctx2.level_nodes("-1")
     with pytest.raises(GroupError):
         ctx2.level_nodes("7")
     with pytest.raises(GroupError):
