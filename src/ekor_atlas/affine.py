@@ -189,8 +189,8 @@ elements, a Newton point by its ``_newton_key``.  A reduced word is
 ``bytes``, one letter per byte: there are r + (number of components)
 <= 2r <= 2N nodes, and a datum with more than 256 roots is refused, so
 every node number is below 256.  A word then takes 33 bytes plus one per
-letter where a tuple takes 40 plus eight, and byte order is tuple order,
-so the canonical sort compares two words with one memcmp.  The caches are
+letter where a tuple takes 40 plus eight (64-bit CPython), and byte order
+is tuple order, so the canonical sort compares two words with one memcmp.  The caches are
 only ever extended with values that any thread would recompute
 identically, so concurrent readers are safe.
 """
