@@ -97,7 +97,9 @@ class AdmissibleSet:
 
     ``len`` and iteration read the elements unsorted, as found;
     ``elements`` is the whole set in canonical order, the Iwahori level of
-    ``kw_elements``, worded and sorted on each read (module docstring)."""
+    ``kw_elements``, worded and sorted on each read (module docstring).
+    ``maxima`` holds the translation points in the order of the sorted
+    orbit (``weyl_orbit``), unworded."""
 
     def __init__(self, group: ExtendedAffineWeylGroup, mu: tuple[int, ...],
                  found: tuple[ExtAffineElement, ...],
@@ -146,7 +148,7 @@ def admissible_set(group: ExtendedAffineWeylGroup,
     if found is None:
         found = admissible_by_subwords(group, maxima)
     return AdmissibleSet(group, tuple(int(c) for c in mu_ambient), tuple(found),
-                         tuple(sorted(maxima, key=group.sort_key)))
+                         tuple(maxima))
 
 
 def _vertex_rule(group: ExtendedAffineWeylGroup,

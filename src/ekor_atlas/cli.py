@@ -266,7 +266,8 @@ def _cmd_check(ctx) -> Iterable[str]:
     group = ctx.group
     lines = []
 
-    fin = coxeter_group_size(group.affine_coxeter, ctx.hyperspecial, cap=10000)
+    fin = coxeter_group_size(group.affine_coxeter, ctx.hyperspecial,
+                             cap=group.finite_order)
     if fin != group.finite_order:
         raise GroupError(f"finite group size {fin}, expected {group.finite_order}")
     lines.append(f"ok: finite group has {fin} elements")
@@ -312,8 +313,8 @@ def dispatch(args) -> Iterable[str]:
         raise UsageError(f"--g {args.g}: the finite Weyl group has {count} elements, "
                          f"more than the {MAX_FINITE_ORDER} this tool enumerates")
     if args.command == "check":
-        if args.g > 3:
-            raise UsageError("check supports g up to 3; larger genera take too long")
+        if args.g > 5:
+            raise UsageError("check supports g up to 5; larger genera take too long")
         return _cmd_check(siegel_context(args.g))
     if args.fmt == "dot" and args.g > 4:  # genus 5 compares millions of pairs
         raise UsageError("dot output supports g up to 4; larger genera take too long")

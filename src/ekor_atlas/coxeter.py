@@ -43,7 +43,7 @@ FiniteTypeLabel = tuple[tuple[str, int], ...]
 _E_ARMS = {(1, 2, 2): ("E", 6), (1, 2, 3): ("E", 7), (1, 2, 4): ("E", 8)}
 
 #: The types of a valid node (``CoxeterMatrix._check_subset``).
-_INT_TYPES = frozenset({int, bool})
+_INT_TYPES = frozenset({int})
 
 _T = TypeVar("_T", bound=Hashable)
 

@@ -109,13 +109,14 @@ class SiegelContext:
 
     def level_nodes(self, spec: str) -> frozenset[int]:
         """Parse a level name: iwahori, hyperspecial, or comma separated
-        nodes, each an optional sign and ASCII digits (``_NODE``)."""
+        nodes, each an optional sign and ASCII digits (``_NODE``).  An empty
+        item, as in "", "," or "1,,2", is refused, not skipped."""
         text = spec.strip().lower()
         if text == "iwahori":
             return self.iwahori
         if text == "hyperspecial":
             return self.hyperspecial
-        parts = [p.strip() for p in text.split(",") if p.strip() != ""]
+        parts = [p.strip() for p in text.split(",")]
         if not all(map(_NODE.fullmatch, parts)):
             raise GroupError(f"cannot parse level {spec!r}")
         return parahoric_label(self.group, frozenset(map(int, parts)))

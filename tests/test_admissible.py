@@ -392,6 +392,16 @@ def test_level_verdicts_hold_for_every_w(g):
     assert seen == {ALWAYS, npos, NEVER}
 
 
+@pytest.mark.parametrize("g", [2, 4])
+def test_build_words_no_element(g):
+    """On a fresh group the build leaves the word memo empty: it words
+    neither the elements nor the 2^g translation points."""
+    group = ExtendedAffineWeylGroup(siegel_datum(g))
+    adm = admissible_set(group, (1,) * g + (0,) * g)
+    assert (len(adm), len(adm.maxima)) == (SIZES[g], 2 ** g)
+    assert len(group._rd) == 0
+
+
 def test_hyperspecial_words_only_its_strata():
     """The hyperspecial comparison at g=4 words its 16 strata and a few
     more elements, not all 633 of Adm(mu): only the survivors of the level

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -155,6 +156,12 @@ def test_check_runs(capsys):
     assert len(lines) >= 5
 
 
+def test_check_runs_at_genus_4(capsys):
+    code, out, err = run_cli(capsys, "check", "--g", "4")
+    assert (code, err) == (0, "")
+    assert out.endswith("\nall checks passed\n")
+
+
 def _ball_one_too_far(monkeypatch):
     ball = cli.cayley_ball
 
@@ -225,8 +232,9 @@ def test_commands_form_no_general_product(capsys, monkeypatch, g):
     ("adm", "--g", "0"),
     ("classify", "--g", "2", "--level", "bogus"),
     ("classify", "--g", "2", "--level", "9"),
-    ("check", "--g", "4"),
+    ("check", "--g", "6"),
     ("compare", "--g", "2", "--level", "0,1"),
+    ("classify", "--g", "2", "--level", ""),
 ])
 def test_config_errors_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -253,16 +261,16 @@ def test_oversized_genus_refused(capsys, monkeypatch, g):
         assert f"2^{g} * {g}! elements" in err
 
 
-@pytest.mark.parametrize("g", [4, 7])
+@pytest.mark.parametrize("g", [6, 7])
 def test_check_refuses_large_genus_before_building(capsys, monkeypatch, g):
-    """check stops at genus 3 without building the genus-g context."""
+    """check stops at genus 5 without building the genus-g context."""
     def build(genus):
         raise AssertionError("context built for a refused check")
     monkeypatch.setattr("ekor_atlas.cli.siegel_context", build)
     code, out, err = run_cli(capsys, "check", "--g", str(g))
     assert code == 2
     assert out == ""
-    assert err == "error: check supports g up to 3; larger genera take too long\n"
+    assert err == "error: check supports g up to 5; larger genera take too long\n"
 
 
 @pytest.mark.parametrize("g", [5, 7])
@@ -505,11 +513,54 @@ def test_failure_leaves_stdout_empty(capsys, monkeypatch):
 
 def test_workflow_commands_parse():
     """Every ``python -m ekor_atlas`` command of the CI workflow is accepted
-    by the parser, so a renamed flag cannot break a digest step unseen.  A
-    regex, not a YAML parser: CI installs only pytest and hypothesis."""
+    by the parser, so a renamed flag cannot break a CI step unseen; the one
+    that runs the rows of the pinned table is checked by the table tests
+    below.  A regex, not a YAML parser: CI installs only pytest and
+    hypothesis."""
     workflow = pathlib.Path(__file__).resolve().parents[1] / ".github/workflows/tier1.yml"
     text = workflow.read_text()
     commands = re.findall(r"python -m ekor_atlas ([^|)\n]*)", text)
     assert commands and len(commands) == text.count("-m ekor_atlas")
+    assert commands.count("$args ") == 1 and f"tests/{_PINNED.name}" in text
     for command in commands:
-        cli.build_parser().parse_args(shlex.split(command))
+        if command != "$args ":
+            cli.build_parser().parse_args(shlex.split(command))
+
+
+# ---------------------------------------------------------- pinned outputs
+
+
+_PINNED = pathlib.Path(__file__).with_name("pinned_outputs.txt")
+
+
+def _pinned_lines():
+    """Every line of the pinned table but a comment, as the CI loop reads
+    them."""
+    lines = _PINNED.read_text(encoding="ascii").splitlines()
+    return [line for line in lines if not line.startswith("#")]
+
+
+def test_pinned_rows_are_well_formed():
+    """Each row is a sha256 and the args of one command; the args take no
+    shell quoting, since the CI loop splits the unquoted ``$args`` on
+    spaces, and no command is pinned twice."""
+    argvs = []
+    for line in _pinned_lines():
+        assert re.fullmatch(r"[0-9a-f]{64}  [a-z0-9 ,-]+", line), line
+        argvs.append(tuple(line.split()[1:]))
+        cli.build_parser().parse_args(argvs[-1])
+    assert argvs and len(set(argvs)) == len(argvs)
+
+
+_UP_TO_GENUS_4 = [line.split(None, 1) for line in _pinned_lines()
+                  if re.search(r"--g [1-4]\b", line)]
+
+
+@pytest.mark.parametrize("want, args", _UP_TO_GENUS_4,
+                         ids=[args for _, args in _UP_TO_GENUS_4])
+def test_pinned_output(capsys, want, args):
+    """The rows up to genus 4 give their pinned bytes in-process; CI runs
+    them all."""
+    code, out, err = run_cli(capsys, *args.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == want

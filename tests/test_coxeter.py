@@ -162,7 +162,7 @@ def test_finite_parabolic_inside_affine():
     assert not mat.is_finite_parabolic(frozenset({0, 1, 2, 3}))
     # the answers are memoised; a subset out of range is still refused
     assert mat.is_finite_parabolic(frozenset({0, 1, 2}))
-    for bad in ({0, 4}, {-1}, {0.0, 1.0, 2.0}):
+    for bad in ({0, 4}, {-1}, {0.0, 1.0, 2.0}, {True}, {False, 1}):
         with pytest.raises(CoxeterError):
             mat.is_finite_parabolic(bad)
         with pytest.raises(CoxeterError):

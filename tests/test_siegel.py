@@ -394,7 +394,8 @@ def test_level_nodes(ctx2):
     assert ctx2.level_nodes("0") == frozenset({0})
     assert ctx2.level_nodes("+1,2") == frozenset({1, 2})
     # int() reads "1_0" as 10 and the Arabic-Indic three as 3
-    for spec in ("bogus", "1_0", "\u0663", "--1"):
+    # an empty item is refused, not skipped
+    for spec in ("bogus", "1_0", "\u0663", "--1", "", ",", "1,,2", "1,"):
         with pytest.raises(GroupError, match="cannot parse level"):
             ctx2.level_nodes(spec)
     with pytest.raises(GroupError, match="node -1 is out of range"):
