@@ -143,12 +143,11 @@ def admissible_set(group: ExtendedAffineWeylGroup,
     if not group.is_dominant(mu_ambient):
         raise GroupError(f"{tuple(mu_ambient)} is not dominant")
     orbit = weyl_orbit(group, group.datum.to_lattice(mu_ambient))
-    maxima = [group.from_parts(lam, 0) for lam in orbit]
+    maxima = tuple(group.from_parts(lam, 0) for lam in orbit)
     found = _vertex_rule(group, orbit)
     if found is None:
         found = admissible_by_subwords(group, maxima)
-    return AdmissibleSet(group, tuple(int(c) for c in mu_ambient), tuple(found),
-                         tuple(maxima))
+    return AdmissibleSet(group, tuple(int(c) for c in mu_ambient), tuple(found), maxima)
 
 
 def _vertex_rule(group: ExtendedAffineWeylGroup,
